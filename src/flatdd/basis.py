@@ -26,6 +26,8 @@ __all__ = [
     "affine_xi_decomposition",
     "KernelSpec",
     "kernel_eval",
+    "kernel_diag",
+    "kernel_grad",
     "kernel_gram",
 ]
 
@@ -228,6 +230,40 @@ def kernel_eval(spec: KernelSpec, Z1: np.ndarray, Z2: np.ndarray) -> np.ndarray:
     if spec.kind == "gaussian_plus_linear":
         K += np.outer(Z1[:, 0], Z2[:, 0])
     return K
+
+
+def kernel_diag(spec: KernelSpec, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel values k(z, z) at each row z of Z, and their gradients in z.
+
+    Returns shapes (m,) and (m, 1+n).  The Gaussian part is 1 with zero
+    gradient; the linear term adds u^2, whose gradient is 2u in the input.
+    """
+    Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    values = np.ones(Z.shape[0])
+    grads = np.zeros_like(Z)
+    if spec.kind == "gaussian_plus_linear":
+        values += Z[:, 0] ** 2
+        grads[:, 0] = 2.0 * Z[:, 0]
+    return values, grads
+
+
+def kernel_grad(
+    spec: KernelSpec, Z1: np.ndarray, Z2: np.ndarray, K: np.ndarray, W: np.ndarray
+) -> np.ndarray:
+    """Weighted kernel gradients in the first argument, shape Z1.shape.
+
+    Row k is sum_j W[k, j] dk(z, Z2_j)/dz at z = Z1_k, given the values
+    K = kernel_eval(spec, Z1, Z2).  The Gaussian part contributes
+    -(z - Z2_j) / sigma^2 times its value, the linear term (u_j, 0, ..., 0).
+    """
+    Z1 = np.atleast_2d(np.asarray(Z1, dtype=float))
+    Z2 = np.atleast_2d(np.asarray(Z2, dtype=float))
+    linear = spec.kind == "gaussian_plus_linear"
+    WK = W * (K - np.outer(Z1[:, 0], Z2[:, 0]) if linear else K)
+    out = (WK @ Z2 - Z1 * WK.sum(axis=1)[:, None]) / spec.sigma**2
+    if linear:
+        out[:, 0] += W @ Z2[:, 0]
+    return out
 
 
 def kernel_gram(spec: KernelSpec, Z: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from .basis import (
     affine_u_decomposition,
     build_psi_hankel,
     eval_psi_hat,
-    kernel_eval,
     psi_hat_signal,
 )
 from .errors import ConfigError, DataLengthWarning, DimensionError, PersistencyWarning
@@ -38,7 +38,7 @@ from .solver import (
     nonlinear_solve,
     ridge_solve,
 )
-from .simulation import _diag_band_sum, _slice_sum_gram, _window_points
+from .simulation import _kernel_window_problem
 
 __all__ = ["MatchProblem", "MatchResult", "dd_match", "kernel_match_problem"]
 
@@ -122,40 +122,25 @@ def kernel_match_problem(
     traj: IoTrajectory,
     L: int,
     y_ref: np.ndarray,
-    pair_fn,
+    kernel: KernelSpec | Callable[[np.ndarray, np.ndarray], np.ndarray],
     lam: float,
     **controls,
 ) -> tuple[NormalEquationsProblem, np.ndarray, np.ndarray]:
     """Assemble the Gram-space matching objective.
 
-    Returns the problem, the depth-(L-n) input Hankel matrix (for
-    recovering u from alpha), and the starting point alpha0 fit to the
-    reference rows.
+    ``kernel`` is a KernelSpec (the problem then carries its exact
+    gradient) or any ``pair_fn(Z1, Z2)``.  Returns the problem, the
+    depth-(L-n) input Hankel matrix (for recovering u from alpha), and the
+    starting point alpha0 fit to the reference rows.
     """
     n = traj.n
-    cols = traj.N - L + 1
-    Z_data = _window_points(traj)
-    K_data = pair_fn(Z_data, Z_data)
-    G_psi = _slice_sum_gram(K_data, L - n, cols)
     U = build_hankel(traj.u, L - n).entries
     H_L_y = build_hankel(traj.y, L).entries
-    gram = G_psi + H_L_y.T @ H_L_y
-    const_cross = H_L_y.T @ y_ref
-    xi_ref = _reference_windows(y_ref, n)
-
-    def candidate_points(alpha: np.ndarray) -> np.ndarray:
-        return np.column_stack([U @ alpha, xi_ref])
-
-    def cross(alpha: np.ndarray) -> np.ndarray:
-        return _diag_band_sum(pair_fn(candidate_points(alpha), Z_data), cols) + const_cross
-
-    y_ref_sq = float(y_ref @ y_ref)
-
-    def offset(alpha: np.ndarray) -> float:
-        Z_bar = candidate_points(alpha)
-        return float(np.trace(pair_fn(Z_bar, Z_bar))) + y_ref_sq
-
-    prob = NormalEquationsProblem(gram, cross, offset, lam, **controls)
+    # candidate point k is ((U alpha)[k], y_ref[k], ..., y_ref[k+n-1])
+    Z0 = np.column_stack([np.zeros(L - n), _reference_windows(y_ref, n)])
+    J = np.zeros((L - n, 1 + n, U.shape[1]))
+    J[:, 0, :] = U
+    prob = _kernel_window_problem(traj, kernel, Z0, J, H_L_y, y_ref, lam, **controls)
     alpha0 = ridge_solve(RidgeProblem(H_L_y, y_ref, lam))
     return prob, U, alpha0
 
@@ -182,7 +167,7 @@ def dd_match(prob: MatchProblem) -> MatchResult:
             traj,
             L,
             y_ref,
-            lambda Z1, Z2: kernel_eval(prob.kernel, Z1, Z2),
+            prob.kernel,
             prob.lam,
             **controls,
         )

@@ -2,12 +2,13 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, FormatError, ParseError
+from .errors import DimensionError, FormatError, ParseError, SingularMatrixError
 
 __all__ = [
     "Signal",
@@ -177,7 +178,10 @@ def pe_check(z: Signal | np.ndarray, L: int, rank_tol: float | None = None) -> P
         raise DimensionError(f"rank_tol must be positive, got {rank_tol}")
     H = build_hankel(z, L)
     full = z.sigma * L
-    s = np.linalg.svd(H.entries, compute_uv=False)
+    try:
+        s = np.linalg.svd(H.entries, compute_uv=False)
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError("SVD of the Hankel matrix did not converge; is the sequence finite?") from None
     if rank_tol is None:
         rank_tol = max(H.entries.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
     rank = int(np.count_nonzero(s > rank_tol))
@@ -212,9 +216,12 @@ def write_trajectory(path: str | Path, traj: IoTrajectory) -> None:
 
 def _parse_cell(cell: str, row: int, col: str) -> float:
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
         raise ParseError(f"non-numeric {col} cell at row {row}: {cell!r}") from None
+    if not math.isfinite(value):
+        raise ParseError(f"non-finite {col} cell at row {row}: {cell!r}")
+    return value
 
 
 def read_trajectory(path: str | Path) -> IoTrajectory:
@@ -262,7 +269,13 @@ def read_signal_csv(path: str | Path) -> np.ndarray:
     header = [c.strip() for c in rows[0]]
     if len(header) != 2 or header[0] != "k":
         raise FormatError(f"expected header 'k,<name>', got {rows[0]!r}")
-    out = [_parse_cell(row[1], idx, header[1]) for idx, row in enumerate(rows[1:]) if row]
+    out = []
+    for idx, row in enumerate(rows[1:]):
+        if not row:
+            continue
+        if len(row) != 2:
+            raise FormatError(f"row {idx} has {len(row)} cells, expected 2")
+        out.append(_parse_cell(row[1], idx, header[1]))
     if not out:
         raise ParseError(f"no data rows in {path}")
     return np.array(out)

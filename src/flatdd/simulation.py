@@ -26,7 +26,9 @@ from .basis import (
     affine_xi_decomposition,
     build_psi_hankel,
     eval_psi_hat,
+    kernel_diag,
     kernel_eval,
+    kernel_grad,
     psi_hat_signal,
 )
 from .errors import ConfigError, DataLengthWarning, DimensionError, PersistencyWarning
@@ -116,11 +118,6 @@ def _window_points(traj: IoTrajectory) -> np.ndarray:
     return np.column_stack([traj.u.flat, xi])
 
 
-def _candidate_points(u_new: np.ndarray, y_candidate: np.ndarray, n: int) -> np.ndarray:
-    xi = np.lib.stride_tricks.sliding_window_view(y_candidate, n)[: u_new.size]
-    return np.column_stack([u_new, xi])
-
-
 def _slice_sum_gram(K: np.ndarray, depth: int, cols: int) -> np.ndarray:
     """sum_k K[k:k+cols, k:k+cols] for k = 0..depth-1."""
     G = np.zeros((cols, cols))
@@ -129,12 +126,71 @@ def _slice_sum_gram(K: np.ndarray, depth: int, cols: int) -> np.ndarray:
     return G
 
 
-def _diag_band_sum(K: np.ndarray, cols: int) -> np.ndarray:
-    """c[j] = sum_k K[k, k+j], for a (depth x depth+cols-1) block."""
-    c = np.zeros(cols)
-    for k in range(K.shape[0]):
-        c += K[k, k : k + cols]
-    return c
+def _band(A: np.ndarray, cols: int) -> np.ndarray:
+    """View V[k, j] = A[k, k+j] of an m x (m+cols-1) array; writes go through.
+
+    Candidate point k meets data point k+j in column j of the feature
+    Hankel matrix, so V holds the pairs that enter the objective.
+    """
+    s0, s1 = A.strides
+    return np.lib.stride_tricks.as_strided(A, (A.shape[0], cols), (s0 + s1, s1))
+
+
+def _kernel_window_problem(
+    traj: IoTrajectory,
+    kernel: KernelSpec | Callable[[np.ndarray, np.ndarray], np.ndarray],
+    Z0: np.ndarray,
+    J: np.ndarray,
+    B: np.ndarray,
+    b: np.ndarray,
+    lam: float,
+    **controls,
+) -> NormalEquationsProblem:
+    """Gram-space form of |[H_psi; B] alpha - [Psi(Z(alpha)); b]|^2 + lam |alpha|^2.
+
+    H_psi is the depth-m feature Hankel matrix of the data, whose row
+    block k pairs with candidate point k, and the m candidate points
+    Z(alpha)[k, c] = Z0[k, c] + J[k, c, :] @ alpha are affine in alpha.
+    ``kernel`` is a KernelSpec, in which case the problem carries the
+    exact gradient, or any pair_fn(Z1, Z2) returning pairwise inner
+    products of feature vectors.
+    """
+    m, width, cols = J.shape
+    J = J.reshape(m * width, cols)
+    Z_data = _window_points(traj)
+    if isinstance(kernel, KernelSpec):
+        spec = kernel
+        pair_fn = lambda Z1, Z2: kernel_eval(spec, Z1, Z2)
+    else:
+        spec, pair_fn = None, kernel
+    gram = _slice_sum_gram(pair_fn(Z_data, Z_data), m, cols) + B.T @ B
+    const_cross = B.T @ b
+    b_sq = float(b @ b)
+
+    def points(alpha: np.ndarray) -> np.ndarray:
+        return Z0 + (J @ alpha).reshape(m, width)
+
+    def cross(alpha: np.ndarray) -> np.ndarray:
+        return _band(pair_fn(points(alpha), Z_data), cols).sum(axis=0) + const_cross
+
+    def offset(alpha: np.ndarray) -> float:
+        Z_bar = points(alpha)
+        if spec is None:
+            return float(np.trace(pair_fn(Z_bar, Z_bar))) + b_sq
+        return float(kernel_diag(spec, Z_bar)[0].sum()) + b_sq
+
+    def cross_terms(alpha: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+        Z_bar = points(alpha)
+        K = kernel_eval(spec, Z_bar, Z_data)
+        diag, diag_grad = kernel_diag(spec, Z_bar)
+        W = np.zeros_like(K)
+        _band(W, cols)[:] = alpha
+        point_grad = diag_grad - 2.0 * kernel_grad(spec, Z_bar, Z_data, K, W)
+        return _band(K, cols).sum(axis=0) + const_cross, float(diag.sum()) + b_sq, J.T @ point_grad.reshape(-1)
+
+    return NormalEquationsProblem(
+        gram, cross, offset, lam, cross_terms=None if spec is None else cross_terms, **controls
+    )
 
 
 def kernel_sim_problem(
@@ -142,40 +198,29 @@ def kernel_sim_problem(
     L: int,
     u_new: np.ndarray,
     y_init: np.ndarray,
-    pair_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    kernel: KernelSpec | Callable[[np.ndarray, np.ndarray], np.ndarray],
     lam: float,
     **controls,
 ) -> tuple[NormalEquationsProblem, np.ndarray, np.ndarray]:
     """Assemble the Gram-space simulation objective.
 
-    ``pair_fn(Z1, Z2)`` returns pairwise inner products of feature vectors
-    at points z = (u, output window).  Returns the problem, the depth-L
-    output Hankel matrix (for recovering y from alpha), and the starting
-    point alpha0 fit to the initial-output rows.
+    ``kernel`` is a KernelSpec (the problem then carries its exact
+    gradient) or any ``pair_fn(Z1, Z2)`` returning pairwise inner products
+    of feature vectors at points z = (u, output window).  Returns the
+    problem, the depth-L output Hankel matrix (for recovering y from
+    alpha), and the starting point alpha0 fit to the initial-output rows.
     """
     n = traj.n
-    cols = traj.N - L + 1
-    Z_data = _window_points(traj)
-    K_data = pair_fn(Z_data, Z_data)
-    G_psi = _slice_sum_gram(K_data, L - n, cols)
+    m = L - n
     Y0 = build_hankel(traj.y.window(0, traj.N - L + n - 1), n).entries
     H_L_y = build_hankel(traj.y, L).entries
-    gram = G_psi + Y0.T @ Y0
-    const_cross = Y0.T @ y_init
-
-    def cross(alpha: np.ndarray) -> np.ndarray:
-        y_cand = H_L_y @ alpha
-        Z_bar = _candidate_points(u_new, y_cand, n)
-        return _diag_band_sum(pair_fn(Z_bar, Z_data), cols) + const_cross
-
-    y_init_sq = float(y_init @ y_init)
-
-    def offset(alpha: np.ndarray) -> float:
-        y_cand = H_L_y @ alpha
-        Z_bar = _candidate_points(u_new, y_cand, n)
-        return float(np.trace(pair_fn(Z_bar, Z_bar))) + y_init_sq
-
-    prob = NormalEquationsProblem(gram, cross, offset, lam, **controls)
+    # candidate point k is (u_new[k], y[k], ..., y[k+n-1]) with y = H_L_y alpha
+    Z0 = np.zeros((m, 1 + n))
+    Z0[:, 0] = u_new
+    J = np.zeros((m, 1 + n, H_L_y.shape[1]))
+    for i in range(n):
+        J[:, 1 + i, :] = H_L_y[i : i + m, :]
+    prob = _kernel_window_problem(traj, kernel, Z0, J, Y0, y_init, lam, **controls)
     alpha0 = ridge_solve(RidgeProblem(Y0, y_init, lam))
     return prob, H_L_y, alpha0
 
@@ -222,7 +267,7 @@ def dd_simulate(prob: SimProblem) -> SimResult:
             L,
             prob.u_new,
             prob.y_init,
-            lambda Z1, Z2: kernel_eval(prob.kernel, Z1, Z2),
+            prob.kernel,
             prob.lam,
             **controls,
         )

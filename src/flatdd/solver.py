@@ -54,7 +54,10 @@ class _RidgeOperator:
     """SVD-based solver for min |A x - b|^2 + lam |x|^2, reusable across b."""
 
     def __init__(self, A: np.ndarray, lam: float):
-        U, s, Vt = np.linalg.svd(A, full_matrices=False)
+        try:
+            U, s, Vt = np.linalg.svd(A, full_matrices=False)
+        except np.linalg.LinAlgError:
+            raise SingularMatrixError("SVD of the data block did not converge; is the data finite?") from None
         if lam == 0.0:
             cutoff = max(A.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
             if s.size == 0 or s[-1] <= cutoff:
@@ -136,6 +139,11 @@ class NormalEquationsProblem:
     ``gram`` collects the alpha-independent products, ``cross`` the mixed
     terms and ``offset`` the alpha-only block |rhs(alpha)|^2.  The frozen
     linear step solves (gram + lam I) alpha = cross(alpha_t).
+
+    ``cross_terms``, when given, evaluates cross(alpha), offset(alpha) and
+    the coupling gradient grad offset(alpha) - 2 (d cross/d alpha)' alpha
+    in one pass; the exact gradient of the objective is then
+    2 (gram + lam I) alpha - 2 cross(alpha) + coupling.
     """
 
     gram: np.ndarray
@@ -147,6 +155,7 @@ class NormalEquationsProblem:
     damping: float = 1.0
     polish: bool = True
     polish_maxiter: int = 100
+    cross_terms: Callable[[np.ndarray], tuple[np.ndarray, float, np.ndarray]] | None = None
 
     def __post_init__(self) -> None:
         G = np.asarray(self.gram, dtype=float)
@@ -166,6 +175,13 @@ class NormalEquationsProblem:
         return quad - 2.0 * float(self.cross(alpha) @ alpha) + float(self.offset(alpha)) + self.lam * float(
             alpha @ alpha
         )
+
+    def value_and_grad(self, alpha: np.ndarray) -> tuple[float, np.ndarray]:
+        """The objective and its exact gradient; needs ``cross_terms``."""
+        c, off, coupling = self.cross_terms(alpha)
+        G_alpha = self.gram @ alpha
+        value = float(alpha @ G_alpha) - 2.0 * float(c @ alpha) + float(off) + self.lam * float(alpha @ alpha)
+        return value, 2.0 * (G_alpha + self.lam * alpha - c) + coupling
 
 
 @dataclass(frozen=True)
@@ -188,8 +204,8 @@ class _NormalOperator:
             raise SingularMatrixError(
                 "gram matrix is numerically singular and lam = 0; set lam > 0 to regularize"
             ) from None
-        ev = scipy.linalg.eigvalsh(M, subset_by_index=[0, 0])[0]
-        top = scipy.linalg.eigvalsh(M, subset_by_index=[G.shape[0] - 1, G.shape[0] - 1])[0]
+        spectrum = scipy.linalg.eigvalsh(M)
+        ev, top = spectrum[0], spectrum[-1]
         if ev <= 0:
             raise SingularMatrixError(
                 "gram matrix is numerically singular and lam = 0; set lam > 0 to regularize"
@@ -203,6 +219,27 @@ class _NormalOperator:
 
     def solve(self, c: np.ndarray) -> np.ndarray:
         return scipy.linalg.cho_solve(self._cf, c)
+
+
+def _polish(
+    prob: NonlinearResidualProblem | NormalEquationsProblem, alpha0: np.ndarray
+) -> scipy.optimize.OptimizeResult:
+    """L-BFGS-B on the exact objective; non-finite points read as 1e300."""
+    exact = isinstance(prob, NormalEquationsProblem) and prob.cross_terms is not None
+    if exact:
+        def fun(a: np.ndarray) -> tuple[float, np.ndarray]:
+            v, g = prob.value_and_grad(a)
+            if np.isfinite(v) and np.all(np.isfinite(g)):
+                return v, g
+            return 1e300, np.zeros_like(a)
+    else:
+        def fun(a: np.ndarray) -> float:
+            v = prob.objective(a)
+            return v if np.isfinite(v) else 1e300
+
+    return scipy.optimize.minimize(
+        fun, alpha0, jac=exact, method="L-BFGS-B", options={"maxiter": prob.polish_maxiter}
+    )
 
 
 def nonlinear_solve(
@@ -222,7 +259,9 @@ def nonlinear_solve(
     The fixed point of the frozen iteration is biased away from the true
     minimizer in proportion to the residual, so a quasi-Newton polish of
     the exact objective runs afterwards (disable with polish=False); its
-    result is kept only when it lowers the objective.  The returned
+    result is kept only when it lowers the objective.  The polish uses the
+    problem's exact gradient when it has one (a NormalEquationsProblem
+    with ``cross_terms``) and finite differences otherwise.  The returned
     objective is never above the objective at alpha0.
     """
     if isinstance(prob, NonlinearResidualProblem):
@@ -274,16 +313,7 @@ def nonlinear_solve(
             best_alpha, best_obj = alpha.copy(), obj
 
     if prob.polish:
-        def safe_obj(a: np.ndarray) -> float:
-            v = prob.objective(a)
-            return v if np.isfinite(v) else 1e300
-
-        res = scipy.optimize.minimize(
-            safe_obj,
-            best_alpha,
-            method="L-BFGS-B",
-            options={"maxiter": prob.polish_maxiter},
-        )
+        res = _polish(prob, best_alpha)
         if np.all(np.isfinite(res.x)) and res.fun < best_obj:
             best_alpha, best_obj = res.x, float(res.fun)
             converged = converged or bool(res.success)

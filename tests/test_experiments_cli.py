@@ -270,3 +270,32 @@ def test_cli_env_outdir(tmp_path, monkeypatch):
     monkeypatch.setenv("FLATDD_OUTDIR", str(tmp_path / "fromenv"))
     assert main(["generate", "--seed", "1"]) == 0
     assert (tmp_path / "fromenv" / "example1_data.csv").exists()
+
+
+def _one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1, err
+    return err
+
+
+def test_cli_one_cell_signal_row(tmp_path, capsys):
+    out = tmp_path / "gen"
+    assert main(["generate", "--seed", "1", "--out-dir", str(out)]) == 0
+    (tmp_path / "u.csv").write_text("k,u\n0,0.1\n1\n")
+    (tmp_path / "y.csv").write_text("k,y\n0,0.0\n1,0.0\n")
+    capsys.readouterr()
+    args = ["simulate", "--data", str(out / "example1_data.csv"), "--input", str(tmp_path / "u.csv")]
+    assert main(args + ["--init", str(tmp_path / "y.csv"), "--out", str(tmp_path / "y_est.csv")]) == 1
+    assert "row 1 has 1 cells" in _one_line_error(capsys)
+
+
+def test_cli_nonfinite_data_cell(tmp_path, capsys):
+    out = tmp_path / "gen"
+    assert main(["generate", "--seed", "1", "--out-dir", str(out)]) == 0
+    lines = (out / "example1_data.csv").read_text().splitlines()
+    k, _, y = lines[5].split(",")
+    lines[5] = f"{k},nan,{y}"
+    (tmp_path / "nan.csv").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["check-pe", "--data", str(tmp_path / "nan.csv"), "--order", "50"]) == 1
+    assert "non-finite u cell at row 4" in _one_line_error(capsys)

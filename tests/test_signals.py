@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from flatdd.errors import DimensionError, FormatError, ParseError
+from flatdd.errors import DimensionError, FormatError, ParseError, SingularMatrixError
 from flatdd.signals import (
     HankelMatrix,
     IoTrajectory,
@@ -140,6 +140,35 @@ def test_signal_csv_roundtrip(tmp_path):
     p.write_text("")
     with pytest.raises(ParseError):
         read_signal_csv(p)
+
+
+def test_signal_csv_one_cell_row(tmp_path):
+    p = tmp_path / "short.csv"
+    p.write_text("k,u\n0,0.5\n1\n")
+    with pytest.raises(FormatError, match="row 1 has 1 cells"):
+        read_signal_csv(p)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+def test_nonfinite_cells_rejected_on_read(tmp_path, cell):
+    p = tmp_path / "sig.csv"
+    p.write_text(f"k,u\n0,0.5\n1,{cell}\n")
+    with pytest.raises(ParseError, match="non-finite u cell at row 1"):
+        read_signal_csv(p)
+    p = tmp_path / "traj.csv"
+    p.write_text(f"k,u,y\n0,{cell},1.0\n1,,2.0\n")
+    with pytest.raises(ParseError, match="non-finite u cell at row 0"):
+        read_trajectory(p)
+    p.write_text(f"k,u,y\n0,1.0,1.0\n1,,{cell}\n")
+    with pytest.raises(ParseError, match="non-finite y cell at row 1"):
+        read_trajectory(p)
+
+
+def test_pe_check_nonfinite_sequence_is_singular():
+    z = np.ones(40)
+    z[7] = np.nan
+    with pytest.raises(SingularMatrixError, match="did not converge"):
+        pe_check(z, 5)
 
 
 @given(st.integers(2, 30), st.integers(0, 1000))

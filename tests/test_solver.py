@@ -158,6 +158,20 @@ def test_normal_equations_singular_guard():
         nonlinear_solve(prob, np.zeros(3))
 
 
+def test_normal_equations_conditioning_warning():
+    G = np.diag([1.0, 1e-13])
+    prob = NormalEquationsProblem(G, lambda a: np.ones(2), lambda a: 0.0, 0.0, polish=False)
+    with pytest.warns(ConditioningWarning, match=r"condition number 1\.000e\+13"):
+        nonlinear_solve(prob, np.zeros(2))
+
+
+def test_ridge_nonfinite_block_is_singular():
+    A = np.eye(3)
+    A[1, 2] = np.nan
+    with pytest.raises(SingularMatrixError, match="did not converge"):
+        ridge_solve(RidgeProblem(A, np.ones(3), 0.1))
+
+
 def test_damping_and_iteration_accounting():
     rng = np.random.default_rng(6)
     A = rng.normal(size=(8, 3))
