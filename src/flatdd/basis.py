@@ -220,13 +220,14 @@ def kernel_eval(spec: KernelSpec, Z1: np.ndarray, Z2: np.ndarray) -> np.ndarray:
     Z2 = np.atleast_2d(np.asarray(Z2, dtype=float))
     if Z1.shape[1] != Z2.shape[1]:
         raise EvaluationError(f"point widths differ: {Z1.shape[1]} vs {Z2.shape[1]}")
-    sq = (
-        np.sum(Z1**2, axis=1)[:, None]
-        + np.sum(Z2**2, axis=1)[None, :]
-        - 2.0 * (Z1 @ Z2.T)
-    )
-    np.maximum(sq, 0.0, out=sq)
-    K = np.exp(-sq / (2.0 * spec.sigma**2))
+    # squared distances |z1|^2 + |z2|^2 - 2 z1.z2, built and exponentiated in place
+    K = Z1 @ Z2.T
+    K *= -2.0
+    K += np.einsum("ij,ij->i", Z1, Z1)[:, None]
+    K += np.einsum("ij,ij->i", Z2, Z2)[None, :]
+    np.maximum(K, 0.0, out=K)
+    K *= -1.0 / (2.0 * spec.sigma**2)
+    np.exp(K, out=K)
     if spec.kind == "gaussian_plus_linear":
         K += np.outer(Z1[:, 0], Z2[:, 0])
     return K

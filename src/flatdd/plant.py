@@ -48,11 +48,6 @@ class FlatModel:
     flat_inverse: Callable[[float, np.ndarray], float] | None = None
     state_from_window: Callable[[np.ndarray], np.ndarray] | None = None
 
-    @property
-    def d(self) -> int:
-        """Relative degree; equals n for the systems handled here."""
-        return self.n
-
 
 def example1_model() -> FlatModel:
     """Polynomial second-order plant: x1+ = x2, x2+ = u (x1^2 + 2), y = x1.

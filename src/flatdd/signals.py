@@ -140,10 +140,6 @@ class HankelMatrix:
         """Block entry (i, j), i.e. the sample z_{i+j}."""
         return self.entries[i * self.sigma : (i + 1) * self.sigma, j]
 
-    def block_row(self, i: int) -> np.ndarray:
-        """Block row i, the sigma x cols matrix [z_i ... z_{i+cols-1}]."""
-        return self.entries[i * self.sigma : (i + 1) * self.sigma, :]
-
 
 def build_hankel(z: Signal | np.ndarray, L: int) -> HankelMatrix:
     """Hankel matrix of depth L whose column j stacks z_j ... z_{j+L-1}."""

@@ -119,11 +119,20 @@ def _window_points(traj: IoTrajectory) -> np.ndarray:
 
 
 def _slice_sum_gram(K: np.ndarray, depth: int, cols: int) -> np.ndarray:
-    """sum_k K[k:k+cols, k:k+cols] for k = 0..depth-1."""
-    G = np.zeros((cols, cols))
-    for k in range(depth):
-        G += K[k : k + cols, k : k + cols]
-    return G
+    """sum_k K[k:k+cols, k:k+cols] for k = 0..depth-1, computed in K's memory.
+
+    K is overwritten with its prefix sums along diagonals,
+    P[i, j] = sum_t K[i-t, j-t], so each depth-long diagonal run is one
+    difference P[i+depth-1, j+depth-1] - P[i-1, j-1].  The result is a
+    view into K; no second matrix of K's size is made.
+    """
+    n = depth + cols - 1
+    for i in range(1, n):
+        K[i, 1:n] += K[i - 1, : n - 1]
+    # bottom row first: row depth-1+r is written only after row r-1 was read
+    for r in range(cols - 1, 0, -1):
+        K[depth - 1 + r, depth:n] -= K[r - 1, : cols - 1]
+    return K[depth - 1 : n, depth - 1 : n]
 
 
 def _band(A: np.ndarray, cols: int) -> np.ndarray:
@@ -163,7 +172,10 @@ def _kernel_window_problem(
         pair_fn = lambda Z1, Z2: kernel_eval(spec, Z1, Z2)
     else:
         spec, pair_fn = None, kernel
-    gram = _slice_sum_gram(pair_fn(Z_data, Z_data), m, cols) + B.T @ B
+    data_block = pair_fn(Z_data, Z_data)
+    if spec is None:  # the Gram sum overwrites the block; keep a caller's array intact
+        data_block = np.array(data_block, dtype=float)
+    gram = _slice_sum_gram(data_block, m, cols) + B.T @ B
     const_cross = B.T @ b
     b_sq = float(b @ b)
 

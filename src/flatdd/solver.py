@@ -194,25 +194,34 @@ class NonlinearResult:
 
 
 class _NormalOperator:
-    """Cholesky solver for (G + lam I) x = c, reusable across c."""
+    """Cholesky solver for (G + lam I) x = c, reusable across c.
+
+    Conditioning is LAPACK's 1-norm estimate (``dpocon``, Higham 1988)
+    from the Cholesky factor, so no spectrum is computed.  A failed
+    factorization, or a reciprocal condition number below machine
+    epsilon (singular to working precision, as in LAPACK's ``?posvx``),
+    is singular; a condition number above the limit warns.
+    """
 
     def __init__(self, G: np.ndarray, lam: float):
-        M = G + lam * np.eye(G.shape[0])
+        M = np.array(G, dtype=float)
+        M.flat[:: M.shape[0] + 1] += lam
+        anorm = np.abs(M).sum(axis=0).max()
         try:
             self._cf = scipy.linalg.cho_factor(M)
         except np.linalg.LinAlgError:
             raise SingularMatrixError(
                 "gram matrix is numerically singular and lam = 0; set lam > 0 to regularize"
             ) from None
-        spectrum = scipy.linalg.eigvalsh(M)
-        ev, top = spectrum[0], spectrum[-1]
-        if ev <= 0:
+        c, lower = self._cf
+        rcond, info = scipy.linalg.lapack.dpocon(c, anorm, uplo="L" if lower else "U")
+        if info != 0 or not rcond >= np.finfo(float).eps:
             raise SingularMatrixError(
                 "gram matrix is numerically singular and lam = 0; set lam > 0 to regularize"
             )
-        if top / ev > _COND_LIMIT:
+        if rcond < 1.0 / _COND_LIMIT:
             warnings.warn(
-                f"normal equations have condition number {top / ev:.3e}",
+                f"normal equations have condition number {1.0 / rcond:.3e}",
                 ConditioningWarning,
                 stacklevel=3,
             )

@@ -13,7 +13,7 @@ from flatdd.plant import (
     simulate,
 )
 from flatdd.signals import build_hankel
-from flatdd.simulation import SimProblem, dd_simulate, kernel_sim_problem
+from flatdd.simulation import SimProblem, _slice_sum_gram, dd_simulate, kernel_sim_problem
 from flatdd.solver import RidgeProblem, nonlinear_solve, ridge_solve
 
 
@@ -104,6 +104,22 @@ def test_kernel_mode_small_instance():
     assert np.isfinite(res.objective)
     assert res.objective <= res.initial_objective
     assert res.y.length == 20
+
+
+@pytest.mark.parametrize(
+    "depth, cols, extra",
+    [(1, 9, 0), (6, 1, 0), (5, 5, 0), (4, 7, 3), (48, 701, 0)],
+    ids=["depth1", "cols1", "square-windows", "larger-block", "kernel-sim"],
+)
+def test_slice_sum_gram_matches_naive_sum(depth, cols, extra):
+    size = depth + cols - 1 + extra
+    K = np.random.default_rng(depth * 1000 + cols).normal(size=(size, size))
+    naive = sum(K[k : k + cols, k : k + cols] for k in range(depth))
+    work = K.copy()
+    G = _slice_sum_gram(work, depth, cols)
+    assert G.shape == (cols, cols)
+    assert np.shares_memory(G, work)  # computed in the block's memory
+    assert np.abs(G - naive).max() <= 1e-12 * np.abs(naive).max()
 
 
 def test_kernel_with_finite_basis_product_matches_explicit(ex1_basis):

@@ -1,19 +1,26 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from flatdd.basis import KernelSpec
 from flatdd.errors import (
     ConditioningWarning,
     ConfigError,
     DivergenceError,
     SingularMatrixError,
 )
+from flatdd.experiments import _collect, example2_defaults
+from flatdd.plant import example2_model
+from flatdd.simulation import kernel_sim_problem
 from flatdd.solver import (
     NonlinearResidualProblem,
     NormalEquationsProblem,
     RidgeProblem,
+    _NormalOperator,
     nonlinear_solve,
     ridge_solve,
 )
@@ -163,6 +170,40 @@ def test_normal_equations_conditioning_warning():
     prob = NormalEquationsProblem(G, lambda a: np.ones(2), lambda a: 0.0, 0.0, polish=False)
     with pytest.warns(ConditioningWarning, match=r"condition number 1\.000e\+13"):
         nonlinear_solve(prob, np.zeros(2))
+
+
+def test_condition_estimate_warns_on_dense_ill_conditioned_gram():
+    n = 20
+    Q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(n, n)))
+    G = (Q * np.logspace(0, -13, n)) @ Q.T
+    prob = NormalEquationsProblem(G, lambda a: np.ones(n), lambda a: 0.0, 0.0, polish=False)
+    with pytest.warns(ConditioningWarning) as record:
+        nonlinear_solve(prob, np.zeros(n))
+    # the 1-norm estimate is within a small factor of the true condition number 1e13
+    estimate = float(str(record[0].message).rsplit(" ", 1)[1])
+    assert 1e12 < estimate < 1e15
+
+
+def test_condition_estimate_quiet_on_kernel_sim_gram():
+    config = example2_defaults(seed=5)
+    traj = _collect(config, example2_model())
+    prob, _, _ = kernel_sim_problem(
+        traj, config.horizon, np.zeros(config.horizon - 2), np.zeros(2),
+        KernelSpec("gaussian", config.sigma), config.lam,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ConditioningWarning)
+        _NormalOperator(prob.gram, prob.lam)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 57])
+def test_rank_deficient_gram_is_singular(seed):
+    # seed 57 gives a 2-vector whose v v' passes Cholesky with a pivot at rounding level
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=rng.integers(2, 12))
+    prob = NormalEquationsProblem(np.outer(v, v), lambda a: v, lambda a: 0.0, 0.0, polish=False)
+    with pytest.raises(SingularMatrixError):
+        nonlinear_solve(prob, np.zeros(v.size))
 
 
 def test_ridge_nonfinite_block_is_singular():
