@@ -52,6 +52,10 @@ class BasisSet:
     affine_in_xi: bool = False
     identity_index: int | None = None
 
+    def __post_init__(self) -> None:
+        # a tuple keeps the set hashable: it keys results stored on a trajectory
+        object.__setattr__(self, "functions", tuple(self.functions))
+
     @property
     def r(self) -> int:
         return len(self.functions)

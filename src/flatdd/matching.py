@@ -26,11 +26,10 @@ from .basis import (
     affine_u_decomposition,
     build_psi_hankel,
     eval_psi_hat,
-    psi_hat_signal,
 )
-from .errors import ConfigError, DataLengthWarning, DimensionError, PersistencyWarning
-from .membership import data_length_check
-from .signals import IoTrajectory, Signal, build_hankel, pe_check
+from .errors import ConfigError, DataLengthWarning, DimensionError
+from .membership import _warn_if_not_excited, data_length_check
+from .signals import IoTrajectory, Signal, build_hankel
 from .solver import (
     NonlinearResidualProblem,
     NormalEquationsProblem,
@@ -150,7 +149,11 @@ def dd_match(prob: MatchProblem) -> MatchResult:
 
     Warns when excitation rank or the data-length bound cannot be
     certified; both checks need explicit features and are skipped in
-    kernel mode.
+    kernel mode.  The excitation verdict is kept on ``prob.traj`` and
+    shared with later explicit solves and membership queries on the same
+    data, basis and L.  A basis affine in u is solved in closed form;
+    otherwise the iterative solve starts from the ridge fit of the output
+    rows to the reference.
     """
     traj, n, L = prob.traj, prob.traj.n, prob.L
     y_ref = prob.y_ref
@@ -189,21 +192,13 @@ def dd_match(prob: MatchProblem) -> MatchResult:
             DataLengthWarning,
             stacklevel=2,
         )
-    pe = pe_check(psi_hat_signal(traj, basis), L)
-    if not pe.order_satisfied:
-        warnings.warn(
-            f"basis-function sequence is not persistently exciting of order L={L} "
-            f"(rank {pe.numerical_rank} of {basis.r * L})",
-            PersistencyWarning,
-            stacklevel=2,
-        )
+    _warn_if_not_excited(traj, basis, L)
 
     H_psi = build_psi_hankel(traj, basis, L).entries
     U = build_hankel(traj.u, L - n).entries
     H_L_y = build_hankel(traj.y, L).entries
     A = np.vstack([H_psi, H_L_y])
     xi_ref = _reference_windows(y_ref, n)
-    alpha0 = ridge_solve(RidgeProblem(H_L_y, y_ref, prob.lam))
 
     if basis.affine_in_u:
         # psi_i(u, xi_ref_k) = base_ki + slope_ki u makes the substituted
@@ -222,6 +217,7 @@ def dd_match(prob: MatchProblem) -> MatchResult:
         psi = eval_psi_hat(basis, U @ alpha, xi_ref)
         return np.concatenate([psi.reshape(-1), y_ref])
 
+    alpha0 = ridge_solve(RidgeProblem(H_L_y, y_ref, prob.lam))
     nl = NonlinearResidualProblem(A, rhs, prob.lam, **controls)
     res = nonlinear_solve(nl, alpha0)
     return MatchResult(

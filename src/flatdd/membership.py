@@ -14,9 +14,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import BasisSet, build_psi_hankel, eval_psi_hat
-from .errors import DimensionError, PersistencyWarning
-from .signals import IoTrajectory, Signal, build_hankel, pe_check
+from .basis import BasisSet, build_psi_hankel, eval_psi_hat, psi_hat_signal
+from .errors import ConfigError, DimensionError, PersistencyWarning, SingularMatrixError
+from .signals import IoTrajectory, Signal, _memo, build_hankel, pe_check
 
 __all__ = [
     "MembershipVerdict",
@@ -55,12 +55,42 @@ def data_length_check(N: int, L: int, n: int, r: int) -> DataLengthCheck:
     return DataLengthCheck(N >= required, required)
 
 
-def _min_norm_verdict(M: np.ndarray, rhs: np.ndarray, tol: float | None) -> MembershipVerdict:
+def _verdict(M: np.ndarray, alpha: np.ndarray, rhs: np.ndarray, tol: float | None) -> MembershipVerdict:
     if tol is None:
         tol = 1e-6 * (1.0 + float(np.linalg.norm(rhs)))
-    alpha = np.linalg.lstsq(M, rhs, rcond=None)[0]
     residual = float(np.linalg.norm(M @ alpha - rhs))
     return MembershipVerdict(alpha, residual, residual <= tol)
+
+
+def _pseudo_inverse(M: np.ndarray) -> np.ndarray:
+    """Pseudo-inverse of M with lstsq's own cutoff: singular values at
+    most eps * max(M.shape) * s_max count as zero, so P @ rhs is the
+    minimum-norm least-squares solution lstsq returns."""
+    try:
+        U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError("SVD of the membership data matrix did not converge; is the data finite?") from None
+    keep = s > np.finfo(float).eps * max(M.shape) * s[0]
+    return (Vt[keep].T / s[keep]) @ U[:, keep].T
+
+
+def _warn_if_not_excited(traj: IoTrajectory, basis: BasisSet, L: int, diagnostic: bool = False) -> None:
+    """Warn unless the basis-function sequence of the data is persistently
+    exciting of order L.
+
+    The verdict is computed once per (basis, L) and kept on the
+    trajectory; every call that finds it unsatisfied warns.  The warning
+    points at the caller of the public function that asked.
+    """
+    pe = _memo(traj, ("pe", basis, L), lambda: pe_check(psi_hat_signal(traj, basis), L))
+    if not pe.order_satisfied:
+        warnings.warn(
+            f"basis-function sequence is not persistently exciting of order L={L} "
+            f"(rank {pe.numerical_rank} of {basis.r * L})"
+            + (f": {pe.diagnostic}" if diagnostic and pe.diagnostic else ""),
+            PersistencyWarning,
+            stacklevel=3,
+        )
 
 
 def lti_membership(
@@ -101,7 +131,8 @@ def lti_membership(
                 stacklevel=2,
             )
     M = np.vstack([build_hankel(u, L).entries, build_hankel(y, L).entries])
-    return _min_norm_verdict(M, np.concatenate([u_bar, y_bar]), tol)
+    rhs = np.concatenate([u_bar, y_bar])
+    return _verdict(M, np.linalg.lstsq(M, rhs, rcond=None)[0], rhs, tol)
 
 
 def flat_stack(traj: IoTrajectory, basis: BasisSet, L: int) -> np.ndarray:
@@ -140,9 +171,13 @@ def flat_membership(
     behind the recorded data?
 
     Solves [H_{L-n}(Psi(u,y)); H_L(y)] alpha = [Psi(u_bar, y_bar); y_bar]
-    in the minimum-norm least-squares sense.  Completeness of the span
-    requires the Psi sequence to be persistently exciting of order L;
-    violations warn rather than fail.
+    in the minimum-norm least-squares sense, as alpha = P rhs with P the
+    pseudo-inverse of the data matrix.  Completeness of the span requires
+    the Psi sequence to be persistently exciting of order L; violations
+    warn rather than fail.  The excitation verdict and P depend only on
+    the data, so they are computed once per (basis, L) and kept on
+    ``traj`` for later calls; the residual is always computed afresh.
+    Non-finite candidate samples raise ConfigError.
     """
     n = traj.n
     u_bar = np.asarray(u_bar, dtype=float).reshape(-1)
@@ -151,17 +186,13 @@ def flat_membership(
         raise DimensionError(
             f"candidate lengths ({u_bar.size}, {y_bar.size}) must be (L-n, L) = ({L - n}, {L})"
         )
+    for name, values in (("u_bar", u_bar), ("y_bar", y_bar)):
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise ConfigError(f"non-finite candidate sample {name}[{bad[0]}] = {values[bad[0]]}")
     if verify_pe:
-        from .basis import psi_hat_signal
-
-        pe = pe_check(psi_hat_signal(traj, basis), L)
-        if not pe.order_satisfied:
-            warnings.warn(
-                f"basis-function sequence is not persistently exciting of order L={L} "
-                f"(rank {pe.numerical_rank} of {basis.r * L})"
-                + (f": {pe.diagnostic}" if pe.diagnostic else ""),
-                PersistencyWarning,
-                stacklevel=2,
-            )
+        _warn_if_not_excited(traj, basis, L, diagnostic=True)
     M = flat_stack(traj, basis, L)
-    return _min_norm_verdict(M, candidate_stack(basis, u_bar, y_bar), tol)
+    P = _memo(traj, ("flat_pinv", basis, L), lambda: _pseudo_inverse(M))
+    rhs = candidate_stack(basis, u_bar, y_bar)
+    return _verdict(M, P @ rhs, rhs, tol)

@@ -5,6 +5,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -26,6 +27,8 @@ __all__ = [
 # Floats are written with 17 significant digits, enough for a lossless
 # decimal round trip of binary64.
 _FLOAT_FMT = "{:.17g}"
+
+_T = TypeVar("_T")
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -113,6 +116,24 @@ class IoTrajectory:
     @classmethod
     def from_arrays(cls, u, y, n: int) -> "IoTrajectory":
         return cls(as_signal(u), as_signal(y), n)
+
+
+def _memo(traj: IoTrajectory, key: tuple, build: Callable[[], _T]) -> _T:
+    """``build()``, computed once per ``key`` and kept on ``traj``.
+
+    For results that depend only on the recorded data, such as an
+    excitation verdict or a factorization of a data matrix.  The store is a
+    dict in the instance ``__dict__``, as ``functools.cached_property`` keeps
+    its values on frozen dataclasses, so an entry lives exactly as long as
+    its trajectory.  Keys name the result and everything besides the data
+    that it depends on, e.g. ``("pe", basis, L)``.  The trajectory's arrays
+    are read-only; a caller that turns their write flag back on and edits
+    them gets stale entries.
+    """
+    store = traj.__dict__.setdefault("_memo", {})
+    if key not in store:
+        store[key] = build()
+    return store[key]
 
 
 @dataclass(frozen=True)

@@ -29,11 +29,10 @@ from .basis import (
     kernel_diag,
     kernel_eval,
     kernel_grad,
-    psi_hat_signal,
 )
-from .errors import ConfigError, DataLengthWarning, DimensionError, PersistencyWarning
-from .membership import data_length_check
-from .signals import IoTrajectory, Signal, build_hankel, pe_check
+from .errors import ConfigError, DataLengthWarning, DimensionError
+from .membership import _warn_if_not_excited, data_length_check
+from .signals import IoTrajectory, Signal, build_hankel
 from .solver import (
     NonlinearResidualProblem,
     NonlinearResult,
@@ -262,7 +261,9 @@ def dd_simulate(prob: SimProblem) -> SimResult:
 
     Warns when the recorded data cannot certify completeness (excitation
     rank or data-length bound); these checks need explicit features and
-    are skipped in kernel mode.
+    are skipped in kernel mode.  The excitation verdict is kept on
+    ``prob.traj`` and shared with later explicit solves and membership
+    queries on the same data, basis and L.
     """
     traj, n, L = prob.traj, prob.traj.n, prob.L
     controls = dict(
@@ -301,14 +302,7 @@ def dd_simulate(prob: SimProblem) -> SimResult:
             DataLengthWarning,
             stacklevel=2,
         )
-    pe = pe_check(psi_hat_signal(traj, basis), L)
-    if not pe.order_satisfied:
-        warnings.warn(
-            f"basis-function sequence is not persistently exciting of order L={L} "
-            f"(rank {pe.numerical_rank} of {basis.r * L})",
-            PersistencyWarning,
-            stacklevel=2,
-        )
+    _warn_if_not_excited(traj, basis, L)
 
     H_psi = build_psi_hankel(traj, basis, L).entries
     Y0 = build_hankel(traj.y.window(0, traj.N - L + n - 1), n).entries

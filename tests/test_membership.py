@@ -1,9 +1,13 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from flatdd.basis import named_basis
-from flatdd.errors import DimensionError, PersistencyWarning
+from flatdd.basis import BasisSet, named_basis
+from flatdd.errors import ConfigError, DimensionError, PersistencyWarning
+from flatdd.matching import MatchProblem, dd_match
 from flatdd.membership import (
     candidate_stack,
     data_length_check,
@@ -163,3 +167,111 @@ def test_data_length_bound():
     assert data_length_check(351, 50, 2, 6).feasible
     with pytest.raises(DimensionError):
         data_length_check(100, 2, 2, 1)
+
+
+def _example1_windows(seed):
+    """Member windows of an example1 record on another seed, and copies of
+    them perturbed off the trajectory set."""
+    other = collect_trajectory(example1_model(), 500, (-0.5, 0.5), seed=seed + 10)
+    rng = np.random.default_rng(seed)
+    for k in rng.integers(0, 451, size=3):
+        u, y = other.u.flat[k : k + 48], other.y.flat[k : k + 50]
+        yield u, y, True
+        yield u, y + 0.1 * (1.0 + np.abs(y)) * rng.choice([-1.0, 1.0], size=50), False
+
+
+@pytest.mark.parametrize("seed", range(5, 10))
+def test_stored_pseudo_inverse_agrees_with_lstsq(seed):
+    traj = collect_trajectory(example1_model(), 500, (-0.5, 0.5), seed=seed)
+    basis = named_basis("example1-poly")
+    M = flat_stack(traj, basis, 50)
+    for u, y, member in _example1_windows(seed):
+        v = flat_membership(traj, basis, 50, u, y)
+        rhs = candidate_stack(basis, u, y)
+        alpha = np.linalg.lstsq(M, rhs, rcond=None)[0]
+        residual = np.linalg.norm(M @ alpha - rhs)
+        assert v.is_member == member == (residual <= 1e-6 * (1.0 + np.linalg.norm(rhs)))
+        assert_allclose(v.alpha, alpha, rtol=0, atol=1e-9 * np.linalg.norm(alpha))
+        # member residuals sit at rounding level, so compare on the scale
+        # of the verdict tolerance
+        assert abs(v.residual - residual) <= 1e-9 * max(residual, 1.0 + np.linalg.norm(rhs))
+
+
+def _count_calls(monkeypatch, owner, name, counts):
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_repeated_queries_reuse_stored_factorizations(monkeypatch):
+    from flatdd import membership
+
+    traj = collect_trajectory(example1_model(), 500, (-0.5, 0.5), seed=5)
+    basis = named_basis("example1-poly")
+    u, y = traj.u.flat[:48], traj.y.flat[:50]
+    counts = {}
+    _count_calls(monkeypatch, membership, "pe_check", counts)
+    for name in ("svd", "lstsq"):
+        _count_calls(monkeypatch, np.linalg, name, counts)
+    first = flat_membership(traj, basis, 50, u, y)
+    assert counts == {"pe_check": 1, "svd": 2}
+    counts.clear()
+    second = flat_membership(traj, basis, 50, u, y)
+    assert counts == {}
+    assert_allclose(second.alpha, first.alpha, rtol=0, atol=0)
+    # a different horizon or a different basis object is another entry
+    flat_membership(traj, basis, 40, u[:38], y[:40])
+    assert counts == {"pe_check": 1, "svd": 2}
+    counts.clear()
+    flat_membership(traj, named_basis("example1-poly"), 50, u, y)
+    assert counts == {"pe_check": 1, "svd": 2}
+
+
+def test_explicit_match_reads_the_stored_pe_verdict(monkeypatch):
+    from flatdd import membership
+
+    traj = collect_trajectory(example1_model(), 500, (-0.5, 0.5), seed=5)
+    basis = named_basis("example1-poly")
+    flat_membership(traj, basis, 50, traj.u.flat[:48], traj.y.flat[:50])
+    counts = {}
+    _count_calls(monkeypatch, membership, "pe_check", counts)
+    dd_match(MatchProblem(traj, 50, traj.y.flat[100:150], "explicit", basis=basis, lam=1e-8))
+    assert counts == {}
+
+
+def test_basis_given_as_list_keys_the_store():
+    traj = collect_trajectory(example1_model(), 500, (-0.5, 0.5), seed=5)
+    basis = named_basis("example1-poly")
+    as_list = BasisSet(list(basis.functions), 2, "listed", affine_in_u=True, identity_index=0)
+    v = flat_membership(traj, as_list, 50, traj.u.flat[:48], traj.y.flat[:50])
+    assert v.is_member and v.residual < 1e-9
+
+
+def test_stored_pe_verdict_still_warns():
+    traj = collect_trajectory(example1_model(), 30, (-0.5, 0.5), seed=2)
+    basis = named_basis("example1-poly")
+    for _ in range(2):
+        with pytest.warns(PersistencyWarning, match="sequence too short"):
+            flat_membership(traj, basis, 10, traj.u.flat[:8], traj.y.flat[:10])
+
+
+def test_stored_results_die_with_their_trajectory():
+    traj = collect_trajectory(example1_model(), 500, (-0.5, 0.5), seed=5)
+    flat_membership(traj, named_basis("example1-poly"), 50, traj.u.flat[:48], traj.y.flat[:50])
+    ref = weakref.ref(traj)
+    del traj
+    gc.collect()
+    assert ref() is None
+
+
+@pytest.mark.parametrize("name, index", [("u_bar", 0), ("y_bar", 17), ("y_bar", 49)])
+def test_nonfinite_candidate_rejected(ex1_data, name, index):
+    basis = named_basis("example1-poly")
+    cand = {"u_bar": ex1_data.u.flat[:48].copy(), "y_bar": ex1_data.y.flat[:50].copy()}
+    cand[name][index] = np.nan if index else np.inf
+    with pytest.raises(ConfigError, match=rf"non-finite candidate sample {name}\[{index}\]"):
+        flat_membership(ex1_data, basis, 50, cand["u_bar"], cand["y_bar"])
