@@ -204,12 +204,12 @@ def dd_match(prob: MatchProblem) -> MatchResult:
         # psi_i(u, xi_ref_k) = base_ki + slope_ki u makes the substituted
         # residual linear in alpha
         base, slope = affine_u_decomposition(basis, xi_ref)
-        C = np.zeros_like(A)
-        for k in range(L - n):
-            C[k * basis.r : (k + 1) * basis.r, :] = np.outer(slope[k], U[k, :])
+        rows = (L - n) * basis.r
+        # A becomes A - C, where block k of C's rows is the outer product slope[k] U[k, :]
+        A[:rows] -= (slope[:, :, None] * U[:, None, :]).reshape(rows, -1)
         rhs0 = np.concatenate([base.reshape(-1), y_ref])
-        alpha = ridge_solve(RidgeProblem(A - C, rhs0, prob.lam))
-        r = (A - C) @ alpha - rhs0
+        alpha = ridge_solve(RidgeProblem(A, rhs0, prob.lam))
+        r = A @ alpha - rhs0
         obj = float(r @ r + prob.lam * (alpha @ alpha))
         return MatchResult(Signal(U @ alpha), alpha, obj, 0, True, obj)
 

@@ -7,6 +7,7 @@ state, and y_{k+n} is a function of that window and u_k alone.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -107,12 +108,12 @@ def simulate(model: FlatModel, x0: np.ndarray, u: np.ndarray | Signal) -> Signal
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(M + model.n):
             yk = model.h(x)
-            if not np.isfinite(yk):
+            if not math.isfinite(yk):
                 raise DivergenceError(f"output became non-finite at step {k}")
             y[k] = yk
             if k < M + model.n - 1:
                 x = np.asarray(model.f(x, uu[k] if k < M else 0.0), dtype=float)
-                if not np.all(np.isfinite(x)):
+                if not np.isfinite(x).all():
                     raise DivergenceError(f"state became non-finite at step {k + 1}")
     return Signal(y)
 

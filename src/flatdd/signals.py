@@ -9,7 +9,7 @@ from typing import Callable, TypeVar
 
 import numpy as np
 
-from .errors import DimensionError, FormatError, ParseError, SingularMatrixError
+from .errors import ConfigError, DimensionError, FormatError, ParseError, SingularMatrixError
 
 __all__ = [
     "Signal",
@@ -92,7 +92,8 @@ class IoTrajectory:
     """Paired input/output record of a system of order ``n``.
 
     The output carries ``n`` more samples than the input: the response to
-    u_0 ... u_{N-n-1} is observed as y_0 ... y_{N-1}.
+    u_0 ... u_{N-n-1} is observed as y_0 ... y_{N-1}.  Every sample must be
+    finite; a non-finite one raises ConfigError naming its signal and index.
     """
 
     u: Signal
@@ -108,6 +109,10 @@ class IoTrajectory:
             raise FormatError(
                 f"length(y)={self.y.length} must equal length(u)+n={self.u.length + self.n}"
             )
+        for name, signal in (("u", self.u), ("y", self.y)):
+            bad = np.flatnonzero(~np.isfinite(signal.flat))
+            if bad.size:
+                raise ConfigError(f"non-finite trajectory sample {name}[{bad[0]}] = {signal.flat[bad[0]]}")
 
     @property
     def N(self) -> int:

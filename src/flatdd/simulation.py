@@ -243,15 +243,16 @@ def _explicit_qp(
     basis = prob.basis
     n = prob.traj.n
     base, grad = affine_xi_decomposition(basis, prob.u_new)
+    m = prob.L - n
     C = np.zeros_like(A)
-    for k in range(prob.L - n):
-        for j in range(n):
-            C[k * basis.r : (k + 1) * basis.r, :] += np.outer(
-                grad[k, :, j], H_L_y[k + j, :]
-            )
+    # block k of rows is sum_j outer(grad[k, :, j], H_L_y[k + j, :])
+    blocks = C[: m * basis.r].reshape(m, basis.r, -1)
+    for j in range(n):
+        blocks += grad[:, :, j, None] * H_L_y[j : j + m, None, :]
+    A_eff = A - C
     rhs0 = np.concatenate([base.reshape(-1), b_const])
-    alpha = ridge_solve(RidgeProblem(A - C, rhs0, prob.lam))
-    r = (A - C) @ alpha - rhs0
+    alpha = ridge_solve(RidgeProblem(A_eff, rhs0, prob.lam))
+    r = A_eff @ alpha - rhs0
     obj = float(r @ r + prob.lam * (alpha @ alpha))
     return NonlinearResult(alpha, obj, 0, True, obj)
 

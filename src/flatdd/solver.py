@@ -5,6 +5,11 @@ are linear in the coefficient vector, and a damped fixed-point scheme for
 residuals whose right-hand side depends on the coefficients (the
 simulation and matching problems).  A kernelized variant carries the same
 objective through Gram matrices instead of explicit residual rows.
+
+Every regularized linear step is a Cholesky solve: of the given Gram
+matrix in kernel mode, of the Gram matrix of the smaller side of the data
+block in explicit mode.  Only an unregularized ridge solve (lam = 0) goes
+through the SVD of the data block.
 """
 from __future__ import annotations
 
@@ -51,20 +56,38 @@ class RidgeProblem:
 
 
 class _RidgeOperator:
-    """SVD-based solver for min |A x - b|^2 + lam |x|^2, reusable across b."""
+    """Solver for min |A x - b|^2 + lam |x|^2, reusable across b.
+
+    With lam > 0 the Gram matrix of the smaller side of A plus lam I is
+    factored by Cholesky (``_NormalOperator``): x = A' (A A' + lam I)^-1 b
+    when A has fewer rows than columns, x = (A'A + lam I)^-1 A'b
+    otherwise.  Its eigenvalues are s_i^2 + lam for the min(m, p)
+    singular values s_i of A, so the warned condition number is that of
+    the normal equations.  With lam = 0 the SVD of A is used: it is the
+    only way to tell a rank-deficient block from an ill-conditioned one,
+    which no Gram matrix can once cond(A) passes about 1e8.
+    """
 
     def __init__(self, A: np.ndarray, lam: float):
+        if not np.isfinite(A).all():
+            raise SingularMatrixError("ridge solve did not converge: the data block has non-finite entries")
+        self._A = A
+        self._gram = None
+        if lam > 0.0:
+            self._wide = A.shape[0] < A.shape[1]
+            # stacklevel 4 names the caller of ridge_solve or nonlinear_solve
+            self._gram = _NormalOperator(A @ A.T if self._wide else A.T @ A, lam, stacklevel=4)
+            return
         try:
             U, s, Vt = np.linalg.svd(A, full_matrices=False)
         except np.linalg.LinAlgError:
-            raise SingularMatrixError("SVD of the data block did not converge; is the data finite?") from None
-        if lam == 0.0:
-            cutoff = max(A.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-            if s.size == 0 or s[-1] <= cutoff:
-                raise SingularMatrixError(
-                    "data block is rank-deficient and lam = 0; set lam > 0 to regularize"
-                )
-        cond = (s[0] ** 2 + lam) / (s[-1] ** 2 + lam)
+            raise SingularMatrixError("SVD of the data block did not converge") from None
+        cutoff = max(A.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
+        if s.size == 0 or s[-1] <= cutoff:
+            raise SingularMatrixError(
+                "data block is rank-deficient and lam = 0; set lam > 0 to regularize"
+            )
+        cond = s[0] ** 2 / s[-1] ** 2
         if cond > _COND_LIMIT:
             warnings.warn(
                 f"normal equations have condition number {cond:.3e}",
@@ -72,18 +95,25 @@ class _RidgeOperator:
                 stacklevel=3,
             )
         self._U, self._Vt = U, Vt
-        self._filter = s / (s**2 + lam)
+        self._filter = 1.0 / s
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        return self._Vt.T @ (self._filter * (self._U.T @ b))
+        if self._gram is None:
+            return self._Vt.T @ (self._filter * (self._U.T @ b))
+        if self._wide:
+            return self._A.T @ self._gram.solve(b)
+        return self._gram.solve(self._A.T @ b)
 
 
 def ridge_solve(prob: RidgeProblem) -> np.ndarray:
     """Minimizer of |A alpha - b|^2 + lam |alpha|^2.
 
-    Solved through the SVD of A, so the normal equations are never formed
-    explicitly.  With lam = 0 the data block must have full column rank;
-    a near-singular solve raises with advice to regularize.
+    With lam > 0, solved by Cholesky on the Gram matrix of the smaller
+    side of A plus lam I, whose size is min(rows, cols) of A.  With
+    lam = 0, solved through the SVD of A; the data block must then have
+    full column rank, and a near-singular solve raises with advice to
+    regularize.  A data block with non-finite entries raises
+    SingularMatrixError.
     """
     return _RidgeOperator(prob.A, prob.lam).solve(prob.b)
 
@@ -200,30 +230,31 @@ class _NormalOperator:
     from the Cholesky factor, so no spectrum is computed.  A failed
     factorization, or a reciprocal condition number below machine
     epsilon (singular to working precision, as in LAPACK's ``?posvx``),
-    is singular; a condition number above the limit warns.
+    is singular; a condition number above the limit warns, ``stacklevel``
+    frames up.
     """
 
-    def __init__(self, G: np.ndarray, lam: float):
+    def __init__(self, G: np.ndarray, lam: float, stacklevel: int = 3):
         M = np.array(G, dtype=float)
         M.flat[:: M.shape[0] + 1] += lam
         anorm = np.abs(M).sum(axis=0).max()
+        if lam == 0.0:
+            singular = "gram matrix is numerically singular and lam = 0; set lam > 0 to regularize"
+        else:
+            singular = f"gram matrix plus lam I is numerically singular at lam = {lam:g}; increase lam"
         try:
             self._cf = scipy.linalg.cho_factor(M)
         except np.linalg.LinAlgError:
-            raise SingularMatrixError(
-                "gram matrix is numerically singular and lam = 0; set lam > 0 to regularize"
-            ) from None
+            raise SingularMatrixError(singular) from None
         c, lower = self._cf
         rcond, info = scipy.linalg.lapack.dpocon(c, anorm, uplo="L" if lower else "U")
         if info != 0 or not rcond >= np.finfo(float).eps:
-            raise SingularMatrixError(
-                "gram matrix is numerically singular and lam = 0; set lam > 0 to regularize"
-            )
+            raise SingularMatrixError(singular)
         if rcond < 1.0 / _COND_LIMIT:
             warnings.warn(
                 f"normal equations have condition number {1.0 / rcond:.3e}",
                 ConditioningWarning,
-                stacklevel=3,
+                stacklevel=stacklevel,
             )
 
     def solve(self, c: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from flatdd.errors import DivergenceError, EvaluationError
 from flatdd.plant import (
+    FlatModel,
     NoiseSpec,
     add_noise,
     collect_trajectory,
@@ -74,6 +75,24 @@ def test_simulate_divergence_reports_step():
     m = example1_model()
     with pytest.raises(DivergenceError, match=r"step \d+"):
         simulate(m, np.zeros(2), np.full(2000, 3.0))
+
+
+def test_simulate_divergence_step_numbers():
+    def shift(x, u):
+        return np.array([x[1], u])
+
+    def output(x):
+        return float("nan") if x[0] == 1.0 else float(x[0])
+
+    m = FlatModel(2, shift, output, "shift")
+    u = np.zeros(6)
+    u[3] = np.inf
+    with pytest.raises(DivergenceError, match=r"^state became non-finite at step 4$"):
+        simulate(m, np.zeros(2), u)
+    u[3] = 0.0
+    u[2] = 1.0
+    with pytest.raises(DivergenceError, match=r"^output became non-finite at step 4$"):
+        simulate(m, np.zeros(2), u)
 
 
 def test_matching_oracle_recovers_input_example1(rng):

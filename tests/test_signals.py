@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from flatdd.errors import DimensionError, FormatError, ParseError, SingularMatrixError
+from flatdd.errors import ConfigError, DimensionError, FormatError, ParseError, SingularMatrixError
+from flatdd.experiments import ExperimentConfig, _collect
+from flatdd.plant import example1_model
 from flatdd.signals import (
     HankelMatrix,
     IoTrajectory,
@@ -68,6 +70,15 @@ def test_io_trajectory_length_contract():
         IoTrajectory(u, y, 3)
     with pytest.raises(DimensionError):
         IoTrajectory(u, y, 0)
+
+
+@pytest.mark.parametrize("name, index, value", [("y", 100, np.nan), ("u", 0, np.inf), ("y", 499, -np.inf)])
+def test_io_trajectory_rejects_nonfinite_samples(name, index, value):
+    traj = _collect(ExperimentConfig(seed=5), example1_model())
+    signals = {"u": traj.u.flat.copy(), "y": traj.y.flat.copy()}
+    signals[name][index] = value
+    with pytest.raises(ConfigError, match=rf"non-finite trajectory sample {name}\[{index}\]"):
+        IoTrajectory.from_arrays(signals["u"], signals["y"], traj.n)
 
 
 def test_pe_constant_sequence_rank_one():

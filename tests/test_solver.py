@@ -6,15 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from flatdd.basis import KernelSpec
+import flatdd.matching
+from flatdd.basis import KernelSpec, named_basis
 from flatdd.errors import (
     ConditioningWarning,
     ConfigError,
     DivergenceError,
     SingularMatrixError,
 )
-from flatdd.experiments import _collect, example2_defaults
-from flatdd.plant import example2_model
+from flatdd.experiments import ExperimentConfig, _collect, example2_defaults, reference_output
+from flatdd.matching import MatchProblem, dd_match
+from flatdd.plant import example1_model, example2_model
 from flatdd.simulation import kernel_sim_problem
 from flatdd.solver import (
     NonlinearResidualProblem,
@@ -224,3 +226,94 @@ def test_damping_and_iteration_accounting():
     # halved steps need several iterations to close the gap
     assert res.converged and res.iterations > 1
     assert_allclose(res.alpha, ridge_solve(RidgeProblem(A, b, 0.1)), rtol=1e-6)
+
+
+def test_ridge_nonfinite_block_raises_for_any_lam():
+    for lam in (0.0, 0.1):
+        for value in (np.nan, np.inf, -np.inf):
+            A = np.eye(3)
+            A[2, 0] = value
+            with pytest.raises(SingularMatrixError, match="non-finite"):
+                ridge_solve(RidgeProblem(A, np.ones(3), lam))
+
+
+def _svd_filter_solution(A, b, lam):
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    return Vt.T @ (s / (s**2 + lam) * (U.T @ b))
+
+
+@pytest.fixture(scope="module")
+def example1_match_block():
+    """The data block A - C and right-hand side of the seed-5 example1 explicit match."""
+    captured = []
+
+    def capture(prob):
+        captured.append(prob)
+        return ridge_solve(prob)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flatdd.matching, "ridge_solve", capture)
+        dd_match(MatchProblem(
+            _collect(ExperimentConfig(seed=5), example1_model()), 50, reference_output(50),
+            "explicit", basis=named_basis("example1-poly"), lam=0.1,
+        ))
+    (prob,) = captured
+    return prob.A, prob.b
+
+
+@pytest.mark.parametrize("lam", [1e-8, 1e-3, 0.1])
+@pytest.mark.parametrize("block", ["wide", "tall", "example1"])
+def test_regularized_ridge_matches_svd_filter(block, lam, example1_match_block):
+    if block == "example1":
+        A, b = example1_match_block
+    else:
+        rng = np.random.default_rng(7)
+        A = rng.normal(size=(30, 45) if block == "wide" else (45, 30))
+        b = rng.normal(size=A.shape[0])
+    expected = _svd_filter_solution(A, b, lam)
+    alpha = ridge_solve(RidgeProblem(A, b, lam))
+    assert np.linalg.norm(alpha - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+def test_regularized_ridge_calls_no_svd(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    rng = np.random.default_rng(8)
+    for shape in ((6, 9), (9, 6), (7, 7)):
+        ridge_solve(RidgeProblem(rng.normal(size=shape), rng.normal(size=shape[0]), 1e-3))
+    assert calls == []
+    ridge_solve(RidgeProblem(rng.normal(size=(9, 6)), rng.normal(size=9), 0.0))
+    assert calls == [1]
+
+
+def test_regularized_ill_conditioned_block_warns_at_caller():
+    A = np.diag([1.0, 1e-7])
+    with pytest.warns(ConditioningWarning, match="condition number") as record:
+        ridge_solve(RidgeProblem(A, np.ones(2), 1e-14))
+    assert record[0].filename == __file__
+    prob = NonlinearResidualProblem(A, lambda a: np.ones(2), 1e-14, polish=False)
+    with pytest.warns(ConditioningWarning, match="condition number") as record:
+        nonlinear_solve(prob, np.zeros(2))
+    assert record[0].filename == __file__
+
+
+def test_regularized_singular_gram_names_lam():
+    A = np.column_stack([np.ones(4), np.ones(4)])
+    with pytest.raises(SingularMatrixError, match="increase lam") as info:
+        ridge_solve(RidgeProblem(A, np.ones(4), 1e-300))
+    assert "lam = 0" not in str(info.value)
+
+
+def test_explicit_match_quiet_at_small_lam():
+    basis = named_basis("example1-poly")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ConditioningWarning)
+        for seed in range(5, 30):
+            traj = _collect(ExperimentConfig(seed=seed), example1_model())
+            dd_match(MatchProblem(traj, 50, reference_output(50), "explicit", basis=basis, lam=1e-8))
