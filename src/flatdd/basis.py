@@ -9,7 +9,7 @@ an explicit (possibly infinite) basis with pairwise inner products.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Callable, Iterable, Literal
 
 import numpy as np
 
@@ -22,8 +22,7 @@ __all__ = [
     "eval_psi_hat",
     "psi_hat_signal",
     "build_psi_hankel",
-    "affine_u_decomposition",
-    "affine_xi_decomposition",
+    "affine_decomposition",
     "KernelSpec",
     "kernel_eval",
     "kernel_diag",
@@ -59,6 +58,15 @@ class BasisSet:
     @property
     def r(self) -> int:
         return len(self.functions)
+
+    def affine_in(self, coords: Iterable[int]) -> bool:
+        """Whether the declarations make psi affine in the coordinates
+        ``coords`` of a point (u, xi_1, ..., xi_n).  Input and window
+        together never count: the flags leave u xi products open."""
+        coords = set(coords)
+        if 0 in coords:
+            return self.affine_in_u and coords == {0}
+        return self.affine_in_xi
 
     def validate(self, probes: int = 8, seed: int = 0, tol: float = 1e-9) -> None:
         if self.r == 0:
@@ -161,38 +169,27 @@ def build_psi_hankel(traj: IoTrajectory, basis: BasisSet, L: int) -> HankelMatri
     return build_hankel(psi_hat_signal(traj, basis), L - traj.n)
 
 
-def affine_u_decomposition(basis: BasisSet, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split psi_i(u, xi) = base_i(xi) + slope_i(xi) u for an affine-in-u basis.
+def affine_decomposition(
+    basis: BasisSet, Z0: np.ndarray, coords: Iterable[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Split psi_i(z) = base_i + sum_j slope_ij z_{coords[j]} at the points Z0.
 
-    Exact only when the basis is affine in u.  Returns (base, slope), both
-    of shape (m, r), for the batch of windows xi of shape (m, n).
+    Rows of Z0 are points (u, xi_1, ..., xi_n) whose coordinates
+    ``coords`` hold zeros; the others stay fixed.  Exact only when the
+    basis is affine in those coordinates (``BasisSet.affine_in``).
+    Returns base, shape (m, r), and slope, shape (m, r, len(coords)).
     """
-    if not basis.affine_in_u:
-        raise ConfigError(f"basis {basis.name!r} is not declared affine in u")
-    xi = np.asarray(xi, dtype=float)
-    m = xi.shape[0]
-    base = eval_psi_hat(basis, np.zeros(m), xi)
-    slope = eval_psi_hat(basis, np.ones(m), xi) - base
+    coords = tuple(coords)
+    if not basis.affine_in(coords):
+        raise ConfigError(f"basis {basis.name!r} is not declared affine in coordinates {coords}")
+    Z = np.array(Z0, dtype=float)
+    base = eval_psi_hat(basis, Z[:, 0], Z[:, 1:])
+    slope = np.empty(base.shape + (len(coords),))
+    for j, c in enumerate(coords):
+        Z[:, c] = 1.0
+        slope[:, :, j] = eval_psi_hat(basis, Z[:, 0], Z[:, 1:]) - base
+        Z[:, c] = 0.0
     return base, slope
-
-
-def affine_xi_decomposition(basis: BasisSet, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split psi_i(u, xi) = base_i(u) + sum_j grad_ij(u) xi_j for an
-    affine-in-xi basis.
-
-    Returns (base, grad) with shapes (m, r) and (m, r, n).
-    """
-    if not basis.affine_in_xi:
-        raise ConfigError(f"basis {basis.name!r} is not declared affine in xi")
-    u = np.asarray(u, dtype=float).reshape(-1)
-    m = u.size
-    base = eval_psi_hat(basis, u, np.zeros((m, basis.n)))
-    grad = np.empty((m, basis.r, basis.n))
-    for j in range(basis.n):
-        e = np.zeros((m, basis.n))
-        e[:, j] = 1.0
-        grad[:, :, j] = eval_psi_hat(basis, u, e) - base
-    return base, grad
 
 
 @dataclass(frozen=True)
@@ -210,8 +207,9 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("gaussian", "gaussian_plus_linear"):
             raise ConfigError(f"unknown kernel kind {self.kind!r}")
-        if self.sigma <= 0:
-            raise ConfigError(f"kernel width must be positive, got sigma={self.sigma}")
+        # outside this range 1/(2 sigma^2) is not a finite nonzero float
+        if not 1e-150 < self.sigma < 1e150:
+            raise ConfigError(f"kernel width must lie in (1e-150, 1e150), got sigma={self.sigma}")
 
 
 def kernel_eval(spec: KernelSpec, Z1: np.ndarray, Z2: np.ndarray) -> np.ndarray:

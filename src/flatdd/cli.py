@@ -89,13 +89,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out-dir", dest="out_dir")
 
 
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lambda", dest="lam", type=float, default=0.1)
-    p.add_argument("--max-iter", dest="max_iter", type=int, default=500)
-    p.add_argument("--rel-tol", dest="rel_tol", type=float, default=1e-8)
-    p.add_argument("--damping", type=float, default=1.0)
-
-
 def _build_config(args, default_model: str) -> ExperimentConfig:
     if args.config:
         cfg = load_config(args.config)
@@ -115,15 +108,6 @@ def _build_config(args, default_model: str) -> ExperimentConfig:
 
 def _default_out(name: str) -> Path:
     return Path(os.environ.get("FLATDD_OUTDIR", ".")) / name
-
-
-def _solve_kwargs(args) -> dict:
-    return dict(
-        lam=args.lam,
-        max_iter=args.max_iter,
-        rel_tol=args.rel_tol,
-        damping=args.damping,
-    )
 
 
 def _cmd_generate(args) -> int:
@@ -168,49 +152,31 @@ def _cmd_check_membership(args) -> int:
     return 0
 
 
-def _sim_or_match_problem(args, kind: str):
+def _cmd_simulate_or_match(args) -> int:
     traj = read_trajectory(args.data)
-    common = _solve_kwargs(args)
+    settings = dict(lam=args.lam, max_iter=args.max_iter, rel_tol=args.rel_tol)
     if args.mode == "explicit":
-        common["basis"] = named_basis(args.basis or "example1-poly")
-    elif kind == "match":
-        common["kernel"] = KernelSpec("gaussian_plus_linear", sigma=args.sigma)
+        settings["basis"] = named_basis(args.basis or "example1-poly")
     else:
-        common["kernel"] = KernelSpec("gaussian", sigma=args.sigma)
-    if kind == "simulate":
+        kind = "gaussian" if args.command == "simulate" else "gaussian_plus_linear"
+        settings["kernel"] = KernelSpec(kind, sigma=args.sigma)
+    if args.command == "simulate":
         u_new = read_signal_csv(args.input)
         y_init = read_signal_csv(args.init)
-        L = u_new.size + traj.n
-        return SimProblem(traj, L, u_new, y_init, args.mode, **common)
-    y_ref = read_signal_csv(args.reference)
-    return MatchProblem(traj, y_ref.size, y_ref, args.mode, **common)
-
-
-def _result_metrics(res) -> dict:
-    return {
+        res = dd_simulate(SimProblem(traj, u_new.size + traj.n, u_new, y_init, args.mode, **settings))
+        name, estimate = "y_est", res.y
+    else:
+        y_ref = read_signal_csv(args.reference)
+        res = dd_match(MatchProblem(traj, y_ref.size, y_ref, args.mode, **settings))
+        name, estimate = "u_est", res.u
+    out = Path(args.out) if args.out else _default_out(f"{name}.csv")
+    write_signal_csv(out, name, estimate.flat)
+    metrics = {
         "objective": float(res.objective),
         "iterations": int(res.iterations),
         "converged": bool(res.converged),
         "initial_objective": float(res.initial_objective),
     }
-
-
-def _cmd_simulate(args) -> int:
-    res = dd_simulate(_sim_or_match_problem(args, "simulate"))
-    out = Path(args.out) if args.out else _default_out("y_est.csv")
-    write_signal_csv(out, "y_est", res.y.flat)
-    metrics = _result_metrics(res)
-    with open(out.with_name(out.stem + "_metrics.json"), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(metrics, sort_keys=True, indent=2) + "\n")
-    _print_json(metrics)
-    return 0
-
-
-def _cmd_match(args) -> int:
-    res = dd_match(_sim_or_match_problem(args, "match"))
-    out = Path(args.out) if args.out else _default_out("u_est.csv")
-    write_signal_csv(out, "u_est", res.u.flat)
-    metrics = _result_metrics(res)
     with open(out.with_name(out.stem + "_metrics.json"), "w", encoding="utf-8") as fh:
         fh.write(json.dumps(metrics, sort_keys=True, indent=2) + "\n")
     _print_json(metrics)
@@ -256,26 +222,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float)
     p.set_defaults(handler=_cmd_check_membership)
 
-    p = sub.add_parser("simulate", help="data-based simulation of a new input sequence")
-    p.add_argument("--data", required=True)
-    p.add_argument("--input", required=True)
-    p.add_argument("--init", required=True)
-    p.add_argument("--mode", choices=("explicit", "kernel"), default="explicit")
-    p.add_argument("--basis")
-    p.add_argument("--sigma", type=float, default=1.0)
-    _add_solver_flags(p)
-    p.add_argument("--out")
-    p.set_defaults(handler=_cmd_simulate)
-
-    p = sub.add_parser("match", help="data-based input computation for a reference output")
-    p.add_argument("--data", required=True)
-    p.add_argument("--reference", required=True)
-    p.add_argument("--mode", choices=("explicit", "kernel"), default="explicit")
-    p.add_argument("--basis")
-    p.add_argument("--sigma", type=float, default=1.0)
-    _add_solver_flags(p)
-    p.add_argument("--out")
-    p.set_defaults(handler=_cmd_match)
+    for name, signal_flags, summary in (
+        ("simulate", ("--input", "--init"), "data-based simulation of a new input sequence"),
+        ("match", ("--reference",), "data-based input computation for a reference output"),
+    ):
+        p = sub.add_parser(name, help=summary)
+        for flag in ("--data", *signal_flags):
+            p.add_argument(flag, required=True)
+        p.add_argument("--mode", choices=("explicit", "kernel"), default="explicit")
+        p.add_argument("--basis")
+        p.add_argument("--sigma", type=float, default=1.0)
+        p.add_argument("--lambda", dest="lam", type=float, default=0.1)
+        p.add_argument("--max-iter", dest="max_iter", type=int, default=500)
+        p.add_argument("--rel-tol", dest="rel_tol", type=float, default=1e-8)
+        p.add_argument("--out")
+        p.set_defaults(handler=_cmd_simulate_or_match)
 
     p = sub.add_parser("example1", help="noisy output matching against the sinusoidal reference")
     _add_config_flags(p)

@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .basis import KernelSpec, named_basis, psi_hat_signal
-from .errors import ConfigError
+from .errors import ConfigError, ParseError
 from .matching import MatchProblem, dd_match
 from .plant import (
     FlatModel,
@@ -79,6 +80,11 @@ class ExperimentConfig:
     out_dir: str = "runs"
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.model not in ("example1", "example2"):
             raise ConfigError(f"model must be example1 or example2, got {self.model!r}")
         if self.mode not in ("explicit", "kernel"):
@@ -131,7 +137,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
     """
     known = {f.name: f.type for f in fields(ExperimentConfig)}
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    try:
+        content = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"config file {path} is not UTF-8 text: {exc}") from None
+    for lineno, raw in enumerate(content.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -239,17 +249,10 @@ def run_example1(config: ExperimentConfig | None = None, **overrides) -> dict:
     L = config.horizon
     y_ref = reference_output(L)
     if config.mode == "explicit":
-        prob = MatchProblem(traj, L, y_ref, "explicit", basis=named_basis(config.basis), lam=config.lam)
+        features = dict(basis=named_basis(config.basis))
     else:
-        prob = MatchProblem(
-            traj,
-            L,
-            y_ref,
-            "kernel",
-            kernel=KernelSpec("gaussian_plus_linear", sigma=config.sigma),
-            lam=config.lam,
-        )
-    res = dd_match(prob)
+        features = dict(kernel=KernelSpec("gaussian_plus_linear", sigma=config.sigma))
+    res = dd_match(MatchProblem(traj, L, y_ref, config.mode, lam=config.lam, **features))
 
     u_model = matching_input_oracle(model, y_ref)
     y_achieved = simulate(model, np.zeros(model.n), res.u.flat).flat[:L]
@@ -289,22 +292,11 @@ def run_example2(config: ExperimentConfig | None = None, **overrides) -> dict:
         seed=_derived_seed(config.seed, _TEST_INPUT_ROLE),
     )
     y_true = simulate(model, np.zeros(n), u_test.flat).flat
-    if config.mode == "kernel":
-        prob = SimProblem(
-            traj,
-            L,
-            u_test.flat,
-            y_true[:n],
-            "kernel",
-            kernel=KernelSpec("gaussian", sigma=config.sigma),
-            lam=config.lam,
-        )
+    if config.mode == "explicit":
+        features = dict(basis=named_basis(config.basis))
     else:
-        prob = SimProblem(
-            traj, L, u_test.flat, y_true[:n], "explicit",
-            basis=named_basis(config.basis), lam=config.lam,
-        )
-    res = dd_simulate(prob)
+        features = dict(kernel=KernelSpec("gaussian", sigma=config.sigma))
+    res = dd_simulate(SimProblem(traj, L, u_test.flat, y_true[:n], config.mode, lam=config.lam, **features))
 
     metrics = {
         "config": _config_echo(config),

@@ -8,6 +8,7 @@ basis-function sequence.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -74,13 +75,16 @@ def _pseudo_inverse(M: np.ndarray) -> np.ndarray:
     return (Vt[keep].T / s[keep]) @ U[:, keep].T
 
 
-def _warn_if_not_excited(traj: IoTrajectory, basis: BasisSet, L: int, diagnostic: bool = False) -> None:
+def _warn_if_not_excited(
+    traj: IoTrajectory, basis: BasisSet, L: int, diagnostic: bool = False, stacklevel: int = 3
+) -> None:
     """Warn unless the basis-function sequence of the data is persistently
     exciting of order L.
 
     The verdict is computed once per (basis, L) and kept on the
     trajectory; every call that finds it unsatisfied warns.  The warning
-    points at the caller of the public function that asked.
+    goes ``stacklevel`` frames up, to the caller of the public function
+    that asked.
     """
     pe = _memo(traj, ("pe", basis, L), lambda: pe_check(psi_hat_signal(traj, basis), L))
     if not pe.order_satisfied:
@@ -89,7 +93,7 @@ def _warn_if_not_excited(traj: IoTrajectory, basis: BasisSet, L: int, diagnostic
             f"(rank {pe.numerical_rank} of {basis.r * L})"
             + (f": {pe.diagnostic}" if diagnostic and pe.diagnostic else ""),
             PersistencyWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
 
 
@@ -177,8 +181,11 @@ def flat_membership(
     warn rather than fail.  The excitation verdict and P depend only on
     the data, so they are computed once per (basis, L) and kept on
     ``traj`` for later calls; the residual is always computed afresh.
-    Non-finite candidate samples raise ConfigError.
+    Non-finite candidate samples and a negative or non-finite ``tol``
+    raise ConfigError.
     """
+    if tol is not None and not 0.0 <= tol < math.inf:
+        raise ConfigError(f"membership tolerance must be finite and >= 0, got tol={tol}")
     n = traj.n
     u_bar = np.asarray(u_bar, dtype=float).reshape(-1)
     y_bar = np.asarray(y_bar, dtype=float).reshape(-1)

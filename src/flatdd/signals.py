@@ -246,9 +246,18 @@ def _parse_cell(cell: str, row: int, col: str) -> float:
     return value
 
 
+def _read_rows(path: str | Path) -> list[list[str]]:
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
+    except csv.Error as exc:
+        raise ParseError(f"{path} is not a CSV file: {exc}") from None
+
+
 def read_trajectory(path: str | Path) -> IoTrajectory:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = _read_rows(path)
     if not rows:
         raise ParseError(f"empty trajectory file: {path}")
     if [c.strip() for c in rows[0]] != ["k", "u", "y"]:
@@ -284,8 +293,7 @@ def write_signal_csv(path: str | Path, name: str, values: np.ndarray) -> None:
 
 
 def read_signal_csv(path: str | Path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = _read_rows(path)
     if not rows:
         raise ParseError(f"empty signal file: {path}")
     header = [c.strip() for c in rows[0]]

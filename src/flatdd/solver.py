@@ -1,10 +1,11 @@
 """Regularized least-squares engines.
 
 Two problem shapes are handled: plain ridge regression for residuals that
-are linear in the coefficient vector, and a damped fixed-point scheme for
-residuals whose right-hand side depends on the coefficients (the
-simulation and matching problems).  A kernelized variant carries the same
-objective through Gram matrices instead of explicit residual rows.
+are linear in the coefficient vector, and a fixed-point scheme with a
+step-halving guard and an L-BFGS-B polish for residuals whose right-hand
+side depends on the coefficients (the window problems of simulation and
+matching, assembled in ``window``).  A kernelized variant carries the
+same objective through Gram matrices instead of explicit residual rows.
 
 Every regularized linear step is a Cholesky solve: of the given Gram
 matrix in kernel mode, of the Gram matrix of the smaller side of the data
@@ -13,8 +14,9 @@ through the SVD of the data block.
 """
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -49,8 +51,7 @@ class RidgeProblem:
         b = np.asarray(self.b, dtype=float).reshape(-1)
         if A.ndim != 2 or A.shape[0] != b.size:
             raise ConfigError(f"A has shape {A.shape}, b has {b.size} entries")
-        if self.lam < 0:
-            raise ConfigError(f"regularization weight must be >= 0, got {self.lam}")
+        _check_lam(self.lam)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
 
@@ -118,13 +119,17 @@ def ridge_solve(prob: RidgeProblem) -> np.ndarray:
     return _RidgeOperator(prob.A, prob.lam).solve(prob.b)
 
 
-def _check_controls(max_iter: int, rel_tol: float, damping: float) -> None:
+def _check_lam(lam: float) -> None:
+    if not 0.0 <= lam < math.inf:
+        raise ConfigError(f"regularization weight must be finite and >= 0, got {lam}")
+
+
+def _check_controls(lam: float, max_iter: int, rel_tol: float) -> None:
+    _check_lam(lam)
     if max_iter < 1:
         raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
-    if rel_tol <= 0:
-        raise ConfigError(f"rel_tol must be positive, got {rel_tol}")
-    if not (0.0 < damping <= 1.0):
-        raise ConfigError(f"damping must lie in (0, 1], got {damping}")
+    if not 0.0 < rel_tol < math.inf:
+        raise ConfigError(f"rel_tol must be positive and finite, got {rel_tol}")
 
 
 @dataclass(frozen=True)
@@ -139,15 +144,12 @@ class NonlinearResidualProblem:
     lam: float
     max_iter: int = 500
     rel_tol: float = 1e-8
-    damping: float = 1.0
     polish: bool = True
     polish_maxiter: int = 100
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
-        if self.lam < 0:
-            raise ConfigError(f"regularization weight must be >= 0, got {self.lam}")
-        _check_controls(self.max_iter, self.rel_tol, self.damping)
+        _check_controls(self.lam, self.max_iter, self.rel_tol)
 
     @property
     def dim(self) -> int:
@@ -182,7 +184,6 @@ class NormalEquationsProblem:
     lam: float
     max_iter: int = 500
     rel_tol: float = 1e-8
-    damping: float = 1.0
     polish: bool = True
     polish_maxiter: int = 100
     cross_terms: Callable[[np.ndarray], tuple[np.ndarray, float, np.ndarray]] | None = None
@@ -191,9 +192,7 @@ class NormalEquationsProblem:
         G = np.asarray(self.gram, dtype=float)
         if G.ndim != 2 or G.shape[0] != G.shape[1]:
             raise ConfigError(f"gram matrix must be square, got shape {G.shape}")
-        if self.lam < 0:
-            raise ConfigError(f"regularization weight must be >= 0, got {self.lam}")
-        _check_controls(self.max_iter, self.rel_tol, self.damping)
+        _check_controls(self.lam, self.max_iter, self.rel_tol)
         object.__setattr__(self, "gram", G)
 
     @property
@@ -286,11 +285,11 @@ def nonlinear_solve(
     prob: NonlinearResidualProblem | NormalEquationsProblem,
     alpha0: np.ndarray | None = None,
 ) -> NonlinearResult:
-    """Damped fixed-point iteration with a monotonicity guard.
+    """Fixed-point iteration with a monotonicity guard.
 
     At iterate alpha_t the alpha-dependent right-hand side is frozen and
     the resulting ridge problem solved for alpha*; the update is
-    alpha_t + damping (alpha* - alpha_t), with the damping re-halved up to
+    alpha_t + step (alpha* - alpha_t), with the full step halved up to
     20 times whenever the true objective would increase.  Iteration stops
     once the fixed-point gap |alpha* - alpha_t| falls below
     rel_tol * max(1, |alpha_t|), or at max_iter, or when no halving yields
@@ -336,7 +335,7 @@ def nonlinear_solve(
         if gap <= prob.rel_tol * max(1.0, np.linalg.norm(alpha)):
             converged = True
             break
-        step = prob.damping
+        step = 1.0
         accepted = False
         for _halving in range(20):
             cand = alpha + step * (alpha_star - alpha)

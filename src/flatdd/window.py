@@ -1,0 +1,265 @@
+"""The window problem behind data-based simulation and output matching.
+
+Both find alpha minimizing
+
+    |[H_{L-n}(Psi); B] alpha - [Psi(Z(alpha)); b]|^2 + lam |alpha|^2,
+
+where row k of Z(alpha) is the candidate point z_k = (u_k, y_k, ...,
+y_{k+n-1}) of one horizon, k = 0 ... L-n-1, and H_{L-n}(Psi) is the
+feature Hankel matrix of the recorded data.  A front end describes its
+problem as a :class:`WindowLayout`: the data Hankel matrix through which
+alpha moves the points, which point coordinates it moves, and which
+output rows (B, b) are fixed.  Simulation moves the output window
+through H_L(y) and fixes the first n outputs; matching moves the input
+through H_{L-n}(u) and fixes the whole reference.  Explicit mode
+evaluates a basis at the points; kernel mode carries the same objective
+through Gram matrices.
+"""
+from __future__ import annotations
+
+import warnings
+from dataclasses import KW_ONLY, dataclass
+from typing import Callable
+
+import numpy as np
+
+from .basis import (
+    BasisSet,
+    KernelSpec,
+    affine_decomposition,
+    build_psi_hankel,
+    eval_psi_hat,
+    kernel_diag,
+    kernel_eval,
+    kernel_grad,
+)
+from .errors import ConfigError, DataLengthWarning
+from .membership import _warn_if_not_excited, data_length_check
+from .signals import IoTrajectory
+from .solver import (
+    NonlinearResidualProblem,
+    NonlinearResult,
+    NormalEquationsProblem,
+    RidgeProblem,
+    _check_controls,
+    nonlinear_solve,
+    ridge_solve,
+)
+
+__all__ = ["WindowProblem", "WindowLayout", "explicit_solve", "kernel_problem"]
+
+
+@dataclass(frozen=True)
+class WindowProblem:
+    """Recorded data, horizon and solver settings shared by the front ends.
+
+    Subclasses add the known signals and a positional ``mode``:
+    "explicit" requires ``basis``, "kernel" requires ``kernel``.
+    """
+
+    traj: IoTrajectory
+    L: int
+    _: KW_ONLY
+    basis: BasisSet | None = None
+    kernel: KernelSpec | None = None
+    lam: float = 0.1
+    max_iter: int = 500
+    rel_tol: float = 1e-8
+
+    def __post_init__(self) -> None:
+        n = self.traj.n
+        if self.L <= n:
+            raise ConfigError(f"horizon L={self.L} must exceed order n={n}")
+        _check_controls(self.lam, self.max_iter, self.rel_tol)
+        if self.lam == 0:
+            raise ConfigError(f"{type(self).__name__} requires lam > 0, got {self.lam}")
+        if self.mode == "explicit":
+            if self.basis is None:
+                raise ConfigError("explicit mode requires a basis")
+            if self.basis.n != n:
+                raise ConfigError(f"basis window width {self.basis.n} != trajectory order {n}")
+        elif self.mode == "kernel":
+            if self.kernel is None:
+                raise ConfigError("kernel mode requires a kernel spec")
+        else:
+            raise ConfigError(f"unknown mode {self.mode!r}")
+
+    @property
+    def controls(self) -> dict:
+        return dict(max_iter=self.max_iter, rel_tol=self.rel_tol)
+
+
+@dataclass(frozen=True)
+class WindowLayout:
+    """Where alpha enters one horizon's window problem.
+
+    Row k of the candidate points is Z0[k] with coordinate c replaced by
+    (H @ alpha)[k + moved[c]] for each c in ``moved`` (0 is the input,
+    1..n the output window); Z0 holds zeros there.  H @ alpha is also the
+    signal the front end returns.  The output rows B alpha must match b.
+    """
+
+    Z0: np.ndarray
+    H: np.ndarray
+    moved: dict[int, int]
+    B: np.ndarray
+    b: np.ndarray
+
+    def moving(self, c: int) -> np.ndarray:
+        """Rows of H that move coordinate c of the m points."""
+        return self.H[self.moved[c] : self.moved[c] + self.Z0.shape[0]]
+
+    def points(self, alpha: np.ndarray) -> np.ndarray:
+        v = self.H @ alpha
+        Z = self.Z0.copy()
+        for c, first in self.moved.items():
+            Z[:, c] = v[first : first + Z.shape[0]]
+        return Z
+
+
+def explicit_solve(prob: WindowProblem, layout: WindowLayout) -> NonlinearResult:
+    """Solve the window problem with the basis features of ``prob``.
+
+    Warns, at the caller of the public front end, when the recorded data
+    cannot certify completeness (data-length bound or excitation rank);
+    the excitation verdict is kept on ``prob.traj``.  A basis affine in
+    the moved coordinates turns the right-hand side affine in alpha, so
+    the problem collapses to one ridge solve.  Otherwise the iterative
+    solve starts from the ridge fit of the rows whose right-hand side is
+    known: the output rows, and the identity function's rows when the
+    input is fixed.
+    """
+    traj, basis, L, lam = prob.traj, prob.basis, prob.L, prob.lam
+    chk = data_length_check(traj.N, L, traj.n, basis.r)
+    if not chk.feasible:
+        warnings.warn(
+            f"data length N={traj.N} is below the excitation bound {chk.required_N}",
+            DataLengthWarning,
+            stacklevel=3,
+        )
+    _warn_if_not_excited(traj, basis, L, stacklevel=4)
+
+    H_psi = build_psi_hankel(traj, basis, L).entries
+    A = np.vstack([H_psi, layout.B])
+    if basis.affine_in(layout.moved):
+        # psi(z_k) = base_k + sum_j slope_kj z_kj, and each moved z_kj is a
+        # row of H times alpha: the slope terms join the data block
+        base, slope = affine_decomposition(basis, layout.Z0, layout.moved)
+        rows = base.size
+        for j, c in enumerate(layout.moved):
+            A[:rows] -= (slope[:, :, j, None] * layout.moving(c)[:, None, :]).reshape(rows, -1)
+        rhs0 = np.concatenate([base.reshape(-1), layout.b])
+        alpha = ridge_solve(RidgeProblem(A, rhs0, lam))
+        r = A @ alpha - rhs0
+        obj = float(r @ r + lam * (alpha @ alpha))
+        return NonlinearResult(alpha, obj, 0, True, obj)
+
+    def rhs(alpha: np.ndarray) -> np.ndarray:
+        Z = layout.points(alpha)
+        return np.concatenate([eval_psi_hat(basis, Z[:, 0], Z[:, 1:]).reshape(-1), layout.b])
+
+    known, known_rhs = [layout.B], [layout.b]
+    if basis.identity_index is not None and 0 not in layout.moved:
+        known.insert(0, H_psi[basis.identity_index :: basis.r, :])
+        known_rhs.insert(0, layout.Z0[:, 0])
+    alpha0 = ridge_solve(RidgeProblem(np.vstack(known), np.concatenate(known_rhs), lam))
+    return nonlinear_solve(NonlinearResidualProblem(A, rhs, lam, **prob.controls), alpha0)
+
+
+def _window_points(traj: IoTrajectory) -> np.ndarray:
+    """Data points z_k = (u_k, y_k, ..., y_{k+n-1}), shape (N-n, 1+n)."""
+    y = traj.y.flat
+    xi = np.lib.stride_tricks.sliding_window_view(y, traj.n)[: traj.N - traj.n]
+    return np.column_stack([traj.u.flat, xi])
+
+
+def _slice_sum_gram(K: np.ndarray, depth: int, cols: int) -> np.ndarray:
+    """sum_k K[k:k+cols, k:k+cols] for k = 0..depth-1, computed in K's memory.
+
+    K is overwritten with its prefix sums along diagonals,
+    P[i, j] = sum_t K[i-t, j-t], so each depth-long diagonal run is one
+    difference P[i+depth-1, j+depth-1] - P[i-1, j-1].  The result is a
+    view into K; no second matrix of K's size is made.
+    """
+    n = depth + cols - 1
+    for i in range(1, n):
+        K[i, 1:n] += K[i - 1, : n - 1]
+    # bottom row first: row depth-1+r is written only after row r-1 was read
+    for r in range(cols - 1, 0, -1):
+        K[depth - 1 + r, depth:n] -= K[r - 1, : cols - 1]
+    return K[depth - 1 : n, depth - 1 : n]
+
+
+def _band(A: np.ndarray, cols: int) -> np.ndarray:
+    """View V[k, j] = A[k, k+j] of an m x (m+cols-1) array; writes go through.
+
+    Candidate point k meets data point k+j in column j of the feature
+    Hankel matrix, so V holds the pairs that enter the objective.
+    """
+    s0, s1 = A.strides
+    return np.lib.stride_tricks.as_strided(A, (A.shape[0], cols), (s0 + s1, s1))
+
+
+def kernel_problem(
+    traj: IoTrajectory,
+    kernel: KernelSpec | Callable[[np.ndarray, np.ndarray], np.ndarray],
+    layout: WindowLayout,
+    lam: float,
+    **controls,
+) -> tuple[NormalEquationsProblem, np.ndarray]:
+    """Gram-space form of the window problem, and its starting point.
+
+    The feature Hankel matrix stays implicit: its row block k pairs with
+    candidate point k, and the candidate points
+    Z(alpha)[k, c] = Z0[k, c] + J[k, c, :] @ alpha are affine in alpha,
+    with J[:, c, :] the rows of the layout's H that move coordinate c.
+    ``kernel`` is a KernelSpec, in which case the problem carries the
+    exact gradient, or any pair_fn(Z1, Z2) returning pairwise inner
+    products of feature vectors.  The starting point alpha0 is the ridge
+    fit of the output rows.
+    """
+    Z0, B, b = layout.Z0, layout.B, layout.b
+    m, width = Z0.shape
+    cols = B.shape[1]
+    J = np.zeros((m, width, cols))
+    for c in layout.moved:
+        J[:, c, :] = layout.moving(c)
+    J = J.reshape(m * width, cols)
+    Z_data = _window_points(traj)
+    if isinstance(kernel, KernelSpec):
+        spec = kernel
+        pair_fn = lambda Z1, Z2: kernel_eval(spec, Z1, Z2)
+    else:
+        spec, pair_fn = None, kernel
+    data_block = pair_fn(Z_data, Z_data)
+    if spec is None:  # the Gram sum overwrites the block; keep a caller's array intact
+        data_block = np.array(data_block, dtype=float)
+    gram = _slice_sum_gram(data_block, m, cols) + B.T @ B
+    const_cross = B.T @ b
+    b_sq = float(b @ b)
+
+    def points(alpha: np.ndarray) -> np.ndarray:
+        return Z0 + (J @ alpha).reshape(m, width)
+
+    def cross(alpha: np.ndarray) -> np.ndarray:
+        return _band(pair_fn(points(alpha), Z_data), cols).sum(axis=0) + const_cross
+
+    def offset(alpha: np.ndarray) -> float:
+        Z_bar = points(alpha)
+        if spec is None:
+            return float(np.trace(pair_fn(Z_bar, Z_bar))) + b_sq
+        return float(kernel_diag(spec, Z_bar)[0].sum()) + b_sq
+
+    def cross_terms(alpha: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+        Z_bar = points(alpha)
+        K = kernel_eval(spec, Z_bar, Z_data)
+        diag, diag_grad = kernel_diag(spec, Z_bar)
+        W = np.zeros_like(K)
+        _band(W, cols)[:] = alpha
+        point_grad = diag_grad - 2.0 * kernel_grad(spec, Z_bar, Z_data, K, W)
+        return _band(K, cols).sum(axis=0) + const_cross, float(diag.sum()) + b_sq, J.T @ point_grad.reshape(-1)
+
+    prob = NormalEquationsProblem(
+        gram, cross, offset, lam, cross_terms=None if spec is None else cross_terms, **controls
+    )
+    return prob, ridge_solve(RidgeProblem(B, b, lam))

@@ -7,8 +7,7 @@ from numpy.testing import assert_allclose
 from flatdd.basis import (
     BasisSet,
     KernelSpec,
-    affine_u_decomposition,
-    affine_xi_decomposition,
+    affine_decomposition,
     build_psi_hankel,
     eval_psi_hat,
     kernel_eval,
@@ -79,11 +78,15 @@ def test_affine_u_split(ex1_traj):
     rng = np.random.default_rng(2)
     xi = rng.normal(size=(40, 2))
     u = rng.normal(size=40)
-    base, slope = affine_u_decomposition(basis, xi)
-    assert_allclose(base + slope * u[:, None], eval_psi_hat(basis, u, xi), rtol=1e-13)
+    base, slope = affine_decomposition(basis, np.column_stack([np.zeros(40), xi]), [0])
+    assert slope.shape == (40, 6, 1)
+    assert_allclose(base + slope[:, :, 0] * u[:, None], eval_psi_hat(basis, u, xi), rtol=1e-13)
     undeclared = BasisSet((lambda u, xi: u,), 2, "x", affine_in_u=False)
     with pytest.raises(ConfigError):
-        affine_u_decomposition(undeclared, xi)
+        affine_decomposition(undeclared, np.column_stack([np.zeros(40), xi]), [0])
+    # input and window together: the flags do not rule out u xi products
+    with pytest.raises(ConfigError):
+        affine_decomposition(named_basis("identity-only"), np.zeros((40, 3)), [0, 1])
 
 
 def test_affine_xi_split():
@@ -91,9 +94,11 @@ def test_affine_xi_split():
     rng = np.random.default_rng(3)
     u = rng.normal(size=15)
     xi = rng.normal(size=(15, 2))
-    base, grad = affine_xi_decomposition(basis, u)
+    base, grad = affine_decomposition(basis, np.column_stack([u, np.zeros((15, 2))]), [1, 2])
     recon = base + np.einsum("mrn,mn->mr", grad, xi)
     assert_allclose(recon, eval_psi_hat(basis, u, xi), atol=1e-14)
+    with pytest.raises(ConfigError):
+        affine_decomposition(named_basis("example1-poly"), np.zeros((15, 3)), [1, 2])
 
 
 def test_eval_rejects_nonfinite():

@@ -1,0 +1,154 @@
+"""Command-line inputs: malformed files, out-of-range settings, both modes of
+the simulate and match commands."""
+import contextlib
+import io
+import json
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from flatdd.basis import KernelSpec, named_basis
+from flatdd.cli import main
+from flatdd.errors import ConfigError
+from flatdd.experiments import ExperimentConfig, save_config
+from flatdd.membership import flat_membership
+from flatdd.plant import collect_trajectory, example1_model
+from flatdd.signals import IoTrajectory, write_signal_csv, write_trajectory
+from flatdd.simulation import SimProblem
+from flatdd.solver import RidgeProblem
+
+L = 20
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """Valid files for every file flag, on a short example1 record."""
+    d = tmp_path_factory.mktemp("cli")
+    traj = collect_trajectory(example1_model(), 120, (-0.5, 0.5), seed=1)
+    paths = {name: d / f"{name}.csv" for name in ("data", "candidate", "input", "init", "reference")}
+    write_trajectory(paths["data"], traj)
+    write_trajectory(paths["candidate"], IoTrajectory.from_arrays(traj.u.flat[10:28], traj.y.flat[10:30], 2))
+    write_signal_csv(paths["input"], "u", traj.u.flat[40 : 40 + L - 2])
+    write_signal_csv(paths["init"], "y", traj.y.flat[40:42])
+    write_signal_csv(paths["reference"], "y", traj.y.flat[60 : 60 + L])
+    paths["config"] = d / "run.cfg"
+    save_config(ExperimentConfig(n_samples=120, horizon=L), paths["config"])
+    paths["out"] = d / "out"
+    paths["out"].mkdir()
+    return paths
+
+
+def _argv(command: str, files: dict, **replace) -> list[str]:
+    f = {**{k: str(v) for k, v in files.items()}, **replace}
+    out = f["out"]
+    return {
+        "simulate": ["simulate", "--data", f["data"], "--input", f["input"], "--init", f["init"],
+                     "--out", f"{out}/y_est.csv"],
+        "match": ["match", "--data", f["data"], "--reference", f["reference"], "--out", f"{out}/u_est.csv"],
+        "check-membership": ["check-membership", "--data", f["data"], "--candidate", f["candidate"],
+                             "--basis", "example1-poly"],
+        "generate": ["generate", "--config", f["config"], "--out-dir", out],
+    }[command]
+
+
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("simulate", ["--lambda", "inf"]),
+        ("simulate", ["--mode", "kernel", "--sigma", "nan"]),
+        ("simulate", ["--mode", "kernel", "--sigma", "1e-300"]),
+        ("simulate", ["--rel-tol", "nan"]),
+        ("match", ["--lambda", "nan"]),
+        ("match", ["--rel-tol", "-1"]),
+        ("match", ["--max-iter", "0"]),
+        ("check-membership", ["--tol", "nan"]),
+        ("check-membership", ["--tol", "-1"]),
+        ("generate", ["--input-lo", "nan"]),
+        ("generate", ["--noise-lo", "nan"]),
+        ("generate", ["--seed", "-1"]),
+        ("example1", ["--seed", "-1"]),
+        ("example2", ["--seed", "-1"]),
+        ("sweep", ["--seed", "-1", "--count", "1"]),
+    ],
+)
+def test_cli_rejects_bad_settings(files, command, extra):
+    if command in ("example1", "example2", "sweep"):
+        argv = [command, "--out-dir", str(files["out"])]
+    else:
+        argv = _argv(command, files)
+    code, _, err = _run(argv + extra)
+    assert code == 1, err
+    assert len(err.strip().splitlines()) == 1, err
+
+
+def _traj():
+    return collect_trajectory(example1_model(), 120, (-0.5, 0.5), seed=1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: RidgeProblem(np.eye(2), np.ones(2), np.inf),
+        lambda: RidgeProblem(np.eye(2), np.ones(2), np.nan),
+        lambda: KernelSpec("gaussian", sigma=np.nan),
+        lambda: KernelSpec("gaussian", sigma=1e-300),
+        lambda: KernelSpec("gaussian", sigma=1e200),
+        lambda: ExperimentConfig(input_lo=np.nan),
+        lambda: ExperimentConfig(lam=np.inf),
+        lambda: ExperimentConfig(seed=-1),
+        lambda: SimProblem(_traj(), L, np.zeros(L - 2), np.zeros(2), basis=named_basis("example1-poly"), lam=np.inf),
+        lambda: SimProblem(_traj(), L, np.zeros(L - 2), np.zeros(2), basis=named_basis("example1-poly"), rel_tol=-1.0),
+        lambda: flat_membership(_traj(), named_basis("example1-poly"), L, np.zeros(L - 2), np.zeros(L), tol=np.nan),
+    ],
+    ids=[
+        "ridge-lam-inf", "ridge-lam-nan", "sigma-nan", "sigma-tiny", "sigma-huge", "config-input-lo-nan",
+        "config-lam-inf", "config-seed-negative", "sim-lam-inf", "sim-rel-tol-negative", "membership-tol-nan",
+    ],
+)
+def test_settings_rejected_where_they_enter(build):
+    with pytest.raises(ConfigError):
+        build()
+
+
+@pytest.mark.parametrize("command, estimate", [("simulate", "y_est"), ("match", "u_est")])
+def test_cli_kernel_mode(files, command, estimate):
+    code, out, err = _run(_argv(command, files) + ["--mode", "kernel", "--sigma", "1"])
+    assert code == 0, err
+    metrics = json.loads(out)
+    saved = json.loads((files["out"] / f"{estimate}_metrics.json").read_text(encoding="utf-8"))
+    assert saved == metrics
+    assert metrics["objective"] <= metrics["initial_objective"]
+    assert (files["out"] / f"{estimate}.csv").read_text().splitlines()[0] == f"k,{estimate}"
+
+
+_FILE_FLAGS = {
+    "data": "simulate",
+    "input": "simulate",
+    "init": "simulate",
+    "reference": "match",
+    "candidate": "check-membership",
+    "config": "generate",
+}
+
+
+@settings(deadline=None, max_examples=150)
+@given(flag=st.sampled_from(sorted(_FILE_FLAGS)), content=st.binary(max_size=200))
+@example(flag="data", content=b"\xff")
+@example(flag="config", content=b"seed = 1\xff\n")
+@example(flag="reference", content=b"k,y\n0," + b"1" * 200_000 + b"\n")
+def test_cli_file_flags_survive_arbitrary_bytes(files, flag, content):
+    fuzzed = files["out"] / f"fuzz-{flag}"
+    fuzzed.write_bytes(content)
+    code, _, err = _run(_argv(_FILE_FLAGS[flag], files, **{flag: str(fuzzed)}))
+    assert code in (0, 1, 2, 3)
+    if code != 0:
+        assert len(err.strip().splitlines()) == 1, err

@@ -84,7 +84,7 @@ def test_kernel_simulation_polish_uses_exact_gradient(monkeypatch):
     prob = SimProblem(*_sim_data(5), "kernel", kernel=KernelSpec("gaussian", 1.0), lam=0.1)
     res = dd_simulate(prob)
     assert res.objective <= res.initial_objective
-    assert 0 < len(evaluations) <= 3 * prob.polish_maxiter
+    assert 0 < len(evaluations) <= 3 * NormalEquationsProblem.polish_maxiter
 
 
 @settings(deadline=None, max_examples=20)

@@ -4,7 +4,7 @@ import pytest
 from flatdd.basis import (
     BasisSet,
     KernelSpec,
-    affine_u_decomposition,
+    affine_decomposition,
     build_psi_hankel,
     eval_psi_hat,
     named_basis,
@@ -96,10 +96,10 @@ def test_qp_agrees_with_generic_solver(clean_traj, basis, sin_ref):
     H_L_y = build_hankel(clean_traj.y, 50).entries
     A = np.vstack([H_psi, H_L_y])
     xi_ref = _reference_windows(sin_ref, 2)
-    base, slope = affine_u_decomposition(basis, xi_ref)
+    base, slope = affine_decomposition(basis, np.column_stack([np.zeros(48), xi_ref]), [0])
     C = np.zeros_like(A)
     for k in range(48):
-        C[k * basis.r : (k + 1) * basis.r, :] = np.outer(slope[k], U[k, :])
+        C[k * basis.r : (k + 1) * basis.r, :] = np.outer(slope[k, :, 0], U[k, :])
     rhs0 = np.concatenate([base.reshape(-1), sin_ref])
 
     direct = ridge_solve(RidgeProblem(A - C, rhs0, 0.1))
@@ -180,8 +180,10 @@ def test_validation_errors(clean_traj, basis, sin_ref):
 def test_short_data_warns(model, basis):
     traj = collect_trajectory(model, 120, (-0.5, 0.5), seed=2)
     y_ref = traj.y.flat[10:60]
-    with pytest.warns(DataLengthWarning, match="below the excitation bound 351"):
+    with pytest.warns(DataLengthWarning, match="below the excitation bound 351") as record:
         dd_match(MatchProblem(traj, 50, y_ref, "explicit", basis=basis, lam=0.1))
+    # both data warnings (length and excitation) point at the caller
+    assert len(record) == 2 and {w.filename for w in record} == {__file__}
 
 
 def test_unexciting_data_warns(model, basis):

@@ -13,8 +13,9 @@ from flatdd.plant import (
     simulate,
 )
 from flatdd.signals import build_hankel
-from flatdd.simulation import SimProblem, _slice_sum_gram, dd_simulate, kernel_sim_problem
+from flatdd.simulation import SimProblem, dd_simulate, kernel_sim_problem
 from flatdd.solver import RidgeProblem, nonlinear_solve, ridge_solve
+from flatdd.window import _slice_sum_gram
 
 
 @pytest.fixture(scope="module")
@@ -197,5 +198,7 @@ def test_problem_validation(ex1_traj, ex1_basis):
 def test_short_data_warns(ex1_basis):
     traj = collect_trajectory(example1_model(), 120, (-0.5, 0.5), seed=14)
     u, y_true = fresh_case(15, length=18)
-    with pytest.warns(DataLengthWarning):
+    with pytest.warns(DataLengthWarning) as record:
         dd_simulate(SimProblem(traj, 20, u, y_true[:2], "explicit", basis=ex1_basis, lam=1e-6))
+    # both data warnings (length and excitation) point at the caller
+    assert len(record) == 2 and {w.filename for w in record} == {__file__}

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-import flatdd.matching
+import flatdd.window
 from flatdd.basis import KernelSpec, named_basis
 from flatdd.errors import (
     ConditioningWarning,
@@ -69,8 +69,6 @@ def test_problem_validation():
         RidgeProblem(np.eye(2), np.ones(3), 0.0)
     with pytest.raises(ConfigError):
         RidgeProblem(np.eye(2), np.ones(2), -1.0)
-    with pytest.raises(ConfigError):
-        NonlinearResidualProblem(np.eye(2), lambda a: np.ones(2), 0.1, damping=0.0)
     with pytest.raises(ConfigError):
         NonlinearResidualProblem(np.eye(2), lambda a: np.ones(2), 0.1, max_iter=0)
 
@@ -215,19 +213,6 @@ def test_ridge_nonfinite_block_is_singular():
         ridge_solve(RidgeProblem(A, np.ones(3), 0.1))
 
 
-def test_damping_and_iteration_accounting():
-    rng = np.random.default_rng(6)
-    A = rng.normal(size=(8, 3))
-    b = rng.normal(size=8)
-    res = nonlinear_solve(
-        NonlinearResidualProblem(A, lambda a: b, 0.1, damping=0.5, polish=False),
-        np.zeros(3),
-    )
-    # halved steps need several iterations to close the gap
-    assert res.converged and res.iterations > 1
-    assert_allclose(res.alpha, ridge_solve(RidgeProblem(A, b, 0.1)), rtol=1e-6)
-
-
 def test_ridge_nonfinite_block_raises_for_any_lam():
     for lam in (0.0, 0.1):
         for value in (np.nan, np.inf, -np.inf):
@@ -252,7 +237,7 @@ def example1_match_block():
         return ridge_solve(prob)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(flatdd.matching, "ridge_solve", capture)
+        mp.setattr(flatdd.window, "ridge_solve", capture)
         dd_match(MatchProblem(
             _collect(ExperimentConfig(seed=5), example1_model()), 50, reference_output(50),
             "explicit", basis=named_basis("example1-poly"), lam=0.1,
