@@ -22,7 +22,7 @@ __all__ = [
     "eval_psi_hat",
     "psi_hat_signal",
     "build_psi_hankel",
-    "affine_decomposition",
+    "psi_jacobian",
     "KernelSpec",
     "kernel_eval",
     "kernel_diag",
@@ -39,16 +39,14 @@ class BasisSet:
 
     Each function must accept a batch: u of shape (m,) and xi of shape
     (m, n), returning shape (m,).  ``identity_index`` marks a function
-    equal to u itself, required for retrieving inputs in matching.  The
-    affine flags declare structure exploited by the quadratic solve paths;
-    ``validate`` probes them numerically.
+    equal to u itself, required for retrieving inputs in matching;
+    ``validate`` probes it numerically.  The solvers need no declared
+    structure: their derivatives come from ``psi_jacobian``.
     """
 
     functions: tuple[BasisFn, ...]
     n: int
     name: str
-    affine_in_u: bool = False
-    affine_in_xi: bool = False
     identity_index: int | None = None
 
     def __post_init__(self) -> None:
@@ -58,15 +56,6 @@ class BasisSet:
     @property
     def r(self) -> int:
         return len(self.functions)
-
-    def affine_in(self, coords: Iterable[int]) -> bool:
-        """Whether the declarations make psi affine in the coordinates
-        ``coords`` of a point (u, xi_1, ..., xi_n).  Input and window
-        together never count: the flags leave u xi products open."""
-        coords = set(coords)
-        if 0 in coords:
-            return self.affine_in_u and coords == {0}
-        return self.affine_in_xi
 
     def validate(self, probes: int = 8, seed: int = 0, tol: float = 1e-9) -> None:
         if self.r == 0:
@@ -82,16 +71,6 @@ class BasisSet:
         if self.identity_index is not None:
             if not np.allclose(P[:, self.identity_index], u, atol=tol):
                 raise ConfigError(f"function {self.identity_index} of {self.name!r} is not the identity in u")
-        if self.affine_in_u:
-            u2 = rng.uniform(-1.0, 1.0, size=probes)
-            mid = eval_psi_hat(self, 0.5 * (u + u2), xi)
-            if not np.allclose(mid, 0.5 * (P + eval_psi_hat(self, u2, xi)), atol=tol):
-                raise ConfigError(f"basis {self.name!r} declared affine in u but is not")
-        if self.affine_in_xi:
-            xi2 = rng.uniform(-1.0, 1.0, size=(probes, self.n))
-            mid = eval_psi_hat(self, u, 0.5 * (xi + xi2))
-            if not np.allclose(mid, 0.5 * (P + eval_psi_hat(self, u, xi2)), atol=tol):
-                raise ConfigError(f"basis {self.name!r} declared affine in xi but is not")
 
 
 def named_basis(name: str, n: int = 2) -> BasisSet:
@@ -112,11 +91,9 @@ def named_basis(name: str, n: int = 2) -> BasisSet:
             lambda u, xi: u * xi[:, 0] ** 2,
             lambda u, xi: u * xi[:, 1] ** 2,
         )
-        return BasisSet(fns, 2, name, affine_in_u=True, affine_in_xi=False, identity_index=0)
+        return BasisSet(fns, 2, name, identity_index=0)
     if name == "identity-only":
-        return BasisSet(
-            (lambda u, xi: u,), n, name, affine_in_u=True, affine_in_xi=True, identity_index=0
-        )
+        return BasisSet((lambda u, xi: u,), n, name, identity_index=0)
     raise ConfigError(f"unknown basis {name!r}")
 
 
@@ -169,27 +146,28 @@ def build_psi_hankel(traj: IoTrajectory, basis: BasisSet, L: int) -> HankelMatri
     return build_hankel(psi_hat_signal(traj, basis), L - traj.n)
 
 
-def affine_decomposition(
-    basis: BasisSet, Z0: np.ndarray, coords: Iterable[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split psi_i(z) = base_i + sum_j slope_ij z_{coords[j]} at the points Z0.
+def psi_jacobian(basis: BasisSet, Z: np.ndarray, coords: Iterable[int]) -> np.ndarray:
+    """Derivatives of the basis functions in the coordinates ``coords`` at
+    the points Z, by central differences.
 
-    Rows of Z0 are points (u, xi_1, ..., xi_n) whose coordinates
-    ``coords`` hold zeros; the others stay fixed.  Exact only when the
-    basis is affine in those coordinates (``BasisSet.affine_in``).
-    Returns base, shape (m, r), and slope, shape (m, r, len(coords)).
+    Rows of Z are points (u, xi_1, ..., xi_n).  Returns shape
+    (m, r, len(coords)).  The step is 2^-17 max(1, |z_c|), near the cube
+    root of machine epsilon, and each quotient divides by the difference
+    of the two points as stored; a term linear in a coordinate that is
+    zero then gets its slope without rounding.  The complex step is not
+    used: it reads a zero slope off a basis such as np.abs.
     """
+    Z = np.asarray(Z, dtype=float)
     coords = tuple(coords)
-    if not basis.affine_in(coords):
-        raise ConfigError(f"basis {basis.name!r} is not declared affine in coordinates {coords}")
-    Z = np.array(Z0, dtype=float)
-    base = eval_psi_hat(basis, Z[:, 0], Z[:, 1:])
-    slope = np.empty(base.shape + (len(coords),))
+    out = np.empty((Z.shape[0], basis.r, len(coords)))
     for j, c in enumerate(coords):
-        Z[:, c] = 1.0
-        slope[:, :, j] = eval_psi_hat(basis, Z[:, 0], Z[:, 1:]) - base
-        Z[:, c] = 0.0
-    return base, slope
+        h = 2.0**-17 * np.maximum(1.0, np.abs(Z[:, c]))
+        hi, lo = Z.copy(), Z.copy()
+        hi[:, c] += h
+        lo[:, c] -= h
+        diff = eval_psi_hat(basis, hi[:, 0], hi[:, 1:]) - eval_psi_hat(basis, lo[:, 0], lo[:, 1:])
+        out[:, :, j] = diff / (hi[:, c] - lo[:, c])[:, None]
+    return out
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,11 @@ unknown plant track the reference: alpha solves
 
 in the regularized least-squares sense, and the input is H_{L-n}(u) alpha.
 This is the window problem of ``window`` with the input moved by
-H_{L-n}(u) and every output fixed.  The unknown input appears inside Psi,
-so bases affine in u collapse the problem to ridge regression; kernel mode
-needs the gaussian_plus_linear kernel, whose linear term is what makes
-the input recoverable at all.
+H_{L-n}(u) and every output fixed.  The unknown input appears inside Psi;
+for a basis affine in u the explicit Gauss-Newton solve takes one step,
+the ridge solve of the affine problem.  Kernel mode needs the
+gaussian_plus_linear kernel, whose linear term is what makes the input
+recoverable at all.
 """
 from __future__ import annotations
 
@@ -61,7 +62,9 @@ class MatchProblem(WindowProblem):
 
 @dataclass(frozen=True)
 class MatchResult:
-    """Matching input u = H_{L-n}(u_data) alpha and solve diagnostics."""
+    """Matching input u = H_{L-n}(u_data) alpha and solve diagnostics;
+    ``initial_objective`` (never below ``objective``) is the objective at
+    alpha = 0 in explicit mode, at the fit to the reference in kernel mode."""
 
     u: Signal
     alpha: np.ndarray
@@ -111,9 +114,9 @@ def dd_match(prob: MatchProblem) -> MatchResult:
     certified; both checks need explicit features and are skipped in
     kernel mode.  The excitation verdict is kept on ``prob.traj`` and
     shared with later explicit solves and membership queries on the same
-    data, basis and L.  A basis affine in u is solved in closed form;
-    otherwise the iterative solve starts from the ridge fit of the output
-    rows to the reference.
+    data, basis and L.  The explicit solve starts from alpha = 0 and takes
+    one step for a basis affine in u; the kernel solve starts from the
+    ridge fit of the output rows to the reference.
     """
     traj, L = prob.traj, prob.L
     if prob.mode == "kernel":

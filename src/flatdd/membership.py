@@ -56,6 +56,11 @@ def data_length_check(N: int, L: int, n: int, r: int) -> DataLengthCheck:
     return DataLengthCheck(N >= required, required)
 
 
+def _check_tol(tol: float | None) -> None:
+    if tol is not None and not 0.0 <= tol < math.inf:
+        raise ConfigError(f"membership tolerance must be finite and >= 0, got tol={tol}")
+
+
 def _verdict(M: np.ndarray, alpha: np.ndarray, rhs: np.ndarray, tol: float | None) -> MembershipVerdict:
     if tol is None:
         tol = 1e-6 * (1.0 + float(np.linalg.norm(rhs)))
@@ -113,8 +118,9 @@ def lti_membership(
     minimum-norm least-squares alpha.  The data input must be
     persistently exciting of order L + n for the span to be complete; a
     violation is reported as a warning since the residual remains
-    informative.
+    informative.  A negative or non-finite ``tol`` raises ConfigError.
     """
+    _check_tol(tol)
     u = u if isinstance(u, Signal) else Signal(np.asarray(u, dtype=float))
     y = y if isinstance(y, Signal) else Signal(np.asarray(y, dtype=float))
     u_bar = np.asarray(u_bar, dtype=float).reshape(-1)
@@ -184,8 +190,7 @@ def flat_membership(
     Non-finite candidate samples and a negative or non-finite ``tol``
     raise ConfigError.
     """
-    if tol is not None and not 0.0 <= tol < math.inf:
-        raise ConfigError(f"membership tolerance must be finite and >= 0, got tol={tol}")
+    _check_tol(tol)
     n = traj.n
     u_bar = np.asarray(u_bar, dtype=float).reshape(-1)
     y_bar = np.asarray(y_bar, dtype=float).reshape(-1)

@@ -9,9 +9,9 @@ of data windows: alpha solves
 in the regularized least-squares sense, and the response is H_L(y) alpha.
 This is the window problem of ``window`` with the output window moved by
 H_L(y) and the first n outputs fixed.  The right-hand side depends on
-alpha, so the solve is iterative except when the basis is affine in the
-output window, which collapses the problem to plain ridge regression.
-Kernel mode carries the same objective through Gram matrices without
+alpha, so the solve is iterative: Gauss-Newton in explicit mode, which
+takes one step when the basis is affine in the output window.  Kernel
+mode carries the same objective through Gram matrices without
 materializing any basis.
 """
 from __future__ import annotations
@@ -59,9 +59,9 @@ class SimProblem(WindowProblem):
 class SimResult:
     """Simulated response y = H_L(y_data) alpha and solve diagnostics.
 
-    ``initial_objective`` is the objective at the solver's starting point
-    (equal to ``objective`` when the problem is solved in closed form);
-    the guard guarantees objective <= initial_objective.
+    ``initial_objective`` is the objective at the solver's starting point:
+    alpha = 0 in explicit mode, the fit to the initial outputs in kernel
+    mode.  The solvers guarantee objective <= initial_objective.
     """
 
     y: Signal

@@ -1,11 +1,12 @@
 """Regularized least-squares engines.
 
-Two problem shapes are handled: plain ridge regression for residuals that
-are linear in the coefficient vector, and a fixed-point scheme with a
-step-halving guard and an L-BFGS-B polish for residuals whose right-hand
-side depends on the coefficients (the window problems of simulation and
-matching, assembled in ``window``).  A kernelized variant carries the
-same objective through Gram matrices instead of explicit residual rows.
+Plain ridge regression handles residuals that are linear in the
+coefficient vector.  The window problems of simulation and matching
+(assembled in ``window``) have a right-hand side that depends on the
+coefficients and come in two shapes: explicit residual rows, solved by
+Gauss-Newton, and the kernelized form through Gram matrices, solved by
+L-BFGS-B in whitened coordinates.  Each stops on one convergence test or
+at one iteration cap.
 
 Every regularized linear step is a Cholesky solve: of the given Gram
 matrix in kernel mode, of the Gram matrix of the smaller side of the data
@@ -69,15 +70,14 @@ class _RidgeOperator:
     which no Gram matrix can once cond(A) passes about 1e8.
     """
 
-    def __init__(self, A: np.ndarray, lam: float):
+    def __init__(self, A: np.ndarray, lam: float, stacklevel: int = 3):
         if not np.isfinite(A).all():
             raise SingularMatrixError("ridge solve did not converge: the data block has non-finite entries")
         self._A = A
         self._gram = None
         if lam > 0.0:
             self._wide = A.shape[0] < A.shape[1]
-            # stacklevel 4 names the caller of ridge_solve or nonlinear_solve
-            self._gram = _NormalOperator(A @ A.T if self._wide else A.T @ A, lam, stacklevel=4)
+            self._gram = _NormalOperator(A @ A.T if self._wide else A.T @ A, lam, stacklevel + 1)
             return
         try:
             U, s, Vt = np.linalg.svd(A, full_matrices=False)
@@ -93,7 +93,7 @@ class _RidgeOperator:
             warnings.warn(
                 f"normal equations have condition number {cond:.3e}",
                 ConditioningWarning,
-                stacklevel=3,
+                stacklevel=stacklevel,
             )
         self._U, self._Vt = U, Vt
         self._filter = 1.0 / s
@@ -137,6 +137,9 @@ class NonlinearResidualProblem:
     """minimize over alpha:  |A alpha - rhs(alpha)|^2 + lam |alpha|^2
 
     The data block A is fixed; only the right-hand side moves with alpha.
+    ``jacobian``, when given, returns C = d rhs/d alpha at alpha as a new
+    array of A's shape, whose memory the solver reuses; without it,
+    central differences of ``rhs`` stand in at two calls per coordinate.
     """
 
     A: np.ndarray
@@ -144,8 +147,7 @@ class NonlinearResidualProblem:
     lam: float
     max_iter: int = 500
     rel_tol: float = 1e-8
-    polish: bool = True
-    polish_maxiter: int = 100
+    jacobian: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
@@ -169,8 +171,7 @@ class NormalEquationsProblem:
                        + offset(alpha) + lam |alpha|^2
 
     ``gram`` collects the alpha-independent products, ``cross`` the mixed
-    terms and ``offset`` the alpha-only block |rhs(alpha)|^2.  The frozen
-    linear step solves (gram + lam I) alpha = cross(alpha_t).
+    terms and ``offset`` the alpha-only block |rhs(alpha)|^2.
 
     ``cross_terms``, when given, evaluates cross(alpha), offset(alpha) and
     the coupling gradient grad offset(alpha) - 2 (d cross/d alpha)' alpha
@@ -184,8 +185,6 @@ class NormalEquationsProblem:
     lam: float
     max_iter: int = 500
     rel_tol: float = 1e-8
-    polish: bool = True
-    polish_maxiter: int = 100
     cross_terms: Callable[[np.ndarray], tuple[np.ndarray, float, np.ndarray]] | None = None
 
     def __post_init__(self) -> None:
@@ -225,12 +224,12 @@ class NonlinearResult:
 class _NormalOperator:
     """Cholesky solver for (G + lam I) x = c, reusable across c.
 
-    Conditioning is LAPACK's 1-norm estimate (``dpocon``, Higham 1988)
-    from the Cholesky factor, so no spectrum is computed.  A failed
-    factorization, or a reciprocal condition number below machine
-    epsilon (singular to working precision, as in LAPACK's ``?posvx``),
-    is singular; a condition number above the limit warns, ``stacklevel``
-    frames up.
+    ``R`` is the upper-triangular factor, R'R = G + lam I.  Conditioning
+    is LAPACK's 1-norm estimate (``dpocon``, Higham 1988) from R, so no
+    spectrum is computed.  A failed factorization, or a reciprocal
+    condition number below machine epsilon (singular to working
+    precision, as in LAPACK's ``?posvx``), is singular; a condition
+    number above the limit warns, ``stacklevel`` frames up.
     """
 
     def __init__(self, G: np.ndarray, lam: float, stacklevel: int = 3):
@@ -242,11 +241,10 @@ class _NormalOperator:
         else:
             singular = f"gram matrix plus lam I is numerically singular at lam = {lam:g}; increase lam"
         try:
-            self._cf = scipy.linalg.cho_factor(M)
+            self.R = scipy.linalg.cholesky(M)
         except np.linalg.LinAlgError:
             raise SingularMatrixError(singular) from None
-        c, lower = self._cf
-        rcond, info = scipy.linalg.lapack.dpocon(c, anorm, uplo="L" if lower else "U")
+        rcond, info = scipy.linalg.lapack.dpocon(self.R, anorm)
         if info != 0 or not rcond >= np.finfo(float).eps:
             raise SingularMatrixError(singular)
         if rcond < 1.0 / _COND_LIMIT:
@@ -257,104 +255,122 @@ class _NormalOperator:
             )
 
     def solve(self, c: np.ndarray) -> np.ndarray:
-        return scipy.linalg.cho_solve(self._cf, c)
+        return scipy.linalg.cho_solve((self.R, False), c)
 
 
-def _polish(
-    prob: NonlinearResidualProblem | NormalEquationsProblem, alpha0: np.ndarray
-) -> scipy.optimize.OptimizeResult:
-    """L-BFGS-B on the exact objective; non-finite points read as 1e300."""
-    exact = isinstance(prob, NormalEquationsProblem) and prob.cross_terms is not None
+def _difference_jacobian(rhs: Callable[[np.ndarray], np.ndarray], alpha: np.ndarray) -> np.ndarray:
+    """d rhs/d alpha by central differences, one column per coordinate."""
+    columns = []
+    for i in range(alpha.size):
+        step = np.zeros_like(alpha)
+        step[i] = 2.0**-17 * max(1.0, abs(alpha[i]))
+        hi, lo = alpha + step, alpha - step
+        columns.append((rhs(hi) - rhs(lo)) / (hi[i] - lo[i]))
+    return np.column_stack(columns)
+
+
+def _gauss_newton(prob: NonlinearResidualProblem, alpha: np.ndarray) -> NonlinearResult:
+    A, lam = prob.A, prob.lam
+    jacobian = prob.jacobian or (lambda a: _difference_jacobian(prob.rhs, a))
+    rhs = prob.rhs(alpha)
+    r = A @ alpha - rhs
+    obj = float(r @ r + lam * (alpha @ alpha))
+    if not np.isfinite(obj):
+        raise DivergenceError("objective is not finite at alpha0")
+    initial_obj = obj
+    iterations, converged = 0, False
+    for _ in range(prob.max_iter):
+        C = jacobian(alpha)
+        # the residual A a - rhs(a) is linearized as J a - target
+        target = rhs - C @ alpha
+        J = np.subtract(A, C, out=C)
+        # stacklevel 4 names the caller of nonlinear_solve
+        alpha_star = _RidgeOperator(J, lam, stacklevel=4).solve(target)
+        r = J @ alpha_star - target
+        model = float(r @ r + lam * (alpha_star @ alpha_star))
+        step = 1.0
+        for _halving in range(20):
+            cand = alpha + step * (alpha_star - alpha)
+            cand_rhs = prob.rhs(cand)
+            r = A @ cand - cand_rhs
+            cand_obj = float(r @ r + lam * (cand @ cand))
+            if cand_obj <= obj:
+                break
+            step *= 0.5
+        else:
+            break
+        alpha, rhs, obj = cand, cand_rhs, cand_obj
+        iterations += 1
+        if step == 1.0 and abs(obj - model) <= prob.rel_tol * obj:
+            converged = True
+            break
+    return NonlinearResult(alpha, obj, iterations, converged, initial_obj)
+
+
+def _whitened_lbfgs(prob: NormalEquationsProblem, alpha0: np.ndarray) -> NonlinearResult:
+    # stacklevel 4 names the caller of nonlinear_solve
+    R = _NormalOperator(prob.gram, prob.lam, stacklevel=4).R
+    obj0 = prob.objective(alpha0)
+    if not np.isfinite(obj0):
+        raise DivergenceError("objective is not finite at alpha0")
+
+    def alpha_of(beta: np.ndarray) -> np.ndarray:
+        return scipy.linalg.solve_triangular(R, beta)
+
+    exact = prob.cross_terms is not None
     if exact:
-        def fun(a: np.ndarray) -> tuple[float, np.ndarray]:
-            v, g = prob.value_and_grad(a)
+        def fun(beta: np.ndarray) -> tuple[float, np.ndarray]:
+            v, g = prob.value_and_grad(alpha_of(beta))
             if np.isfinite(v) and np.all(np.isfinite(g)):
-                return v, g
-            return 1e300, np.zeros_like(a)
+                return v, scipy.linalg.solve_triangular(R, g, trans="T")
+            return 1e300, np.zeros_like(beta)
     else:
-        def fun(a: np.ndarray) -> float:
-            v = prob.objective(a)
+        def fun(beta: np.ndarray) -> float:
+            v = prob.objective(alpha_of(beta))
             return v if np.isfinite(v) else 1e300
 
-    return scipy.optimize.minimize(
-        fun, alpha0, jac=exact, method="L-BFGS-B", options={"maxiter": prob.polish_maxiter}
+    # central differences stand in for a missing gradient (forward ones stop
+    # about 1e-6 short of a minimum), and max_iter is the only cap
+    res = scipy.optimize.minimize(
+        fun, R @ alpha0, jac=exact or "3-point", method="L-BFGS-B",
+        options={"maxiter": prob.max_iter, "ftol": prob.rel_tol, "maxfun": math.inf},
     )
+    alpha, obj = alpha0, obj0
+    if np.all(np.isfinite(res.x)) and res.fun < obj0:
+        alpha, obj = alpha_of(res.x), float(res.fun)
+    return NonlinearResult(alpha, obj, int(res.nit), bool(res.success), obj0)
 
 
 def nonlinear_solve(
     prob: NonlinearResidualProblem | NormalEquationsProblem,
     alpha0: np.ndarray | None = None,
 ) -> NonlinearResult:
-    """Fixed-point iteration with a monotonicity guard.
+    """Minimize a window objective from alpha0 (default zero); the result's
+    objective is never above ``initial_objective``, the one at alpha0.
 
-    At iterate alpha_t the alpha-dependent right-hand side is frozen and
-    the resulting ridge problem solved for alpha*; the update is
-    alpha_t + step (alpha* - alpha_t), with the full step halved up to
-    20 times whenever the true objective would increase.  Iteration stops
-    once the fixed-point gap |alpha* - alpha_t| falls below
-    rel_tol * max(1, |alpha_t|), or at max_iter, or when no halving yields
-    descent.  ``iterations`` counts accepted steps.
+    A NonlinearResidualProblem is solved by Gauss-Newton (Nocedal & Wright,
+    Numerical Optimization, 2nd ed., 10.3): at alpha_t the ridge problem of
+    the residual linearized with J = A - d rhs/d alpha gives alpha*, and the
+    step to alpha* is halved up to 20 times until the objective does not
+    increase.  It has converged once a full step is accepted whose objective
+    matches the linear model's prediction to rel_tol (relative), which for
+    a right-hand side affine in alpha is the first step; it stops short at
+    max_iter accepted steps (``iterations``) or when no halving descends.
 
-    The fixed point of the frozen iteration is biased away from the true
-    minimizer in proportion to the residual, so a quasi-Newton polish of
-    the exact objective runs afterwards (disable with polish=False); its
-    result is kept only when it lowers the objective.  The polish uses the
-    problem's exact gradient when it has one (a NormalEquationsProblem
-    with ``cross_terms``) and finite differences otherwise.  The returned
-    objective is never above the objective at alpha0.
+    A NormalEquationsProblem is solved by one L-BFGS-B run (maxiter =
+    max_iter, ftol = rel_tol) in the whitened coordinates beta = R alpha,
+    R'R = gram + lam I, in which the quadratic part is the identity (a
+    change of variables; Nocedal & Wright 5.1 and 7.2).  It takes the exact
+    gradient when the problem has ``cross_terms`` and central differences
+    otherwise, and reports L-BFGS-B's success flag and iteration count.
     """
-    if isinstance(prob, NonlinearResidualProblem):
-        op = _RidgeOperator(prob.A, prob.lam)
-        frozen_target = lambda a: prob.rhs(a)
-    elif isinstance(prob, NormalEquationsProblem):
-        op = _NormalOperator(prob.gram, prob.lam)
-        frozen_target = lambda a: prob.cross(a)
-    else:
+    if not isinstance(prob, (NonlinearResidualProblem, NormalEquationsProblem)):
         raise ConfigError(f"unsupported problem type {type(prob).__name__}")
-
     alpha = np.zeros(prob.dim) if alpha0 is None else np.asarray(alpha0, dtype=float).reshape(-1)
     if alpha.size != prob.dim:
         raise ConfigError(f"alpha0 has {alpha.size} entries, problem dimension is {prob.dim}")
     if not np.all(np.isfinite(alpha)):
         raise DivergenceError("alpha0 is not finite")
-
-    obj = prob.objective(alpha)
-    if not np.isfinite(obj):
-        raise DivergenceError("objective is not finite at alpha0")
-    initial_obj = obj
-    best_alpha, best_obj = alpha.copy(), obj
-
-    iterations = 0
-    converged = False
-    for _ in range(prob.max_iter):
-        target = frozen_target(alpha)
-        if not np.all(np.isfinite(target)):
-            raise DivergenceError(f"right-hand side became non-finite at iteration {iterations}")
-        alpha_star = op.solve(target)
-        gap = np.linalg.norm(alpha_star - alpha)
-        if gap <= prob.rel_tol * max(1.0, np.linalg.norm(alpha)):
-            converged = True
-            break
-        step = 1.0
-        accepted = False
-        for _halving in range(20):
-            cand = alpha + step * (alpha_star - alpha)
-            cand_obj = prob.objective(cand)
-            if np.isfinite(cand_obj) and cand_obj <= obj:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-        alpha, obj = cand, cand_obj
-        iterations += 1
-        if obj < best_obj:
-            best_alpha, best_obj = alpha.copy(), obj
-
-    if prob.polish:
-        res = _polish(prob, best_alpha)
-        if np.all(np.isfinite(res.x)) and res.fun < best_obj:
-            best_alpha, best_obj = res.x, float(res.fun)
-            converged = converged or bool(res.success)
-
-    return NonlinearResult(best_alpha, best_obj, iterations, converged, initial_obj)
+    if isinstance(prob, NonlinearResidualProblem):
+        return _gauss_newton(prob, alpha)
+    return _whitened_lbfgs(prob, alpha)

@@ -26,12 +26,12 @@ import numpy as np
 from .basis import (
     BasisSet,
     KernelSpec,
-    affine_decomposition,
     build_psi_hankel,
     eval_psi_hat,
     kernel_diag,
     kernel_eval,
     kernel_grad,
+    psi_jacobian,
 )
 from .errors import ConfigError, DataLengthWarning
 from .membership import _warn_if_not_excited, data_length_check
@@ -122,12 +122,12 @@ def explicit_solve(prob: WindowProblem, layout: WindowLayout) -> NonlinearResult
 
     Warns, at the caller of the public front end, when the recorded data
     cannot certify completeness (data-length bound or excitation rank);
-    the excitation verdict is kept on ``prob.traj``.  A basis affine in
-    the moved coordinates turns the right-hand side affine in alpha, so
-    the problem collapses to one ridge solve.  Otherwise the iterative
-    solve starts from the ridge fit of the rows whose right-hand side is
-    known: the output rows, and the identity function's rows when the
-    input is fixed.
+    the excitation verdict is kept on ``prob.traj``.  The solve is
+    Gauss-Newton from alpha = 0 (``solver.nonlinear_solve``).  The
+    right-hand side moves with alpha through the basis at the candidate
+    points, so its Jacobian is ``psi_jacobian`` at those points times the
+    rows of the layout's H that move them.  For a basis affine in the
+    moved coordinates the first step is the exact minimizer.
     """
     traj, basis, L, lam = prob.traj, prob.basis, prob.L, prob.lam
     chk = data_length_check(traj.N, L, traj.n, basis.r)
@@ -141,29 +141,21 @@ def explicit_solve(prob: WindowProblem, layout: WindowLayout) -> NonlinearResult
 
     H_psi = build_psi_hankel(traj, basis, L).entries
     A = np.vstack([H_psi, layout.B])
-    if basis.affine_in(layout.moved):
-        # psi(z_k) = base_k + sum_j slope_kj z_kj, and each moved z_kj is a
-        # row of H times alpha: the slope terms join the data block
-        base, slope = affine_decomposition(basis, layout.Z0, layout.moved)
-        rows = base.size
-        for j, c in enumerate(layout.moved):
-            A[:rows] -= (slope[:, :, j, None] * layout.moving(c)[:, None, :]).reshape(rows, -1)
-        rhs0 = np.concatenate([base.reshape(-1), layout.b])
-        alpha = ridge_solve(RidgeProblem(A, rhs0, lam))
-        r = A @ alpha - rhs0
-        obj = float(r @ r + lam * (alpha @ alpha))
-        return NonlinearResult(alpha, obj, 0, True, obj)
+    coords = tuple(layout.moved)
+    moving = np.stack([layout.moving(c) for c in coords])
 
     def rhs(alpha: np.ndarray) -> np.ndarray:
         Z = layout.points(alpha)
         return np.concatenate([eval_psi_hat(basis, Z[:, 0], Z[:, 1:]).reshape(-1), layout.b])
 
-    known, known_rhs = [layout.B], [layout.b]
-    if basis.identity_index is not None and 0 not in layout.moved:
-        known.insert(0, H_psi[basis.identity_index :: basis.r, :])
-        known_rhs.insert(0, layout.Z0[:, 0])
-    alpha0 = ridge_solve(RidgeProblem(np.vstack(known), np.concatenate(known_rhs), lam))
-    return nonlinear_solve(NonlinearResidualProblem(A, rhs, lam, **prob.controls), alpha0)
+    def jacobian(alpha: np.ndarray) -> np.ndarray:
+        # row k*r + i of the psi rows: sum over moved c of dpsi_i/dz_c at point k times its moving row
+        C = np.zeros(A.shape)
+        slope = psi_jacobian(basis, layout.points(alpha), coords)
+        np.einsum("kic,ckp->kip", slope, moving, out=C[: H_psi.shape[0]].reshape(-1, basis.r, A.shape[1]))
+        return C
+
+    return nonlinear_solve(NonlinearResidualProblem(A, rhs, lam, jacobian=jacobian, **prob.controls))
 
 
 def _window_points(traj: IoTrajectory) -> np.ndarray:

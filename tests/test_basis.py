@@ -7,13 +7,13 @@ from numpy.testing import assert_allclose
 from flatdd.basis import (
     BasisSet,
     KernelSpec,
-    affine_decomposition,
     build_psi_hankel,
     eval_psi_hat,
     kernel_eval,
     kernel_gram,
     named_basis,
     psi_hat_signal,
+    psi_jacobian,
 )
 from flatdd.errors import ConfigError, EvaluationError
 from flatdd.plant import collect_trajectory, example1_model
@@ -36,9 +36,6 @@ def test_named_bases_validate():
 
 
 def test_validate_rejects_wrong_declarations():
-    quad = BasisSet((lambda u, xi: u**2,), 2, "quad", affine_in_u=True)
-    with pytest.raises(ConfigError, match="affine in u"):
-        quad.validate()
     not_id = BasisSet((lambda u, xi: 2.0 * u,), 2, "scaled", identity_index=0)
     with pytest.raises(ConfigError, match="identity"):
         not_id.validate()
@@ -73,32 +70,40 @@ def test_psi_hankel_requires_window_beyond_order(ex1_traj):
         build_psi_hankel(ex1_traj, named_basis("example1-poly"), 2)
 
 
-def test_affine_u_split(ex1_traj):
+def _example1_derivatives(u, xi):
+    """Analytic d psi/d(u, xi1, xi2) of example1-poly, shape (m, 6, 3)."""
+    x1, x2 = xi[:, 0], xi[:, 1]
+    zero, one = np.zeros_like(u), np.ones_like(u)
+    d_u = [one, x1, x2, zero, x1**2, x2**2]
+    d_x1 = [zero, u, zero, x2, 2 * u * x1, zero]
+    d_x2 = [zero, zero, u, x1, zero, 2 * u * x2]
+    return np.stack([np.column_stack(d) for d in (d_u, d_x1, d_x2)], axis=2)
+
+
+def test_psi_jacobian_in_u():
     basis = named_basis("example1-poly")
     rng = np.random.default_rng(2)
     xi = rng.normal(size=(40, 2))
     u = rng.normal(size=40)
-    base, slope = affine_decomposition(basis, np.column_stack([np.zeros(40), xi]), [0])
+    slope = psi_jacobian(basis, np.column_stack([u, xi]), [0])
     assert slope.shape == (40, 6, 1)
-    assert_allclose(base + slope[:, :, 0] * u[:, None], eval_psi_hat(basis, u, xi), rtol=1e-13)
-    undeclared = BasisSet((lambda u, xi: u,), 2, "x", affine_in_u=False)
-    with pytest.raises(ConfigError):
-        affine_decomposition(undeclared, np.column_stack([np.zeros(40), xi]), [0])
-    # input and window together: the flags do not rule out u xi products
-    with pytest.raises(ConfigError):
-        affine_decomposition(named_basis("identity-only"), np.zeros((40, 3)), [0, 1])
+    assert_allclose(slope, _example1_derivatives(u, xi)[:, :, :1], rtol=1e-9, atol=1e-9)
+    # at u = 0, where the matching solve starts, the power-of-two step reads
+    # the slope of this basis, linear in u, without rounding
+    at_zero = psi_jacobian(basis, np.column_stack([np.zeros(40), xi]), [0])
+    assert np.array_equal(at_zero, _example1_derivatives(np.zeros(40), xi)[:, :, :1])
 
 
-def test_affine_xi_split():
-    basis = named_basis("identity-only")
+def test_psi_jacobian_in_xi():
+    basis = named_basis("example1-poly")
     rng = np.random.default_rng(3)
     u = rng.normal(size=15)
     xi = rng.normal(size=(15, 2))
-    base, grad = affine_decomposition(basis, np.column_stack([u, np.zeros((15, 2))]), [1, 2])
-    recon = base + np.einsum("mrn,mn->mr", grad, xi)
-    assert_allclose(recon, eval_psi_hat(basis, u, xi), atol=1e-14)
-    with pytest.raises(ConfigError):
-        affine_decomposition(named_basis("example1-poly"), np.zeros((15, 3)), [1, 2])
+    grad = psi_jacobian(basis, np.column_stack([u, xi]), [1, 2])
+    assert grad.shape == (15, 6, 2)
+    assert_allclose(grad, _example1_derivatives(u, xi)[:, :, 1:], rtol=1e-9, atol=1e-9)
+    # coordinates come back in the order asked
+    assert np.array_equal(psi_jacobian(basis, np.column_stack([u, xi]), [2, 1]), grad[:, :, ::-1])
 
 
 def test_eval_rejects_nonfinite():

@@ -1,14 +1,18 @@
-"""Exact gradients of the Gram-space (kernel-mode) objectives."""
+"""Exact gradients of the Gram-space (kernel-mode) objectives, and
+stationarity of the points where window solves stop."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatdd.basis import KernelSpec, kernel_eval
+import flatdd.window
+from flatdd.basis import KernelSpec, kernel_eval, named_basis
 from flatdd.matching import MatchProblem, dd_match, kernel_match_problem
 from flatdd.plant import collect_trajectory, example1_model, example2_model, simulate
 from flatdd.simulation import SimProblem, dd_simulate, kernel_sim_problem
-from flatdd.solver import NormalEquationsProblem
+from flatdd.solver import NormalEquationsProblem, nonlinear_solve
 
 L = 20
 
@@ -71,7 +75,7 @@ def test_pair_function_problem_has_no_gradient():
 
 
 def test_kernel_simulation_polish_uses_exact_gradient(monkeypatch):
-    # with finite differences the polish alone costs thousands of objective calls
+    # with finite differences the solve costs thousands of objective calls
     evaluations = []
     for name in ("objective", "value_and_grad"):
         method = getattr(NormalEquationsProblem, name, None)
@@ -84,7 +88,7 @@ def test_kernel_simulation_polish_uses_exact_gradient(monkeypatch):
     prob = SimProblem(*_sim_data(5), "kernel", kernel=KernelSpec("gaussian", 1.0), lam=0.1)
     res = dd_simulate(prob)
     assert res.objective <= res.initial_objective
-    assert 0 < len(evaluations) <= 3 * NormalEquationsProblem.polish_maxiter
+    assert 0 < len(evaluations) <= 300
 
 
 @settings(deadline=None, max_examples=20)
@@ -103,3 +107,40 @@ def test_kernel_solve_never_above_initial_objective(seed, task, lam, sigma):
         )
     assert np.isfinite(res.objective)
     assert res.objective <= res.initial_objective
+
+
+def _explicit_sim_problem(seed, lam):
+    """The residual problem of an explicit example-1 simulation at L = 20."""
+    traj = collect_trajectory(example1_model(), 150, (-0.5, 0.5), seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    u = rng.uniform(-0.5, 0.5, size=L - 2)
+    y_true = simulate(example1_model(), rng.uniform(-0.3, 0.3, size=2), u).flat
+    captured = []
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        mp.setattr(flatdd.window, "nonlinear_solve", lambda prob: captured.append(prob) or nonlinear_solve(prob))
+        dd_simulate(SimProblem(traj, L, u, y_true[:2], "explicit", basis=named_basis("example1-poly"), lam=lam))
+    return captured[0]
+
+
+@settings(deadline=None, max_examples=20)
+@given(
+    st.integers(5, 29),
+    st.sampled_from(["kernel-simulation", "kernel-matching", "explicit-simulation"]),
+    st.floats(0.01, 1.0),
+    st.floats(0.5, 2.0),
+)
+def test_converged_solves_are_stationary(seed, task, lam, sigma):
+    if task == "kernel-simulation":
+        prob, _, alpha0 = kernel_sim_problem(*_sim_data(seed), KernelSpec("gaussian", sigma), lam)
+    elif task == "kernel-matching":
+        prob, _, alpha0 = kernel_match_problem(*_match_data(seed), KernelSpec("gaussian_plus_linear", sigma), lam)
+    else:  # explicit fits are near exact and run at small weights
+        prob, alpha0 = _explicit_sim_problem(seed, lam * 1e-4), None
+    res = nonlinear_solve(prob, alpha0)
+    assert res.converged
+    if task == "explicit-simulation":
+        start, end = (_central_differences(prob.objective, a) for a in (np.zeros(prob.dim), res.alpha))
+    else:
+        start, end = (prob.value_and_grad(a)[1] for a in (alpha0, res.alpha))
+    assert np.linalg.norm(end) <= 1e-4 * np.linalg.norm(start)

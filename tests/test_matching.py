@@ -4,7 +4,6 @@ import pytest
 from flatdd.basis import (
     BasisSet,
     KernelSpec,
-    affine_decomposition,
     build_psi_hankel,
     eval_psi_hat,
     named_basis,
@@ -96,10 +95,12 @@ def test_qp_agrees_with_generic_solver(clean_traj, basis, sin_ref):
     H_L_y = build_hankel(clean_traj.y, 50).entries
     A = np.vstack([H_psi, H_L_y])
     xi_ref = _reference_windows(sin_ref, 2)
-    base, slope = affine_decomposition(basis, np.column_stack([np.zeros(48), xi_ref]), [0])
+    # every basis function is affine in u: its value at u = 0 and its slope
+    base = eval_psi_hat(basis, np.zeros(48), xi_ref)
+    slope = eval_psi_hat(basis, np.ones(48), xi_ref) - base
     C = np.zeros_like(A)
     for k in range(48):
-        C[k * basis.r : (k + 1) * basis.r, :] = np.outer(slope[k, :, 0], U[k, :])
+        C[k * basis.r : (k + 1) * basis.r, :] = np.outer(slope[k], U[k, :])
     rhs0 = np.concatenate([base.reshape(-1), sin_ref])
 
     direct = ridge_solve(RidgeProblem(A - C, rhs0, 0.1))
@@ -150,7 +151,6 @@ def test_explicit_mode_needs_identity_function(clean_traj, sin_ref):
         name="squares-only",
         n=2,
         functions=(lambda u, xi: u * u, lambda u, xi: xi[..., 0]),
-        affine_in_u=False,
         identity_index=None,
     )
     with pytest.raises(ConfigError, match="identity"):

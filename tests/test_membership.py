@@ -91,6 +91,13 @@ def test_lti_dimension_checks(lti_data):
         lti_membership(u[:-1], y, 1, 10, u[:10], y[:10])
 
 
+@pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
+def test_lti_rejects_bad_tolerance(lti_data, tol):
+    u, y = lti_data
+    with pytest.raises(ConfigError, match="tolerance"):
+        lti_membership(u, y, 1, 10, u[:10], y[:10], tol=tol)
+
+
 def test_flat_window_of_data_is_member(ex1_data):
     basis = named_basis("example1-poly")
     u, y = ex1_data.u.flat, ex1_data.y.flat
@@ -246,7 +253,7 @@ def test_explicit_match_reads_the_stored_pe_verdict(monkeypatch):
 def test_basis_given_as_list_keys_the_store():
     traj = collect_trajectory(example1_model(), 500, (-0.5, 0.5), seed=5)
     basis = named_basis("example1-poly")
-    as_list = BasisSet(list(basis.functions), 2, "listed", affine_in_u=True, identity_index=0)
+    as_list = BasisSet(list(basis.functions), 2, "listed", identity_index=0)
     v = flat_membership(traj, as_list, 50, traj.u.flat[:48], traj.y.flat[:50])
     assert v.is_member and v.residual < 1e-9
 

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from flatdd.basis import KernelSpec, build_psi_hankel, eval_psi_hat, named_basis
 from flatdd.errors import ConfigError, DataLengthWarning, DimensionError
+from flatdd.experiments import ExperimentConfig, _collect
 from flatdd.membership import flat_membership
 from flatdd.plant import (
     FlatModel,
@@ -80,6 +81,19 @@ def test_simulated_pair_passes_membership(ex1_traj, ex1_basis):
     assert verdict.is_member
 
 
+@pytest.mark.parametrize("seed", [15, 28])
+def test_explicit_simulation_passes_noisy_local_minima(seed, ex1_basis):
+    # on these noisy records a solve that ignores how the right-hand side
+    # moves with alpha stops at objectives of 6e-3 and 2e-2
+    traj = _collect(ExperimentConfig(seed=seed), example1_model())
+    u = np.random.default_rng(seed).uniform(-0.5, 0.5, 48)
+    y_init = simulate(example1_model(), np.zeros(2), u).flat[:2]
+    res = dd_simulate(SimProblem(traj, 50, u, y_init, "explicit", basis=ex1_basis, lam=1e-8))
+    # every simulation that met the criterion-3 error bound in a 1006-case
+    # probe (perfbench/README.md) ended below 1.8e-7
+    assert res.converged and res.objective < 1.8e-7
+
+
 def test_affine_window_basis_solves_in_closed_form():
     gain = 1.7
     chain = FlatModel(2, lambda x, u: np.array([x[1], gain * u]), lambda x: float(x[0]), "chain")
@@ -90,7 +104,7 @@ def test_affine_window_basis_solves_in_closed_form():
     res = dd_simulate(
         SimProblem(traj, 20, u, y_true[:2], "explicit", basis=named_basis("identity-only"), lam=1e-10)
     )
-    assert res.iterations == 0 and res.converged
+    assert res.iterations == 1 and res.converged
     assert np.linalg.norm(res.y.flat - y_true) / np.linalg.norm(y_true) <= 1e-5
 
 

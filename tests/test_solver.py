@@ -1,12 +1,14 @@
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-import flatdd.window
+import flatdd.solver
 from flatdd.basis import KernelSpec, named_basis
 from flatdd.errors import (
     ConditioningWarning,
@@ -17,12 +19,13 @@ from flatdd.errors import (
 from flatdd.experiments import ExperimentConfig, _collect, example2_defaults, reference_output
 from flatdd.matching import MatchProblem, dd_match
 from flatdd.plant import example1_model, example2_model
-from flatdd.simulation import kernel_sim_problem
+from flatdd.simulation import SimProblem, dd_simulate, kernel_sim_problem
 from flatdd.solver import (
     NonlinearResidualProblem,
     NormalEquationsProblem,
     RidgeProblem,
     _NormalOperator,
+    _RidgeOperator,
     nonlinear_solve,
     ridge_solve,
 )
@@ -138,7 +141,7 @@ def test_objective_never_above_initial():
 
 def test_divergent_rhs_raises():
     prob = NonlinearResidualProblem(
-        np.eye(2), lambda a: np.array([np.inf, 0.0]), 0.1, polish=False
+        np.eye(2), lambda a: np.array([np.inf, 0.0]), 0.1
     )
     with pytest.raises(DivergenceError):
         nonlinear_solve(prob, np.zeros(2))
@@ -167,7 +170,7 @@ def test_normal_equations_singular_guard():
 
 def test_normal_equations_conditioning_warning():
     G = np.diag([1.0, 1e-13])
-    prob = NormalEquationsProblem(G, lambda a: np.ones(2), lambda a: 0.0, 0.0, polish=False)
+    prob = NormalEquationsProblem(G, lambda a: np.ones(2), lambda a: 0.0, 0.0)
     with pytest.warns(ConditioningWarning, match=r"condition number 1\.000e\+13"):
         nonlinear_solve(prob, np.zeros(2))
 
@@ -176,7 +179,7 @@ def test_condition_estimate_warns_on_dense_ill_conditioned_gram():
     n = 20
     Q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(n, n)))
     G = (Q * np.logspace(0, -13, n)) @ Q.T
-    prob = NormalEquationsProblem(G, lambda a: np.ones(n), lambda a: 0.0, 0.0, polish=False)
+    prob = NormalEquationsProblem(G, lambda a: np.ones(n), lambda a: 0.0, 0.0)
     with pytest.warns(ConditioningWarning) as record:
         nonlinear_solve(prob, np.zeros(n))
     # the 1-norm estimate is within a small factor of the true condition number 1e13
@@ -201,7 +204,7 @@ def test_rank_deficient_gram_is_singular(seed):
     # seed 57 gives a 2-vector whose v v' passes Cholesky with a pivot at rounding level
     rng = np.random.default_rng(seed)
     v = rng.normal(size=rng.integers(2, 12))
-    prob = NormalEquationsProblem(np.outer(v, v), lambda a: v, lambda a: 0.0, 0.0, polish=False)
+    prob = NormalEquationsProblem(np.outer(v, v), lambda a: v, lambda a: 0.0, 0.0)
     with pytest.raises(SingularMatrixError):
         nonlinear_solve(prob, np.zeros(v.size))
 
@@ -229,21 +232,23 @@ def _svd_filter_solution(A, b, lam):
 
 @pytest.fixture(scope="module")
 def example1_match_block():
-    """The data block A - C and right-hand side of the seed-5 example1 explicit match."""
+    """The data block A - C and right-hand side of the seed-5 example1 explicit
+    match: the one Gauss-Newton step of a basis affine in u."""
     captured = []
 
-    def capture(prob):
-        captured.append(prob)
-        return ridge_solve(prob)
+    class Recording(_RidgeOperator):
+        def solve(self, b):
+            captured.append((self._A, b))
+            return super().solve(b)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(flatdd.window, "ridge_solve", capture)
+        mp.setattr(flatdd.solver, "_RidgeOperator", Recording)
         dd_match(MatchProblem(
             _collect(ExperimentConfig(seed=5), example1_model()), 50, reference_output(50),
             "explicit", basis=named_basis("example1-poly"), lam=0.1,
         ))
-    (prob,) = captured
-    return prob.A, prob.b
+    ((A, b),) = captured
+    return A, b
 
 
 @pytest.mark.parametrize("lam", [1e-8, 1e-3, 0.1])
@@ -282,7 +287,7 @@ def test_regularized_ill_conditioned_block_warns_at_caller():
     with pytest.warns(ConditioningWarning, match="condition number") as record:
         ridge_solve(RidgeProblem(A, np.ones(2), 1e-14))
     assert record[0].filename == __file__
-    prob = NonlinearResidualProblem(A, lambda a: np.ones(2), 1e-14, polish=False)
+    prob = NonlinearResidualProblem(A, lambda a: np.ones(2), 1e-14)
     with pytest.warns(ConditioningWarning, match="condition number") as record:
         nonlinear_solve(prob, np.zeros(2))
     assert record[0].filename == __file__
@@ -302,3 +307,27 @@ def test_explicit_match_quiet_at_small_lam():
         for seed in range(5, 30):
             traj = _collect(ExperimentConfig(seed=seed), example1_model())
             dd_match(MatchProblem(traj, 50, reference_output(50), "explicit", basis=basis, lam=1e-8))
+
+
+def test_objective_and_minimize_calls_by_mode(monkeypatch):
+    # the benchmark's traced self-check counts these: none on explicit
+    # workloads, some on kernel ones
+    calls = Counter()
+    for cls in (NonlinearResidualProblem, NormalEquationsProblem):
+        objective = cls.objective
+        monkeypatch.setattr(
+            cls, "objective", lambda self, a, f=objective, name=cls.__name__: calls.update([name]) or f(self, a)
+        )
+    minimize = scipy.optimize.minimize
+    monkeypatch.setattr(scipy.optimize, "minimize", lambda *a, **k: calls.update(["minimize"]) or minimize(*a, **k))
+    ex1 = _collect(ExperimentConfig(seed=5), example1_model())
+    dd_match(MatchProblem(ex1, 50, reference_output(50), "explicit", basis=named_basis("example1-poly"), lam=0.1))
+    assert calls == Counter()
+    config = example2_defaults(seed=5)
+    ex2 = _collect(config, example2_model())
+    u = np.random.default_rng(6).uniform(-1.0, 1.0, config.horizon - 2)
+    dd_simulate(SimProblem(
+        ex2, config.horizon, u, np.zeros(2), "kernel", kernel=KernelSpec("gaussian", config.sigma), lam=config.lam
+    ))
+    assert calls["NormalEquationsProblem"] >= 1 and calls["minimize"] == 1
+    assert calls["NonlinearResidualProblem"] == 0
