@@ -17,13 +17,12 @@ recoverable at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .basis import KernelSpec
 from .errors import ConfigError, DimensionError
-from .signals import IoTrajectory, Signal, build_hankel
+from .signals import IoTrajectory, Signal, _check_finite, build_hankel
 from .solver import NormalEquationsProblem, nonlinear_solve
 from .window import WindowLayout, WindowProblem, explicit_solve, kernel_problem
 
@@ -35,8 +34,9 @@ class MatchProblem(WindowProblem):
     """Inputs of a data-based output-matching solve.
 
     ``y_ref`` has length L; its first n samples play the role of initial
-    conditions.  Explicit mode requires a basis containing the identity
-    function; kernel mode requires the gaussian_plus_linear kernel.
+    conditions, and a non-finite sample raises ConfigError.  Explicit mode
+    requires a basis containing the identity function; kernel mode
+    requires the gaussian_plus_linear kernel.
     """
 
     y_ref: np.ndarray
@@ -47,6 +47,7 @@ class MatchProblem(WindowProblem):
         y_ref = np.asarray(self.y_ref, dtype=float).reshape(-1)
         if y_ref.size != self.L:
             raise DimensionError(f"reference has {y_ref.size} samples, expected L={self.L}")
+        _check_finite("reference sample y_ref", y_ref)
         if self.mode == "explicit" and self.basis.identity_index is None:
             raise ConfigError(
                 "matching needs the input itself among the basis functions "
@@ -91,16 +92,15 @@ def kernel_match_problem(
     traj: IoTrajectory,
     L: int,
     y_ref: np.ndarray,
-    kernel: KernelSpec | Callable[[np.ndarray, np.ndarray], np.ndarray],
+    kernel: KernelSpec,
     lam: float,
     **controls,
 ) -> tuple[NormalEquationsProblem, np.ndarray, np.ndarray]:
-    """Assemble the Gram-space matching objective.
+    """Assemble the Gram-space matching objective, with its exact gradient.
 
-    ``kernel`` is a KernelSpec (the problem then carries its exact
-    gradient) or any ``pair_fn(Z1, Z2)``.  Returns the problem, the
-    depth-(L-n) input Hankel matrix (for recovering u from alpha), and the
-    starting point alpha0 fit to the reference rows.
+    Returns the problem, the depth-(L-n) input Hankel matrix (for
+    recovering u from alpha), and the starting point alpha0 fit to the
+    reference rows.
     """
     layout = _layout(traj, L, y_ref)
     prob, alpha0 = kernel_problem(traj, kernel, layout, lam, **controls)

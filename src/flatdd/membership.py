@@ -17,7 +17,7 @@ import numpy as np
 
 from .basis import BasisSet, build_psi_hankel, eval_psi_hat, psi_hat_signal
 from .errors import ConfigError, DimensionError, PersistencyWarning, SingularMatrixError
-from .signals import IoTrajectory, Signal, _memo, build_hankel, pe_check
+from .signals import IoTrajectory, Signal, _check_finite, _memo, build_hankel, pe_check
 
 __all__ = [
     "MembershipVerdict",
@@ -199,9 +199,7 @@ def flat_membership(
             f"candidate lengths ({u_bar.size}, {y_bar.size}) must be (L-n, L) = ({L - n}, {L})"
         )
     for name, values in (("u_bar", u_bar), ("y_bar", y_bar)):
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            raise ConfigError(f"non-finite candidate sample {name}[{bad[0]}] = {values[bad[0]]}")
+        _check_finite(f"candidate sample {name}", values)
     if verify_pe:
         _warn_if_not_excited(traj, basis, L, diagnostic=True)
     M = flat_stack(traj, basis, L)

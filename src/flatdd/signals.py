@@ -31,6 +31,13 @@ _FLOAT_FMT = "{:.17g}"
 _T = TypeVar("_T")
 
 
+def _check_finite(what: str, values: np.ndarray) -> None:
+    """Raise ConfigError naming ``what`` and the first non-finite index."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ConfigError(f"non-finite {what}[{bad[0]}] = {values[bad[0]]}")
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.setflags(write=False)
@@ -78,10 +85,6 @@ class Signal:
             raise DimensionError(f"window [{l},{j}] out of range for length {self.length}")
         return Signal(self.values[l : j + 1])
 
-    def stacked(self) -> np.ndarray:
-        """The stacked column vector [z_0; z_1; ...; z_{N-1}]."""
-        return self.values.reshape(-1)
-
 
 def as_signal(z: "Signal | np.ndarray | list") -> Signal:
     return z if isinstance(z, Signal) else Signal(np.asarray(z, dtype=float))
@@ -110,9 +113,7 @@ class IoTrajectory:
                 f"length(y)={self.y.length} must equal length(u)+n={self.u.length + self.n}"
             )
         for name, signal in (("u", self.u), ("y", self.y)):
-            bad = np.flatnonzero(~np.isfinite(signal.flat))
-            if bad.size:
-                raise ConfigError(f"non-finite trajectory sample {name}[{bad[0]}] = {signal.flat[bad[0]]}")
+            _check_finite(f"trajectory sample {name}", signal.flat)
 
     @property
     def N(self) -> int:
@@ -187,25 +188,21 @@ class PeResult:
     diagnostic: str | None = field(default=None)
 
 
-def pe_check(z: Signal | np.ndarray, L: int, rank_tol: float | None = None) -> PeResult:
+def pe_check(z: Signal | np.ndarray, L: int) -> PeResult:
     """Persistency-of-excitation check of order L.
 
     The sequence is persistently exciting of order L when its depth-L
     Hankel matrix has full row rank sigma*L.  The numerical rank is the
-    number of singular values above ``rank_tol``; the default threshold is
-    max(rows, cols) * eps * s_max.
+    number of singular values above max(rows, cols) * eps * s_max.
     """
     z = as_signal(z)
-    if rank_tol is not None and rank_tol <= 0:
-        raise DimensionError(f"rank_tol must be positive, got {rank_tol}")
     H = build_hankel(z, L)
     full = z.sigma * L
     try:
         s = np.linalg.svd(H.entries, compute_uv=False)
     except np.linalg.LinAlgError:
         raise SingularMatrixError("SVD of the Hankel matrix did not converge; is the sequence finite?") from None
-    if rank_tol is None:
-        rank_tol = max(H.entries.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
+    rank_tol = max(H.entries.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
     rank = int(np.count_nonzero(s > rank_tol))
     if H.cols < full:
         return PeResult(

@@ -17,13 +17,12 @@ materializing any basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .basis import KernelSpec
 from .errors import DimensionError
-from .signals import IoTrajectory, Signal, build_hankel
+from .signals import IoTrajectory, Signal, _check_finite, build_hankel
 from .solver import NormalEquationsProblem, nonlinear_solve
 from .window import WindowLayout, WindowProblem, explicit_solve, kernel_problem
 
@@ -35,7 +34,8 @@ class SimProblem(WindowProblem):
     """Inputs of a data-based simulation over one horizon.
 
     ``mode`` is "explicit" (requires ``basis``) or "kernel" (requires
-    ``kernel``).  ``u_new`` has length L - n and ``y_init`` length n.
+    ``kernel``).  ``u_new`` has length L - n and ``y_init`` length n; a
+    non-finite sample in either raises ConfigError.
     """
 
     u_new: np.ndarray
@@ -51,6 +51,8 @@ class SimProblem(WindowProblem):
             raise DimensionError(f"new input has {u_new.size} samples, expected L-n={self.L - n}")
         if y_init.size != n:
             raise DimensionError(f"initial output has {y_init.size} samples, expected n={n}")
+        _check_finite("new input sample u_new", u_new)
+        _check_finite("initial output sample y_init", y_init)
         object.__setattr__(self, "u_new", u_new)
         object.__setattr__(self, "y_init", y_init)
 
@@ -86,17 +88,15 @@ def kernel_sim_problem(
     L: int,
     u_new: np.ndarray,
     y_init: np.ndarray,
-    kernel: KernelSpec | Callable[[np.ndarray, np.ndarray], np.ndarray],
+    kernel: KernelSpec,
     lam: float,
     **controls,
 ) -> tuple[NormalEquationsProblem, np.ndarray, np.ndarray]:
-    """Assemble the Gram-space simulation objective.
+    """Assemble the Gram-space simulation objective, with its exact gradient.
 
-    ``kernel`` is a KernelSpec (the problem then carries its exact
-    gradient) or any ``pair_fn(Z1, Z2)`` returning pairwise inner products
-    of feature vectors at points z = (u, output window).  Returns the
-    problem, the depth-L output Hankel matrix (for recovering y from
-    alpha), and the starting point alpha0 fit to the initial-output rows.
+    The kernel pairs points z = (u, output window).  Returns the problem,
+    the depth-L output Hankel matrix (for recovering y from alpha), and
+    the starting point alpha0 fit to the initial-output rows.
     """
     layout = _layout(traj, L, u_new, y_init)
     prob, alpha0 = kernel_problem(traj, kernel, layout, lam, **controls)

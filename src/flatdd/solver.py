@@ -4,9 +4,9 @@ Plain ridge regression handles residuals that are linear in the
 coefficient vector.  The window problems of simulation and matching
 (assembled in ``window``) have a right-hand side that depends on the
 coefficients and come in two shapes: explicit residual rows, solved by
-Gauss-Newton, and the kernelized form through Gram matrices, solved by
-L-BFGS-B in whitened coordinates.  Each stops on one convergence test or
-at one iteration cap.
+Gauss-Newton, and the kernelized form through Gram matrices, which always
+carries its exact gradient and is solved by L-BFGS-B in whitened
+coordinates.  Each stops on one convergence test or at one iteration cap.
 
 Every regularized linear step is a Cholesky solve: of the given Gram
 matrix in kernel mode, of the Gram matrix of the smaller side of the data
@@ -170,22 +170,19 @@ class NormalEquationsProblem:
     objective(alpha) = alpha' gram alpha - 2 cross(alpha)' alpha
                        + offset(alpha) + lam |alpha|^2
 
-    ``gram`` collects the alpha-independent products, ``cross`` the mixed
-    terms and ``offset`` the alpha-only block |rhs(alpha)|^2.
-
-    ``cross_terms``, when given, evaluates cross(alpha), offset(alpha) and
-    the coupling gradient grad offset(alpha) - 2 (d cross/d alpha)' alpha
-    in one pass; the exact gradient of the objective is then
-    2 (gram + lam I) alpha - 2 cross(alpha) + coupling.
+    ``gram`` collects the alpha-independent products.  ``terms(alpha)``
+    returns the mixed terms cross(alpha), the alpha-only block
+    offset(alpha) = |rhs(alpha)|^2 and the coupling gradient
+    grad offset(alpha) - 2 (d cross/d alpha)' alpha in one pass; the exact
+    gradient of the objective is 2 (gram + lam I) alpha - 2 cross(alpha)
+    + coupling.
     """
 
     gram: np.ndarray
-    cross: Callable[[np.ndarray], np.ndarray]
-    offset: Callable[[np.ndarray], float]
+    terms: Callable[[np.ndarray], tuple[np.ndarray, float, np.ndarray]]
     lam: float
     max_iter: int = 500
     rel_tol: float = 1e-8
-    cross_terms: Callable[[np.ndarray], tuple[np.ndarray, float, np.ndarray]] | None = None
 
     def __post_init__(self) -> None:
         G = np.asarray(self.gram, dtype=float)
@@ -199,14 +196,11 @@ class NormalEquationsProblem:
         return self.gram.shape[0]
 
     def objective(self, alpha: np.ndarray) -> float:
-        quad = float(alpha @ (self.gram @ alpha))
-        return quad - 2.0 * float(self.cross(alpha) @ alpha) + float(self.offset(alpha)) + self.lam * float(
-            alpha @ alpha
-        )
+        return self.value_and_grad(alpha)[0]
 
     def value_and_grad(self, alpha: np.ndarray) -> tuple[float, np.ndarray]:
-        """The objective and its exact gradient; needs ``cross_terms``."""
-        c, off, coupling = self.cross_terms(alpha)
+        """The objective and its exact gradient."""
+        c, off, coupling = self.terms(alpha)
         G_alpha = self.gram @ alpha
         value = float(alpha @ G_alpha) - 2.0 * float(c @ alpha) + float(off) + self.lam * float(alpha @ alpha)
         return value, 2.0 * (G_alpha + self.lam * alpha - c) + coupling
@@ -317,22 +311,15 @@ def _whitened_lbfgs(prob: NormalEquationsProblem, alpha0: np.ndarray) -> Nonline
     def alpha_of(beta: np.ndarray) -> np.ndarray:
         return scipy.linalg.solve_triangular(R, beta)
 
-    exact = prob.cross_terms is not None
-    if exact:
-        def fun(beta: np.ndarray) -> tuple[float, np.ndarray]:
-            v, g = prob.value_and_grad(alpha_of(beta))
-            if np.isfinite(v) and np.all(np.isfinite(g)):
-                return v, scipy.linalg.solve_triangular(R, g, trans="T")
-            return 1e300, np.zeros_like(beta)
-    else:
-        def fun(beta: np.ndarray) -> float:
-            v = prob.objective(alpha_of(beta))
-            return v if np.isfinite(v) else 1e300
+    def fun(beta: np.ndarray) -> tuple[float, np.ndarray]:
+        v, g = prob.value_and_grad(alpha_of(beta))
+        if np.isfinite(v) and np.all(np.isfinite(g)):
+            return v, scipy.linalg.solve_triangular(R, g, trans="T")
+        return 1e300, np.zeros_like(beta)
 
-    # central differences stand in for a missing gradient (forward ones stop
-    # about 1e-6 short of a minimum), and max_iter is the only cap
+    # max_iter is the only cap
     res = scipy.optimize.minimize(
-        fun, R @ alpha0, jac=exact or "3-point", method="L-BFGS-B",
+        fun, R @ alpha0, jac=True, method="L-BFGS-B",
         options={"maxiter": prob.max_iter, "ftol": prob.rel_tol, "maxfun": math.inf},
     )
     alpha, obj = alpha0, obj0
@@ -360,9 +347,9 @@ def nonlinear_solve(
     A NormalEquationsProblem is solved by one L-BFGS-B run (maxiter =
     max_iter, ftol = rel_tol) in the whitened coordinates beta = R alpha,
     R'R = gram + lam I, in which the quadratic part is the identity (a
-    change of variables; Nocedal & Wright 5.1 and 7.2).  It takes the exact
-    gradient when the problem has ``cross_terms`` and central differences
-    otherwise, and reports L-BFGS-B's success flag and iteration count.
+    change of variables; Nocedal & Wright 5.1 and 7.2).  Every Gram problem
+    carries its exact gradient, which L-BFGS-B takes with each value; the
+    result reports L-BFGS-B's success flag and iteration count.
     """
     if not isinstance(prob, (NonlinearResidualProblem, NormalEquationsProblem)):
         raise ConfigError(f"unsupported problem type {type(prob).__name__}")

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import KW_ONLY, dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -194,7 +193,7 @@ def _band(A: np.ndarray, cols: int) -> np.ndarray:
 
 def kernel_problem(
     traj: IoTrajectory,
-    kernel: KernelSpec | Callable[[np.ndarray, np.ndarray], np.ndarray],
+    kernel: KernelSpec,
     layout: WindowLayout,
     lam: float,
     **controls,
@@ -205,10 +204,8 @@ def kernel_problem(
     candidate point k, and the candidate points
     Z(alpha)[k, c] = Z0[k, c] + J[k, c, :] @ alpha are affine in alpha,
     with J[:, c, :] the rows of the layout's H that move coordinate c.
-    ``kernel`` is a KernelSpec, in which case the problem carries the
-    exact gradient, or any pair_fn(Z1, Z2) returning pairwise inner
-    products of feature vectors.  The starting point alpha0 is the ridge
-    fit of the output rows.
+    The problem carries the exact gradient of its objective.  The starting
+    point alpha0 is the ridge fit of the output rows.
     """
     Z0, B, b = layout.Z0, layout.B, layout.b
     m, width = Z0.shape
@@ -218,40 +215,17 @@ def kernel_problem(
         J[:, c, :] = layout.moving(c)
     J = J.reshape(m * width, cols)
     Z_data = _window_points(traj)
-    if isinstance(kernel, KernelSpec):
-        spec = kernel
-        pair_fn = lambda Z1, Z2: kernel_eval(spec, Z1, Z2)
-    else:
-        spec, pair_fn = None, kernel
-    data_block = pair_fn(Z_data, Z_data)
-    if spec is None:  # the Gram sum overwrites the block; keep a caller's array intact
-        data_block = np.array(data_block, dtype=float)
-    gram = _slice_sum_gram(data_block, m, cols) + B.T @ B
+    gram = _slice_sum_gram(kernel_eval(kernel, Z_data, Z_data), m, cols) + B.T @ B
     const_cross = B.T @ b
     b_sq = float(b @ b)
 
-    def points(alpha: np.ndarray) -> np.ndarray:
-        return Z0 + (J @ alpha).reshape(m, width)
-
-    def cross(alpha: np.ndarray) -> np.ndarray:
-        return _band(pair_fn(points(alpha), Z_data), cols).sum(axis=0) + const_cross
-
-    def offset(alpha: np.ndarray) -> float:
-        Z_bar = points(alpha)
-        if spec is None:
-            return float(np.trace(pair_fn(Z_bar, Z_bar))) + b_sq
-        return float(kernel_diag(spec, Z_bar)[0].sum()) + b_sq
-
-    def cross_terms(alpha: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
-        Z_bar = points(alpha)
-        K = kernel_eval(spec, Z_bar, Z_data)
-        diag, diag_grad = kernel_diag(spec, Z_bar)
+    def terms(alpha: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+        Z_bar = Z0 + (J @ alpha).reshape(m, width)
+        K = kernel_eval(kernel, Z_bar, Z_data)
+        diag, diag_grad = kernel_diag(kernel, Z_bar)
         W = np.zeros_like(K)
         _band(W, cols)[:] = alpha
-        point_grad = diag_grad - 2.0 * kernel_grad(spec, Z_bar, Z_data, K, W)
+        point_grad = diag_grad - 2.0 * kernel_grad(kernel, Z_bar, Z_data, K, W)
         return _band(K, cols).sum(axis=0) + const_cross, float(diag.sum()) + b_sq, J.T @ point_grad.reshape(-1)
 
-    prob = NormalEquationsProblem(
-        gram, cross, offset, lam, cross_terms=None if spec is None else cross_terms, **controls
-    )
-    return prob, ridge_solve(RidgeProblem(B, b, lam))
+    return NormalEquationsProblem(gram, terms, lam, **controls), ridge_solve(RidgeProblem(B, b, lam))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flatdd.window
-from flatdd.basis import KernelSpec, kernel_eval, named_basis
+from flatdd.basis import KernelSpec, named_basis
 from flatdd.matching import MatchProblem, dd_match, kernel_match_problem
 from flatdd.plant import collect_trajectory, example1_model, example2_model, simulate
 from flatdd.simulation import SimProblem, dd_simulate, kernel_sim_problem
@@ -55,7 +55,6 @@ def _central_differences(f, alpha, h=1e-6):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_fused_gradient_matches_central_differences(case):
     prob, _, alpha0 = CASES[case]()
-    assert prob.cross_terms is not None
     rng = np.random.default_rng(11)
     for _ in range(3):
         alpha = alpha0 + rng.normal(size=alpha0.size) * 0.05 * (1.0 + np.abs(alpha0).max())
@@ -63,15 +62,6 @@ def test_fused_gradient_matches_central_differences(case):
         assert abs(value - prob.objective(alpha)) <= 1e-12 * abs(value)
         fd = _central_differences(prob.objective, alpha)
         assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(fd)
-
-
-def test_pair_function_problem_has_no_gradient():
-    spec = KernelSpec("gaussian", 1.0)
-    by_fn, _, a0 = kernel_sim_problem(*_sim_data(5), lambda Z1, Z2: kernel_eval(spec, Z1, Z2), 0.1)
-    by_spec, _, _ = kernel_sim_problem(*_sim_data(5), spec, 0.1)
-    assert by_fn.cross_terms is None
-    # same objective either way; the spec form reads the diagonal in closed form
-    assert abs(by_fn.objective(a0) - by_spec.objective(a0)) <= 1e-12 * by_spec.objective(a0)
 
 
 def test_kernel_simulation_polish_uses_exact_gradient(monkeypatch):

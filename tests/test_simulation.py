@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from flatdd.basis import KernelSpec, build_psi_hankel, eval_psi_hat, named_basis
+import flatdd.window
+from flatdd.basis import KernelSpec, build_psi_hankel, eval_psi_hat, named_basis, psi_jacobian
 from flatdd.errors import ConfigError, DataLengthWarning, DimensionError
 from flatdd.experiments import ExperimentConfig, _collect
+from flatdd.matching import MatchProblem, dd_match
 from flatdd.membership import flat_membership
 from flatdd.plant import (
     FlatModel,
@@ -137,7 +139,7 @@ def test_slice_sum_gram_matches_naive_sum(depth, cols, extra):
     assert np.abs(G - naive).max() <= 1e-12 * np.abs(naive).max()
 
 
-def test_kernel_with_finite_basis_product_matches_explicit(ex1_basis):
+def test_kernel_with_finite_basis_product_matches_explicit(ex1_basis, monkeypatch):
     lam = 1e-3
     traj = collect_trajectory(example1_model(), 150, (-0.5, 0.5), seed=12)
     u, y_true = fresh_case(13, length=18)
@@ -145,12 +147,27 @@ def test_kernel_with_finite_basis_product_matches_explicit(ex1_basis):
         SimProblem(traj, 20, u, y_true[:2], "explicit", basis=ex1_basis, lam=lam)
     )
 
-    def psi_product(Z1, Z2):
-        P1 = eval_psi_hat(ex1_basis, Z1[:, 0], Z1[:, 1:])
-        P2 = eval_psi_hat(ex1_basis, Z2[:, 0], Z2[:, 1:])
-        return P1 @ P2.T
+    # the kernel <Psi(z), Psi(z')> of the explicit basis, with its exact
+    # diagonal and gradients, stands in for the spec's kernel functions
+    def psi(Z):
+        return eval_psi_hat(ex1_basis, Z[:, 0], Z[:, 1:])
 
-    normal, H_L_y, alpha0 = kernel_sim_problem(traj, 20, u, y_true[:2], psi_product, lam)
+    def dpsi(Z):
+        return psi_jacobian(ex1_basis, Z, range(Z.shape[1]))
+
+    monkeypatch.setattr(flatdd.window, "kernel_eval", lambda spec, Z1, Z2: psi(Z1) @ psi(Z2).T)
+    monkeypatch.setattr(
+        flatdd.window,
+        "kernel_diag",
+        lambda spec, Z: ((psi(Z) ** 2).sum(axis=1), 2.0 * np.einsum("krc,kr->kc", dpsi(Z), psi(Z))),
+    )
+    monkeypatch.setattr(
+        flatdd.window,
+        "kernel_grad",
+        lambda spec, Z1, Z2, K, W: np.einsum("krc,kr->kc", dpsi(Z1), W @ psi(Z2)),
+    )
+    # any spec serves as a token: the kernel functions above ignore it
+    normal, H_L_y, alpha0 = kernel_sim_problem(traj, 20, u, y_true[:2], KernelSpec("gaussian"), lam)
 
     # the Gram-space objective is the explicit residual objective, at any point
     A = np.vstack(
@@ -173,7 +190,7 @@ def test_kernel_with_finite_basis_product_matches_explicit(ex1_basis):
     # one frozen step from a common point agrees as well
     a0 = rng.normal(size=normal.dim) * 0.02
     step_explicit = ridge_solve(RidgeProblem(A, explicit_rhs(a0), lam))
-    step_kernel = np.linalg.solve(normal.gram + lam * np.eye(normal.dim), normal.cross(a0))
+    step_kernel = np.linalg.solve(normal.gram + lam * np.eye(normal.dim), normal.terms(a0)[0])
     assert_allclose(step_kernel, step_explicit, atol=1e-8 * (1 + np.linalg.norm(step_explicit)))
 
     # endpoints of the two pipelines are optimizer-path dependent (same
@@ -188,8 +205,23 @@ def test_kernel_with_finite_basis_product_matches_explicit(ex1_basis):
         )
     )
     res = nonlinear_solve(normal, alpha0_explicit)
+    assert res.converged
     assert res.objective <= explicit.objective * 1.05 + 1e-12
     assert_allclose(H_L_y @ res.alpha, explicit.y.flat, atol=5e-2)
+
+
+@pytest.mark.parametrize("mode", ["explicit", "kernel"])
+@pytest.mark.parametrize("name, index", [("u_new", 0), ("y_init", 1), ("y_ref", 17)])
+def test_nonfinite_problem_signal_rejected(ex1_traj, ex1_basis, mode, name, index):
+    # rejected where they enter, not deep in the solve or by scipy's ValueError
+    signals = {"u_new": np.zeros(48), "y_init": np.zeros(2), "y_ref": np.sin(np.arange(50.0))}
+    signals[name][index] = np.nan if index else np.inf
+    features = dict(basis=ex1_basis) if mode == "explicit" else dict(kernel=KernelSpec("gaussian_plus_linear"))
+    with pytest.raises(ConfigError, match=rf"non-finite .*sample {name}\[{index}\]"):
+        if name == "y_ref":
+            dd_match(MatchProblem(ex1_traj, 50, signals["y_ref"], mode, **features))
+        else:
+            dd_simulate(SimProblem(ex1_traj, 50, signals["u_new"], signals["y_init"], mode, **features))
 
 
 def test_problem_validation(ex1_traj, ex1_basis):

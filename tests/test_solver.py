@@ -154,7 +154,7 @@ def test_normal_equations_form_matches_explicit():
     lam = 0.2
     explicit = nonlinear_solve(NonlinearResidualProblem(A, lambda a: b, lam), np.zeros(4))
     viagram = nonlinear_solve(
-        NormalEquationsProblem(A.T @ A, lambda a: A.T @ b, lambda a: float(b @ b), lam),
+        NormalEquationsProblem(A.T @ A, lambda a: (A.T @ b, float(b @ b), np.zeros(4)), lam),
         np.zeros(4),
     )
     assert_allclose(viagram.alpha, explicit.alpha, rtol=1e-8)
@@ -163,14 +163,14 @@ def test_normal_equations_form_matches_explicit():
 
 def test_normal_equations_singular_guard():
     G = np.zeros((3, 3))
-    prob = NormalEquationsProblem(G, lambda a: np.zeros(3), lambda a: 0.0, 0.0)
+    prob = NormalEquationsProblem(G, lambda a: (np.zeros(3), 0.0, np.zeros(3)), 0.0)
     with pytest.raises(SingularMatrixError):
         nonlinear_solve(prob, np.zeros(3))
 
 
 def test_normal_equations_conditioning_warning():
     G = np.diag([1.0, 1e-13])
-    prob = NormalEquationsProblem(G, lambda a: np.ones(2), lambda a: 0.0, 0.0)
+    prob = NormalEquationsProblem(G, lambda a: (np.ones(2), 0.0, np.zeros(2)), 0.0)
     with pytest.warns(ConditioningWarning, match=r"condition number 1\.000e\+13"):
         nonlinear_solve(prob, np.zeros(2))
 
@@ -179,7 +179,7 @@ def test_condition_estimate_warns_on_dense_ill_conditioned_gram():
     n = 20
     Q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(n, n)))
     G = (Q * np.logspace(0, -13, n)) @ Q.T
-    prob = NormalEquationsProblem(G, lambda a: np.ones(n), lambda a: 0.0, 0.0)
+    prob = NormalEquationsProblem(G, lambda a: (np.ones(n), 0.0, np.zeros(n)), 0.0)
     with pytest.warns(ConditioningWarning) as record:
         nonlinear_solve(prob, np.zeros(n))
     # the 1-norm estimate is within a small factor of the true condition number 1e13
@@ -199,12 +199,34 @@ def test_condition_estimate_quiet_on_kernel_sim_gram():
         _NormalOperator(prob.gram, prob.lam)
 
 
+@pytest.mark.parametrize("radius", [0.0, 0.5])
+def test_gram_solve_survives_nonfinite_region(radius):
+    # the objective is NaN farther than radius from alpha0; L-BFGS-B sees
+    # 1e300 there, and at radius 0 its whitened start R^-1 (R alpha0) misses
+    # alpha0 by rounding, so only the guard on its result keeps alpha0
+    M = np.random.default_rng(3).normal(size=(3, 3))
+    alpha0 = np.array([0.3, -0.2, 0.1])
+    outside = []
+
+    def terms(a):
+        if np.linalg.norm(a - alpha0) > radius:
+            outside.append(a)
+            return np.full(3, np.nan), np.nan, np.full(3, np.nan)
+        return np.array([10.0, 5.0, -3.0]), 0.0, np.zeros(3)
+
+    prob = NormalEquationsProblem(M @ M.T, terms, 0.1)
+    res = nonlinear_solve(prob, alpha0)
+    assert outside
+    assert np.isfinite(res.objective) and res.objective <= res.initial_objective
+    assert_allclose(prob.objective(res.alpha), res.objective, rtol=1e-12)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 57])
 def test_rank_deficient_gram_is_singular(seed):
     # seed 57 gives a 2-vector whose v v' passes Cholesky with a pivot at rounding level
     rng = np.random.default_rng(seed)
     v = rng.normal(size=rng.integers(2, 12))
-    prob = NormalEquationsProblem(np.outer(v, v), lambda a: v, lambda a: 0.0, 0.0)
+    prob = NormalEquationsProblem(np.outer(v, v), lambda a: (v, 0.0, np.zeros(v.size)), 0.0)
     with pytest.raises(SingularMatrixError):
         nonlinear_solve(prob, np.zeros(v.size))
 
