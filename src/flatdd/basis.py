@@ -13,12 +13,13 @@ from typing import Callable, Iterable, Literal
 
 import numpy as np
 
-from .errors import ConfigError, EvaluationError
+from .errors import ConfigError, DimensionError, EvaluationError
 from .signals import HankelMatrix, IoTrajectory, Signal, build_hankel
 
 __all__ = [
     "BasisSet",
     "named_basis",
+    "window_points",
     "eval_psi_hat",
     "psi_hat_signal",
     "build_psi_hankel",
@@ -67,7 +68,7 @@ class BasisSet:
         rng = np.random.default_rng(seed)
         u = rng.uniform(-1.0, 1.0, size=probes)
         xi = rng.uniform(-1.0, 1.0, size=(probes, self.n))
-        P = eval_psi_hat(self, u, xi)
+        P = eval_psi_hat(self, np.column_stack([u, xi]))
         if self.identity_index is not None:
             if not np.allclose(P[:, self.identity_index], u, atol=tol):
                 raise ConfigError(f"function {self.identity_index} of {self.name!r} is not the identity in u")
@@ -97,19 +98,27 @@ def named_basis(name: str, n: int = 2) -> BasisSet:
     raise ConfigError(f"unknown basis {name!r}")
 
 
-def eval_psi_hat(basis: BasisSet, u: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Evaluate all basis functions at a batch of (u_k, xi_k) pairs.
+def window_points(u: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
+    """The points z_k = (u_k, y_k, ..., y_{k+n-1}), k < len(u), as rows of
+    shape (len(u), 1+n); the outputs run n samples past the inputs."""
+    u = np.asarray(u, dtype=float).reshape(-1)
+    y = np.asarray(y, dtype=float).reshape(-1)
+    if y.size != u.size + n:
+        raise DimensionError(f"output length {y.size} must equal input length + n = {u.size + n}")
+    return np.column_stack([u, np.lib.stride_tricks.sliding_window_view(y, n)[: u.size]])
 
-    Returns shape (m, r): row k is Psi(u_k, xi_k).
+
+def eval_psi_hat(basis: BasisSet, Z: np.ndarray) -> np.ndarray:
+    """Evaluate all basis functions at a batch of points z_k = (u_k, xi_k).
+
+    Rows of Z are points (u, xi_1, ..., xi_n), as ``window_points`` builds
+    them; a Z of another width raises EvaluationError.  Returns shape
+    (m, r): row k is Psi(u_k, xi_k).
     """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    xi = np.asarray(xi, dtype=float)
-    if xi.ndim == 1:
-        xi = xi.reshape(1, -1) if u.size == 1 else xi.reshape(-1, 1)
-    if xi.shape != (u.size, basis.n):
-        raise EvaluationError(
-            f"window batch has shape {xi.shape}, expected {(u.size, basis.n)}"
-        )
+    Z = np.asarray(Z, dtype=float)
+    if Z.ndim != 2 or Z.shape[1] != 1 + basis.n:
+        raise EvaluationError(f"point batch has shape {Z.shape}, expected (m, {1 + basis.n})")
+    u, xi = Z[:, 0], Z[:, 1:]
     out = np.empty((u.size, basis.r))
     # evaluation faults (division by zero, log of negatives) surface as
     # non-finite entries and are reported below
@@ -129,10 +138,7 @@ def psi_hat_signal(traj: IoTrajectory, basis: BasisSet) -> Signal:
     """The sequence Psi_0 ... Psi_{N-n-1} along a recorded trajectory."""
     if basis.n != traj.n:
         raise ConfigError(f"basis window width {basis.n} != trajectory order {traj.n}")
-    n, N = traj.n, traj.N
-    y = traj.y.flat
-    xi = np.lib.stride_tricks.sliding_window_view(y, n)[: N - n]
-    return Signal(eval_psi_hat(basis, traj.u.flat, xi))
+    return Signal(eval_psi_hat(basis, window_points(traj.u.flat, traj.y.flat, traj.n)))
 
 
 def build_psi_hankel(traj: IoTrajectory, basis: BasisSet, L: int) -> HankelMatrix:
@@ -165,7 +171,7 @@ def psi_jacobian(basis: BasisSet, Z: np.ndarray, coords: Iterable[int]) -> np.nd
         hi, lo = Z.copy(), Z.copy()
         hi[:, c] += h
         lo[:, c] -= h
-        diff = eval_psi_hat(basis, hi[:, 0], hi[:, 1:]) - eval_psi_hat(basis, lo[:, 0], lo[:, 1:])
+        diff = eval_psi_hat(basis, hi) - eval_psi_hat(basis, lo)
         out[:, :, j] = diff / (hi[:, c] - lo[:, c])[:, None]
     return out
 

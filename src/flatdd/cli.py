@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .experiments import (
+    _FIELD_PARSERS,
     ExperimentConfig,
     example2_defaults,
     load_config,
@@ -45,21 +46,6 @@ from .simulation import SimProblem, dd_simulate
 _VALIDATION_ERRORS = (ConfigError, DimensionError, FormatError, ParseError)
 _NUMERICAL_ERRORS = (DivergenceError, EvaluationError, SingularMatrixError)
 
-_CONFIG_FLAGS = (
-    "model",
-    "n_samples",
-    "horizon",
-    "input_lo",
-    "input_hi",
-    "noise_lo",
-    "noise_hi",
-    "seed",
-    "mode",
-    "basis",
-    "sigma",
-    "lam",
-)
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on bad flags; 2 means numerical failure
@@ -73,20 +59,11 @@ def _print_json(obj: dict) -> None:
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    """--config, and one flag per ExperimentConfig field parsed as in a config file."""
     p.add_argument("--config", help="key = value config file")
-    p.add_argument("--model", choices=("example1", "example2"))
-    p.add_argument("--n-samples", dest="n_samples", type=int)
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--input-lo", dest="input_lo", type=float)
-    p.add_argument("--input-hi", dest="input_hi", type=float)
-    p.add_argument("--noise-lo", dest="noise_lo", type=float)
-    p.add_argument("--noise-hi", dest="noise_hi", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--mode", choices=("explicit", "kernel"))
-    p.add_argument("--basis")
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--out-dir", dest="out_dir")
+    for f in fields(ExperimentConfig):
+        flag = "--lambda" if f.name == "lam" else "--" + f.name.replace("_", "-")
+        p.add_argument(flag, dest=f.name, type=_FIELD_PARSERS[f.type])
 
 
 def _build_config(args, default_model: str) -> ExperimentConfig:
@@ -96,9 +73,7 @@ def _build_config(args, default_model: str) -> ExperimentConfig:
         model = args.model or default_model
         cfg = ExperimentConfig() if model == "example1" else example2_defaults()
     overrides = {
-        name: getattr(args, name)
-        for name in _CONFIG_FLAGS
-        if getattr(args, name) is not None
+        f.name: getattr(args, f.name) for f in fields(ExperimentConfig) if getattr(args, f.name) is not None
     }
     out_dir = args.out_dir or os.environ.get("FLATDD_OUTDIR")
     if out_dir:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import KernelSpec
+from .basis import KernelSpec, window_points
 from .errors import ConfigError, DimensionError
 from .signals import IoTrajectory, Signal, _check_finite, build_hankel
 from .solver import NormalEquationsProblem, nonlinear_solve
@@ -75,17 +75,11 @@ class MatchResult:
     initial_objective: float = float("nan")
 
 
-def _reference_windows(y_ref: np.ndarray, n: int) -> np.ndarray:
-    return np.lib.stride_tricks.sliding_window_view(y_ref, n)[: y_ref.size - n]
-
-
 def _layout(traj: IoTrajectory, L: int, y_ref: np.ndarray) -> WindowLayout:
     n = traj.n
-    U = build_hankel(traj.u, L - n).entries
-    H_L_y = build_hankel(traj.y, L).entries
-    # candidate point k is ((U alpha)[k], y_ref[k], ..., y_ref[k+n-1])
-    Z0 = np.column_stack([np.zeros(L - n), _reference_windows(y_ref, n)])
-    return WindowLayout(Z0, U, {0: 0}, H_L_y, y_ref)
+    # candidate point k is ((U alpha)[k], y_ref[k], ..., y_ref[k+n-1]) with U = H_{L-n}(u)
+    Z0 = window_points(np.zeros(L - n), y_ref, n)
+    return WindowLayout(Z0, build_hankel(traj.u, L - n).entries, {0: 0}, y_ref)
 
 
 def kernel_match_problem(
@@ -124,7 +118,6 @@ def dd_match(prob: MatchProblem) -> MatchResult:
         res = nonlinear_solve(normal, alpha0)
     else:
         layout = _layout(traj, L, prob.y_ref)
-        U = layout.H
-        res = explicit_solve(prob, layout)
+        U, res = layout.H, explicit_solve(prob, layout)
     u = Signal(U @ res.alpha)
     return MatchResult(u, res.alpha, res.objective, res.iterations, res.converged, res.initial_objective)

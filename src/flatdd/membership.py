@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import BasisSet, build_psi_hankel, eval_psi_hat, psi_hat_signal
+from .basis import BasisSet, build_psi_hankel, eval_psi_hat, psi_hat_signal, window_points
 from .errors import ConfigError, DimensionError, PersistencyWarning, SingularMatrixError
 from .signals import IoTrajectory, Signal, _check_finite, _memo, build_hankel, pe_check
 
@@ -110,7 +110,6 @@ def lti_membership(
     u_bar: np.ndarray,
     y_bar: np.ndarray,
     tol: float | None = None,
-    verify_pe: bool = True,
 ) -> MembershipVerdict:
     """Is (u_bar, y_bar) a length-L window of the LTI plant behind (u, y)?
 
@@ -131,15 +130,14 @@ def lti_membership(
         raise DimensionError(
             f"candidate lengths ({u_bar.size}, {y_bar.size}) must both equal L={L}"
         )
-    if verify_pe:
-        pe = pe_check(u, L + n)
-        if not pe.order_satisfied:
-            warnings.warn(
-                f"data input is not persistently exciting of order L+n={L + n} "
-                f"(rank {pe.numerical_rank})",
-                PersistencyWarning,
-                stacklevel=2,
-            )
+    pe = pe_check(u, L + n)
+    if not pe.order_satisfied:
+        warnings.warn(
+            f"data input is not persistently exciting of order L+n={L + n} "
+            f"(rank {pe.numerical_rank})",
+            PersistencyWarning,
+            stacklevel=2,
+        )
     M = np.vstack([build_hankel(u, L).entries, build_hankel(y, L).entries])
     rhs = np.concatenate([u_bar, y_bar])
     return _verdict(M, np.linalg.lstsq(M, rhs, rcond=None)[0], rhs, tol)
@@ -147,25 +145,18 @@ def lti_membership(
 
 def flat_stack(traj: IoTrajectory, basis: BasisSet, L: int) -> np.ndarray:
     """The stacked data matrix [H_{L-n}(Psi); H_L(y)], shape
-    (r(L-n) + L) x (N-L+1)."""
+    (r(L-n) + L) x (N-L+1).  A window problem that fixes the first l
+    outputs keeps its first r(L-n) + l rows."""
     H_psi = build_psi_hankel(traj, basis, L)
     H_y = build_hankel(traj.y, L)
     return np.vstack([H_psi.entries, H_y.entries])
 
 
-def candidate_stack(basis: BasisSet, u_bar: np.ndarray, y_bar: np.ndarray) -> np.ndarray:
-    """Right-hand side [Psi(u_bar, y_bar windows); y_bar] for a candidate
-    window of length L = len(u_bar) + n."""
-    u_bar = np.asarray(u_bar, dtype=float).reshape(-1)
-    y_bar = np.asarray(y_bar, dtype=float).reshape(-1)
-    n = basis.n
-    if y_bar.size != u_bar.size + n:
-        raise DimensionError(
-            f"candidate output length {y_bar.size} must equal input length + n = {u_bar.size + n}"
-        )
-    xi = np.lib.stride_tricks.sliding_window_view(y_bar, n)[: u_bar.size]
-    psi = eval_psi_hat(basis, u_bar, xi)
-    return np.concatenate([psi.reshape(-1), y_bar])
+def candidate_stack(basis: BasisSet, Z: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Right-hand side [Psi(z_0); ...; Psi(z_{m-1}); b] of every window
+    problem: membership fixes the points Z, simulation and matching move
+    them with alpha.  b holds the fixed first outputs of the window."""
+    return np.concatenate([eval_psi_hat(basis, Z).reshape(-1), b])
 
 
 def flat_membership(
@@ -175,7 +166,6 @@ def flat_membership(
     u_bar: np.ndarray,
     y_bar: np.ndarray,
     tol: float | None = None,
-    verify_pe: bool = True,
 ) -> MembershipVerdict:
     """Is (u_bar, y_bar) a length-L trajectory window of the flat plant
     behind the recorded data?
@@ -200,9 +190,8 @@ def flat_membership(
         )
     for name, values in (("u_bar", u_bar), ("y_bar", y_bar)):
         _check_finite(f"candidate sample {name}", values)
-    if verify_pe:
-        _warn_if_not_excited(traj, basis, L, diagnostic=True)
+    _warn_if_not_excited(traj, basis, L, diagnostic=True)
     M = flat_stack(traj, basis, L)
     P = _memo(traj, ("flat_pinv", basis, L), lambda: _pseudo_inverse(M))
-    rhs = candidate_stack(basis, u_bar, y_bar)
+    rhs = candidate_stack(basis, window_points(u_bar, y_bar, n), y_bar)
     return _verdict(M, P @ rhs, rhs, tol)

@@ -4,7 +4,7 @@ Given recorded data of an unknown flat plant, a new input and the first n
 outputs, the output response over a horizon L is found as a combination
 of data windows: alpha solves
 
-    [H_{L-n}(Psi(u, y)); H_n(y_init-part)] alpha = [Psi(u_new, H_L(y) alpha); y_init]
+    [H_{L-n}(Psi(u, y)); H_L(y)[:n]] alpha = [Psi(u_new, H_L(y) alpha); y_init]
 
 in the regularized least-squares sense, and the response is H_L(y) alpha.
 This is the window problem of ``window`` with the output window moved by
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import KernelSpec
+from .basis import KernelSpec, window_points
 from .errors import DimensionError
 from .signals import IoTrajectory, Signal, _check_finite, build_hankel
 from .solver import NormalEquationsProblem, nonlinear_solve
@@ -76,11 +76,9 @@ class SimResult:
 
 def _layout(traj: IoTrajectory, L: int, u_new: np.ndarray, y_init: np.ndarray) -> WindowLayout:
     n = traj.n
-    H_L_y = build_hankel(traj.y, L).entries
-    # candidate point k is (u_new[k], y[k], ..., y[k+n-1]) with y = H_L_y alpha
-    Z0 = np.zeros((L - n, 1 + n))
-    Z0[:, 0] = u_new
-    return WindowLayout(Z0, H_L_y, {1 + i: i for i in range(n)}, H_L_y[:n], y_init)
+    # candidate point k is (u_new[k], y[k], ..., y[k+n-1]) with y = H_L(y) alpha
+    Z0 = window_points(u_new, np.zeros(L), n)
+    return WindowLayout(Z0, build_hankel(traj.y, L).entries, {1 + i: i for i in range(n)}, y_init)
 
 
 def kernel_sim_problem(
@@ -120,7 +118,6 @@ def dd_simulate(prob: SimProblem) -> SimResult:
         res = nonlinear_solve(normal, alpha0)
     else:
         layout = _layout(traj, L, prob.u_new, prob.y_init)
-        H_L_y = layout.H
-        res = explicit_solve(prob, layout)
+        H_L_y, res = layout.H, explicit_solve(prob, layout)
     y = Signal(H_L_y @ res.alpha)
     return SimResult(y, res.alpha, res.objective, res.iterations, res.converged, res.initial_objective)

@@ -307,25 +307,35 @@ def _whitened_lbfgs(prob: NormalEquationsProblem, alpha0: np.ndarray) -> Nonline
     obj0 = prob.objective(alpha0)
     if not np.isfinite(obj0):
         raise DivergenceError("objective is not finite at alpha0")
+    start_grad, fell_back = None, False
 
     def alpha_of(beta: np.ndarray) -> np.ndarray:
         return scipy.linalg.solve_triangular(R, beta)
 
     def fun(beta: np.ndarray) -> tuple[float, np.ndarray]:
+        nonlocal start_grad, fell_back
         v, g = prob.value_and_grad(alpha_of(beta))
         if np.isfinite(v) and np.all(np.isfinite(g)):
-            return v, scipy.linalg.solve_triangular(R, g, trans="T")
-        return 1e300, np.zeros_like(beta)
+            g = scipy.linalg.solve_triangular(R, g, trans="T")
+        else:  # a stand-in whose zero gradient passes L-BFGS-B's gradient test
+            fell_back, v, g = True, 1e300, np.zeros_like(beta)
+        start_grad = np.linalg.norm(g) if start_grad is None else start_grad
+        return v, g
 
-    # max_iter is the only cap
-    res = scipy.optimize.minimize(
-        fun, R @ alpha0, jac=True, method="L-BFGS-B",
-        options={"maxiter": prob.max_iter, "ftol": prob.rel_tol, "maxfun": math.inf},
-    )
+    beta, nit, resume = R @ alpha0, 0, True
+    while resume:
+        res = scipy.optimize.minimize(
+            fun, beta, jac=True, method="L-BFGS-B",
+            options={"maxiter": prob.max_iter - nit, "ftol": prob.rel_tol, "maxfun": math.inf},
+        )
+        beta, nit = res.x, nit + res.nit
+        # an ftol stop on a flat stretch is resumed until the gradient falls to sqrt(rel_tol) of its start
+        stalled = np.linalg.norm(res.jac) > math.sqrt(prob.rel_tol) * start_grad
+        resume = res.success and res.nit > 0 and stalled and nit < prob.max_iter and not fell_back
     alpha, obj = alpha0, obj0
     if np.all(np.isfinite(res.x)) and res.fun < obj0:
         alpha, obj = alpha_of(res.x), float(res.fun)
-    return NonlinearResult(alpha, obj, int(res.nit), bool(res.success), obj0)
+    return NonlinearResult(alpha, obj, int(nit), bool(res.success) and not fell_back, obj0)
 
 
 def nonlinear_solve(
@@ -348,8 +358,11 @@ def nonlinear_solve(
     max_iter, ftol = rel_tol) in the whitened coordinates beta = R alpha,
     R'R = gram + lam I, in which the quadratic part is the identity (a
     change of variables; Nocedal & Wright 5.1 and 7.2).  Every Gram problem
-    carries its exact gradient, which L-BFGS-B takes with each value; the
-    result reports L-BFGS-B's success flag and iteration count.
+    carries its exact gradient, which L-BFGS-B takes with each value.  An
+    ftol stop above sqrt(rel_tol) of the starting whitened gradient resumes
+    from where it stopped, within max_iter iterations in total.  It has
+    converged when L-BFGS-B succeeds and no evaluation met a non-finite
+    objective.
     """
     if not isinstance(prob, (NonlinearResidualProblem, NormalEquationsProblem)):
         raise ConfigError(f"unsupported problem type {type(prob).__name__}")

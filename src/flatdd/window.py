@@ -2,14 +2,17 @@
 
 Both find alpha minimizing
 
-    |[H_{L-n}(Psi); B] alpha - [Psi(Z(alpha)); b]|^2 + lam |alpha|^2,
+    |[H_{L-n}(Psi); H_L(y)[:l]] alpha - [Psi(Z(alpha)); b]|^2 + lam |alpha|^2,
 
 where row k of Z(alpha) is the candidate point z_k = (u_k, y_k, ...,
-y_{k+n-1}) of one horizon, k = 0 ... L-n-1, and H_{L-n}(Psi) is the
-feature Hankel matrix of the recorded data.  A front end describes its
-problem as a :class:`WindowLayout`: the data Hankel matrix through which
-alpha moves the points, which point coordinates it moves, and which
-output rows (B, b) are fixed.  Simulation moves the output window
+y_{k+n-1}) of one horizon, k = 0 ... L-n-1, H_{L-n}(Psi) is the feature
+Hankel matrix of the recorded data and b the l fixed first outputs of
+the window.  The data block is a row prefix of membership's
+``flat_stack`` and the right-hand side is its ``candidate_stack`` at
+Z(alpha): membership is the same equation with every entry fixed.  A
+front end describes its problem as a :class:`WindowLayout`: the data
+Hankel matrix through which alpha moves the points, which point
+coordinates it moves, and b.  Simulation moves the output window
 through H_L(y) and fixes the first n outputs; matching moves the input
 through H_{L-n}(u) and fixes the whole reference.  Explicit mode
 evaluates a basis at the points; kernel mode carries the same objective
@@ -22,19 +25,10 @@ from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
-from .basis import (
-    BasisSet,
-    KernelSpec,
-    build_psi_hankel,
-    eval_psi_hat,
-    kernel_diag,
-    kernel_eval,
-    kernel_grad,
-    psi_jacobian,
-)
+from .basis import BasisSet, KernelSpec, kernel_diag, kernel_eval, kernel_grad, psi_jacobian, window_points
 from .errors import ConfigError, DataLengthWarning
-from .membership import _warn_if_not_excited, data_length_check
-from .signals import IoTrajectory
+from .membership import _warn_if_not_excited, candidate_stack, data_length_check, flat_stack
+from .signals import IoTrajectory, build_hankel
 from .solver import (
     NonlinearResidualProblem,
     NonlinearResult,
@@ -95,13 +89,13 @@ class WindowLayout:
     Row k of the candidate points is Z0[k] with coordinate c replaced by
     (H @ alpha)[k + moved[c]] for each c in ``moved`` (0 is the input,
     1..n the output window); Z0 holds zeros there.  H @ alpha is also the
-    signal the front end returns.  The output rows B alpha must match b.
+    signal the front end returns.  The first len(b) outputs of the window
+    are fixed to b: the rows H_L(y)[:len(b)] alpha must match it.
     """
 
     Z0: np.ndarray
     H: np.ndarray
     moved: dict[int, int]
-    B: np.ndarray
     b: np.ndarray
 
     def moving(self, c: int) -> np.ndarray:
@@ -138,30 +132,22 @@ def explicit_solve(prob: WindowProblem, layout: WindowLayout) -> NonlinearResult
         )
     _warn_if_not_excited(traj, basis, L, stacklevel=4)
 
-    H_psi = build_psi_hankel(traj, basis, L).entries
-    A = np.vstack([H_psi, layout.B])
+    psi_rows = basis.r * (L - traj.n)
+    A = flat_stack(traj, basis, L)[: psi_rows + layout.b.size]
     coords = tuple(layout.moved)
     moving = np.stack([layout.moving(c) for c in coords])
 
     def rhs(alpha: np.ndarray) -> np.ndarray:
-        Z = layout.points(alpha)
-        return np.concatenate([eval_psi_hat(basis, Z[:, 0], Z[:, 1:]).reshape(-1), layout.b])
+        return candidate_stack(basis, layout.points(alpha), layout.b)
 
     def jacobian(alpha: np.ndarray) -> np.ndarray:
         # row k*r + i of the psi rows: sum over moved c of dpsi_i/dz_c at point k times its moving row
         C = np.zeros(A.shape)
         slope = psi_jacobian(basis, layout.points(alpha), coords)
-        np.einsum("kic,ckp->kip", slope, moving, out=C[: H_psi.shape[0]].reshape(-1, basis.r, A.shape[1]))
+        np.einsum("kic,ckp->kip", slope, moving, out=C[:psi_rows].reshape(-1, basis.r, A.shape[1]))
         return C
 
     return nonlinear_solve(NonlinearResidualProblem(A, rhs, lam, jacobian=jacobian, **prob.controls))
-
-
-def _window_points(traj: IoTrajectory) -> np.ndarray:
-    """Data points z_k = (u_k, y_k, ..., y_{k+n-1}), shape (N-n, 1+n)."""
-    y = traj.y.flat
-    xi = np.lib.stride_tricks.sliding_window_view(y, traj.n)[: traj.N - traj.n]
-    return np.column_stack([traj.u.flat, xi])
 
 
 def _slice_sum_gram(K: np.ndarray, depth: int, cols: int) -> np.ndarray:
@@ -205,16 +191,17 @@ def kernel_problem(
     Z(alpha)[k, c] = Z0[k, c] + J[k, c, :] @ alpha are affine in alpha,
     with J[:, c, :] the rows of the layout's H that move coordinate c.
     The problem carries the exact gradient of its objective.  The starting
-    point alpha0 is the ridge fit of the output rows.
+    point alpha0 is the ridge fit of the fixed rows B = H_L(y)[:len(b)] to b.
     """
-    Z0, B, b = layout.Z0, layout.B, layout.b
+    Z0, b = layout.Z0, layout.b
     m, width = Z0.shape
+    B = build_hankel(traj.y, m + traj.n).entries[: b.size]
     cols = B.shape[1]
     J = np.zeros((m, width, cols))
     for c in layout.moved:
         J[:, c, :] = layout.moving(c)
     J = J.reshape(m * width, cols)
-    Z_data = _window_points(traj)
+    Z_data = window_points(traj.u.flat, traj.y.flat, traj.n)
     gram = _slice_sum_gram(kernel_eval(kernel, Z_data, Z_data), m, cols) + B.T @ B
     const_cross = B.T @ b
     b_sq = float(b @ b)

@@ -14,8 +14,9 @@ from flatdd.basis import (
     named_basis,
     psi_hat_signal,
     psi_jacobian,
+    window_points,
 )
-from flatdd.errors import ConfigError, EvaluationError
+from flatdd.errors import ConfigError, DimensionError, EvaluationError
 from flatdd.plant import collect_trajectory, example1_model
 
 TRUE_COEFFS = np.array([2.0, 0.0, 0.0, 0.0, 1.0, 0.0])
@@ -54,8 +55,28 @@ def test_psi_hat_signal_matches_pointwise(ex1_traj):
     u, y = ex1_traj.u.flat, ex1_traj.y.flat
     assert psi.length == ex1_traj.N - 2 and psi.sigma == 6
     for k in (0, 5, psi.length - 1):
-        row = eval_psi_hat(basis, np.array([u[k]]), y[k : k + 2].reshape(1, 2))
+        row = eval_psi_hat(basis, np.array([[u[k], y[k], y[k + 1]]]))
         assert_allclose(psi.values[k], row[0])
+
+
+def test_window_points(ex1_traj):
+    u, y = ex1_traj.u.flat, ex1_traj.y.flat
+    Z = window_points(u, y, 2)
+    assert Z.shape == (u.size, 3)
+    for k in (0, 7, u.size - 1):
+        assert np.array_equal(Z[k], [u[k], y[k], y[k + 1]])
+    for short_y in (y[:-1], y[:-3]):
+        with pytest.raises(DimensionError):
+            window_points(u, short_y, 2)
+    basis = named_basis("example1-poly")
+    assert np.array_equal(eval_psi_hat(basis, Z), psi_hat_signal(ex1_traj, basis).values)
+
+
+def test_eval_rejects_points_of_wrong_width():
+    basis = named_basis("example1-poly")
+    for shape in ((4, 2), (4, 4), (3,)):
+        with pytest.raises(EvaluationError, match="expected"):
+            eval_psi_hat(basis, np.zeros(shape))
 
 
 def test_psi_hankel_shape_on_long_record():
@@ -109,7 +130,7 @@ def test_psi_jacobian_in_xi():
 def test_eval_rejects_nonfinite():
     bad = BasisSet((lambda u, xi: 1.0 / u,), 1, "recip")
     with pytest.raises(EvaluationError, match="non-finite"):
-        eval_psi_hat(bad, np.array([0.0]), np.zeros((1, 1)))
+        eval_psi_hat(bad, np.zeros((1, 2)))
 
 
 def test_gaussian_kernel_values():

@@ -78,6 +78,8 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
         ("example1", ["--seed", "-1"]),
         ("example2", ["--seed", "-1"]),
         ("sweep", ["--seed", "-1", "--count", "1"]),
+        ("generate", ["--model", "bogus"]),
+        ("example1", ["--mode", "nope"]),
     ],
 )
 def test_cli_rejects_bad_settings(files, command, extra):

@@ -7,9 +7,11 @@ from flatdd.basis import (
     build_psi_hankel,
     eval_psi_hat,
     named_basis,
+    window_points,
 )
 from flatdd.errors import ConfigError, DataLengthWarning, DimensionError, PersistencyWarning
-from flatdd.matching import MatchProblem, _reference_windows, dd_match
+from flatdd.matching import MatchProblem, dd_match
+from flatdd.membership import flat_membership
 from flatdd.plant import collect_trajectory, example1_model, matching_input_oracle, simulate
 from flatdd.signals import build_hankel
 from flatdd.solver import (
@@ -58,6 +60,16 @@ def test_closed_loop_reproduces_reference(clean_traj, basis, model, sin_ref):
     assert np.linalg.norm(y - sin_ref) <= 1e-2 * np.linalg.norm(sin_ref)
 
 
+@pytest.mark.parametrize("phase", [0, 6, 15])
+def test_matched_pair_passes_membership(clean_traj, basis, phase):
+    # the matching counterpart of test_simulated_pair_passes_membership
+    y_ref = 0.5 * np.sin(2 * np.pi * (np.arange(50) + phase) / 25)
+    res = dd_match(MatchProblem(clean_traj, 50, y_ref, "explicit", basis=basis, lam=1e-8))
+    assert res.converged
+    verdict = flat_membership(clean_traj, basis, 50, res.u.flat, y_ref, tol=1e-4)
+    assert verdict.is_member
+
+
 def test_input_recovery_identity_is_exact(clean_traj, basis, sin_ref):
     res = dd_match(MatchProblem(clean_traj, 50, sin_ref, "explicit", basis=basis, lam=0.1))
     U = build_hankel(clean_traj.u, 48).entries
@@ -66,7 +78,7 @@ def test_input_recovery_identity_is_exact(clean_traj, basis, sin_ref):
 
 def test_identity_row_matches_returned_input(clean_traj, basis, sin_ref):
     res = dd_match(MatchProblem(clean_traj, 50, sin_ref, "explicit", basis=basis, lam=0.1))
-    psi = eval_psi_hat(basis, res.u.flat, _reference_windows(sin_ref, 2))
+    psi = eval_psi_hat(basis, window_points(res.u.flat, sin_ref, 2))
     assert np.array_equal(psi[:, basis.identity_index], res.u.flat)
 
 
@@ -74,10 +86,9 @@ def test_substituted_residual_is_linear_in_alpha(clean_traj, basis, sin_ref):
     H_psi = build_psi_hankel(clean_traj, basis, 50).entries
     U = build_hankel(clean_traj.u, 48).entries
     A = np.vstack([H_psi, build_hankel(clean_traj.y, 50).entries])
-    xi_ref = _reference_windows(sin_ref, 2)
 
     def residual(alpha):
-        psi = eval_psi_hat(basis, U @ alpha, xi_ref)
+        psi = eval_psi_hat(basis, window_points(U @ alpha, sin_ref, 2))
         return A @ alpha - np.concatenate([psi.reshape(-1), sin_ref])
 
     rng = np.random.default_rng(0)
@@ -94,10 +105,9 @@ def test_qp_agrees_with_generic_solver(clean_traj, basis, sin_ref):
     U = build_hankel(clean_traj.u, 48).entries
     H_L_y = build_hankel(clean_traj.y, 50).entries
     A = np.vstack([H_psi, H_L_y])
-    xi_ref = _reference_windows(sin_ref, 2)
     # every basis function is affine in u: its value at u = 0 and its slope
-    base = eval_psi_hat(basis, np.zeros(48), xi_ref)
-    slope = eval_psi_hat(basis, np.ones(48), xi_ref) - base
+    base = eval_psi_hat(basis, window_points(np.zeros(48), sin_ref, 2))
+    slope = eval_psi_hat(basis, window_points(np.ones(48), sin_ref, 2)) - base
     C = np.zeros_like(A)
     for k in range(48):
         C[k * basis.r : (k + 1) * basis.r, :] = np.outer(slope[k], U[k, :])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from flatdd.basis import BasisSet, named_basis
+from flatdd.basis import BasisSet, named_basis, window_points
 from flatdd.errors import ConfigError, DimensionError, PersistencyWarning
 from flatdd.matching import MatchProblem, dd_match
 from flatdd.membership import (
@@ -128,7 +128,7 @@ def test_flat_stack_shapes(ex1_data):
     basis = named_basis("example1-poly")
     M = flat_stack(ex1_data, basis, 50)
     assert M.shape == (6 * 48 + 50, 451)
-    rhs = candidate_stack(basis, ex1_data.u.flat[:48], ex1_data.y.flat[:50])
+    rhs = candidate_stack(basis, window_points(ex1_data.u.flat[:48], ex1_data.y.flat[:50], 2), ex1_data.y.flat[:50])
     assert rhs.shape == (M.shape[0],)
     assert_allclose(M[:, 0], rhs)
 
@@ -153,17 +153,13 @@ def test_linear_flat_system_agrees_with_lti_baseline():
     y_bar = simulate(chain, rng.normal(size=2), u_bar).flat[:L]
 
     flat_v = flat_membership(traj, basis, L, u_bar[: L - 2], y_bar)
-    lti_v = lti_membership(
-        traj.u.flat[:70], traj.y.flat[:70], 2, L, u_bar, y_bar, verify_pe=False
-    )
+    lti_v = lti_membership(traj.u.flat[:70], traj.y.flat[:70], 2, L, u_bar, y_bar)
     assert flat_v.is_member and lti_v.is_member
 
     y_off = y_bar.copy()
     y_off[6] += 0.2
     assert not flat_membership(traj, basis, L, u_bar[: L - 2], y_off).is_member
-    assert not lti_membership(
-        traj.u.flat[:70], traj.y.flat[:70], 2, L, u_bar, y_off, verify_pe=False
-    ).is_member
+    assert not lti_membership(traj.u.flat[:70], traj.y.flat[:70], 2, L, u_bar, y_off).is_member
 
 
 def test_data_length_bound():
@@ -194,7 +190,7 @@ def test_stored_pseudo_inverse_agrees_with_lstsq(seed):
     M = flat_stack(traj, basis, 50)
     for u, y, member in _example1_windows(seed):
         v = flat_membership(traj, basis, 50, u, y)
-        rhs = candidate_stack(basis, u, y)
+        rhs = candidate_stack(basis, window_points(u, y, 2), y)
         alpha = np.linalg.lstsq(M, rhs, rcond=None)[0]
         residual = np.linalg.norm(M @ alpha - rhs)
         assert v.is_member == member == (residual <= 1e-6 * (1.0 + np.linalg.norm(rhs)))

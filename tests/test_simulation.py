@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import flatdd.window
-from flatdd.basis import KernelSpec, build_psi_hankel, eval_psi_hat, named_basis, psi_jacobian
+from flatdd.basis import KernelSpec, build_psi_hankel, eval_psi_hat, named_basis, psi_jacobian, window_points
 from flatdd.errors import ConfigError, DataLengthWarning, DimensionError
 from flatdd.experiments import ExperimentConfig, _collect
 from flatdd.matching import MatchProblem, dd_match
@@ -150,7 +150,7 @@ def test_kernel_with_finite_basis_product_matches_explicit(ex1_basis, monkeypatc
     # the kernel <Psi(z), Psi(z')> of the explicit basis, with its exact
     # diagonal and gradients, stands in for the spec's kernel functions
     def psi(Z):
-        return eval_psi_hat(ex1_basis, Z[:, 0], Z[:, 1:])
+        return eval_psi_hat(ex1_basis, Z)
 
     def dpsi(Z):
         return psi_jacobian(ex1_basis, Z, range(Z.shape[1]))
@@ -175,9 +175,7 @@ def test_kernel_with_finite_basis_product_matches_explicit(ex1_basis, monkeypatc
     )
 
     def explicit_rhs(alpha):
-        y_cand = H_L_y @ alpha
-        xi = np.lib.stride_tricks.sliding_window_view(y_cand, 2)[:18]
-        return np.concatenate([eval_psi_hat(ex1_basis, u, xi).reshape(-1), y_true[:2]])
+        return np.concatenate([eval_psi_hat(ex1_basis, window_points(u, H_L_y @ alpha, 2)).reshape(-1), y_true[:2]])
 
     def explicit_obj(alpha):
         r = A @ alpha - explicit_rhs(alpha)

@@ -219,6 +219,20 @@ def test_gram_solve_survives_nonfinite_region(radius):
     assert outside
     assert np.isfinite(res.objective) and res.objective <= res.initial_objective
     assert_allclose(prob.objective(res.alpha), res.objective, rtol=1e-12)
+    # the stand-in value has a zero gradient, which is no sign of a minimum:
+    # the true gradient at alpha0 has norm 17.8
+    assert not res.converged
+
+
+def test_gram_solve_started_at_its_minimizer_converges():
+    M = np.random.default_rng(3).normal(size=(3, 3))
+    c = np.array([10.0, 5.0, -3.0])
+    prob = NormalEquationsProblem(M @ M.T, lambda a: (c, 0.0, np.zeros(3)), 0.1)
+    alpha_star = np.linalg.solve(M @ M.T + 0.1 * np.eye(3), c)
+    res = nonlinear_solve(prob, alpha_star)
+    assert res.converged
+    assert res.objective <= res.initial_objective
+    assert np.linalg.norm(res.alpha - alpha_star) <= 1e-12 * np.linalg.norm(alpha_star)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 57])
