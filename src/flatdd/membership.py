@@ -146,10 +146,15 @@ def lti_membership(
 def flat_stack(traj: IoTrajectory, basis: BasisSet, L: int) -> np.ndarray:
     """The stacked data matrix [H_{L-n}(Psi); H_L(y)], shape
     (r(L-n) + L) x (N-L+1).  A window problem that fixes the first l
-    outputs keeps its first r(L-n) + l rows."""
-    H_psi = build_psi_hankel(traj, basis, L)
-    H_y = build_hankel(traj.y, L)
-    return np.vstack([H_psi.entries, H_y.entries])
+    outputs keeps its first r(L-n) + l rows.  Built once per (basis, L)
+    and kept on ``traj``, read-only."""
+    M = _memo(
+        traj,
+        ("flat_stack", basis, L),
+        lambda: np.vstack([build_psi_hankel(traj, basis, L).entries, build_hankel(traj.y, L).entries]),
+    )
+    M.setflags(write=False)
+    return M
 
 
 def candidate_stack(basis: BasisSet, Z: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -174,9 +179,9 @@ def flat_membership(
     in the minimum-norm least-squares sense, as alpha = P rhs with P the
     pseudo-inverse of the data matrix.  Completeness of the span requires
     the Psi sequence to be persistently exciting of order L; violations
-    warn rather than fail.  The excitation verdict and P depend only on
-    the data, so they are computed once per (basis, L) and kept on
-    ``traj`` for later calls; the residual is always computed afresh.
+    warn rather than fail.  The excitation verdict, the data matrix and
+    P depend only on the data, so they are computed once per (basis, L)
+    and kept on ``traj``; the residual is always computed afresh.
     Non-finite candidate samples and a negative or non-finite ``tol``
     raise ConfigError.
     """

@@ -308,15 +308,16 @@ def _whitened_lbfgs(prob: NormalEquationsProblem, alpha0: np.ndarray) -> Nonline
     if not np.isfinite(obj0):
         raise DivergenceError("objective is not finite at alpha0")
     start_grad, fell_back = None, False
+    # no finiteness scans: R passed dpocon, fun checks g, and a non-finite beta falls back
 
     def alpha_of(beta: np.ndarray) -> np.ndarray:
-        return scipy.linalg.solve_triangular(R, beta)
+        return scipy.linalg.solve_triangular(R, beta, check_finite=False)
 
     def fun(beta: np.ndarray) -> tuple[float, np.ndarray]:
         nonlocal start_grad, fell_back
         v, g = prob.value_and_grad(alpha_of(beta))
         if np.isfinite(v) and np.all(np.isfinite(g)):
-            g = scipy.linalg.solve_triangular(R, g, trans="T")
+            g = scipy.linalg.solve_triangular(R, g, trans="T", check_finite=False)
         else:  # a stand-in whose zero gradient passes L-BFGS-B's gradient test
             fell_back, v, g = True, 1e300, np.zeros_like(beta)
         start_grad = np.linalg.norm(g) if start_grad is None else start_grad

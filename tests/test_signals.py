@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from flatdd.basis import named_basis, psi_hat_signal
 from flatdd.errors import ConfigError, DimensionError, FormatError, ParseError, SingularMatrixError
 from flatdd.experiments import ExperimentConfig, _collect
 from flatdd.plant import example1_model
@@ -219,3 +220,66 @@ def test_pe_requires_enough_columns(L):
     z = np.linspace(1.0, 2.0, 2 * L - 2)
     res = pe_check(z, L)
     assert not res.order_satisfied
+
+
+def _svd_pe(z, L):
+    """The exact verdict and rank: singular values above max(rows, cols) * eps * s_max."""
+    H = build_hankel(z, L).entries
+    s = np.linalg.svd(H, compute_uv=False)
+    rank = int(np.count_nonzero(s > max(H.shape) * np.finfo(float).eps * s[0]))
+    return rank == H.shape[0], rank
+
+
+def _pe_sequence(kind, seed, sigma, L, scale):
+    rng = np.random.default_rng(seed)
+    width = {"duplicated": sigma + 1, "sinusoid": 1, "near-deficient": 2}.get(kind, sigma)
+    N = (width + 1) * L + int(rng.integers(0, 20))  # at least width*L + 1 columns
+    if kind == "random":
+        z = rng.normal(size=(N, width))
+    elif kind == "duplicated":  # two equal coordinates
+        z = rng.normal(size=(N, width))
+        z[:, -1] = z[:, 0]
+    elif kind == "constant":
+        z = np.ones((N, width))
+    elif kind == "alternating":
+        z = np.outer((-1.0) ** np.arange(N), rng.normal(size=width))
+    elif kind == "sinusoid":  # H has rank 2 for every L >= 2
+        z = np.sin(rng.uniform(0.1, 3.0) * np.arange(N) + rng.uniform(0.0, 6.0))
+    elif kind == "near-deficient":  # cond(H) around 1e6: full rank, not certified
+        z1 = rng.normal(size=N)
+        z = np.column_stack([z1, z1 + 3e-6 * rng.normal(size=N)])
+    else:  # too short: width*L - k columns, 1 <= k < L
+        z = rng.normal(size=(width * L + L - 1 - int(rng.integers(1, L)), width))
+    return Signal(scale * z)
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from(["random", "duplicated", "constant", "alternating", "sinusoid", "near-deficient", "too-short"]),
+    st.integers(0, 10**6),
+    st.integers(1, 3),
+    st.integers(2, 12),
+    st.sampled_from([1.0, 1e-150, 1e150, 1e-160, 1e160]),
+)
+def test_pe_check_matches_svd_rank(kind, seed, sigma, L, scale):
+    z = _pe_sequence(kind, seed, sigma, L, scale)
+    res = pe_check(z, L)
+    assert (res.order_satisfied, res.numerical_rank) == _svd_pe(z, L)
+
+
+@pytest.mark.parametrize(
+    "sequence, L, svd_calls",
+    [
+        (lambda: psi_hat_signal(_collect(ExperimentConfig(seed=5), example1_model()), named_basis("example1-poly")), 50, 0),
+        (lambda: np.ones(20), 3, 1),
+        (lambda: _pe_sequence("near-deficient", 0, 2, 5, 1.0), 5, 1),
+    ],
+    ids=["example1-psi", "constant", "near-deficient"],
+)
+def test_pe_check_takes_the_svd_only_without_a_certificate(monkeypatch, sequence, L, svd_calls):
+    z = sequence()
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    pe_check(z, L)
+    assert len(calls) == svd_calls
