@@ -113,7 +113,7 @@ def simulate(model: FlatModel, x0: np.ndarray, u: np.ndarray | Signal) -> Signal
             y[k] = yk
             if k < M + model.n - 1:
                 x = np.asarray(model.f(x, uu[k] if k < M else 0.0), dtype=float)
-                if not np.isfinite(x).all():
+                if not all(map(math.isfinite, x.ravel().tolist())):
                     raise DivergenceError(f"state became non-finite at step {k + 1}")
     return Signal(y)
 

@@ -6,7 +6,8 @@ coefficient vector.  The window problems of simulation and matching
 coefficients and come in two shapes: explicit residual rows, solved by
 Gauss-Newton, and the kernelized form through Gram matrices, which always
 carries its exact gradient and is solved by L-BFGS-B in whitened
-coordinates.  Each stops on one convergence test or at one iteration cap.
+coordinates, where the Gram term is |beta|^2 and multiplies no vector.
+Each stops on one convergence test or at one iteration cap.
 
 Every regularized linear step is a Cholesky solve: of the given Gram
 matrix in kernel mode, of the Gram matrix of the smaller side of the data
@@ -218,27 +219,25 @@ class NonlinearResult:
 class _NormalOperator:
     """Cholesky solver for (G + lam I) x = c, reusable across c.
 
-    ``R`` is the upper-triangular factor, R'R = G + lam I.  Conditioning
-    is LAPACK's 1-norm estimate (``dpocon``, Higham 1988) from R, so no
-    spectrum is computed.  A failed factorization, or a reciprocal
-    condition number below machine epsilon (singular to working
-    precision, as in LAPACK's ``?posvx``), is singular; a condition
-    number above the limit warns, ``stacklevel`` frames up.
+    ``R`` is the upper-triangular factor, R'R = G + lam I, computed in
+    place in one Fortran-order copy of G.  Conditioning is LAPACK's
+    1-norm estimate (``dpocon``, Higham 1988) from R, so no spectrum is
+    computed.  A failed factorization, or a reciprocal condition number
+    below machine epsilon (singular to working precision, as in LAPACK's
+    ``?posvx``; a non-finite G ends in one of the two), is singular; a
+    condition number above the limit warns, ``stacklevel`` frames up.
     """
 
     def __init__(self, G: np.ndarray, lam: float, stacklevel: int = 3):
-        M = np.array(G, dtype=float)
+        M = np.array(G, dtype=float, order="F")
         M.flat[:: M.shape[0] + 1] += lam
-        anorm = np.abs(M).sum(axis=0).max()
+        anorm = scipy.linalg.lapack.dlange("1", M)
         if lam == 0.0:
             singular = "gram matrix is numerically singular and lam = 0; set lam > 0 to regularize"
         else:
             singular = f"gram matrix plus lam I is numerically singular at lam = {lam:g}; increase lam"
-        try:
-            self.R = scipy.linalg.cholesky(M)
-        except np.linalg.LinAlgError:
-            raise SingularMatrixError(singular) from None
-        rcond, info = scipy.linalg.lapack.dpocon(self.R, anorm)
+        self.R, info = scipy.linalg.lapack.dpotrf(M, lower=0, clean=1, overwrite_a=1)
+        rcond, info = scipy.linalg.lapack.dpocon(self.R, anorm) if info == 0 else (0.0, info)
         if info != 0 or not rcond >= np.finfo(float).eps:
             raise SingularMatrixError(singular)
         if rcond < 1.0 / _COND_LIMIT:
@@ -301,24 +300,36 @@ def _gauss_newton(prob: NonlinearResidualProblem, alpha: np.ndarray) -> Nonlinea
     return NonlinearResult(alpha, obj, iterations, converged, initial_obj)
 
 
+def _whitened(prob: NormalEquationsProblem, R: np.ndarray):
+    """alpha = R^-1 beta, and the objective with its gradient in beta; as R'R
+    = gram + lam I, the quadratic part is |beta|^2 and no Gram product is formed."""
+
+    def alpha_of(beta: np.ndarray) -> np.ndarray:
+        return scipy.linalg.blas.dtrsv(R, beta)
+
+    def fun(beta: np.ndarray) -> tuple[float, np.ndarray]:
+        alpha = alpha_of(beta)
+        c, off, coupling = prob.terms(alpha)
+        value = float(beta @ beta) - 2.0 * float(c @ alpha) + float(off)
+        return value, 2.0 * beta + scipy.linalg.blas.dtrsv(R, coupling - 2.0 * c, trans=1)
+
+    return alpha_of, fun
+
+
 def _whitened_lbfgs(prob: NormalEquationsProblem, alpha0: np.ndarray) -> NonlinearResult:
     # stacklevel 4 names the caller of nonlinear_solve
     R = _NormalOperator(prob.gram, prob.lam, stacklevel=4).R
     obj0 = prob.objective(alpha0)
     if not np.isfinite(obj0):
         raise DivergenceError("objective is not finite at alpha0")
+    alpha_of, whitened = _whitened(prob, R)
     start_grad, fell_back = None, False
-    # no finiteness scans: R passed dpocon, fun checks g, and a non-finite beta falls back
-
-    def alpha_of(beta: np.ndarray) -> np.ndarray:
-        return scipy.linalg.solve_triangular(R, beta, check_finite=False)
 
     def fun(beta: np.ndarray) -> tuple[float, np.ndarray]:
         nonlocal start_grad, fell_back
-        v, g = prob.value_and_grad(alpha_of(beta))
-        if np.isfinite(v) and np.all(np.isfinite(g)):
-            g = scipy.linalg.solve_triangular(R, g, trans="T", check_finite=False)
-        else:  # a stand-in whose zero gradient passes L-BFGS-B's gradient test
+        v, g = whitened(beta)  # a non-finite slope stays non-finite through R^-T
+        if not (np.isfinite(v) and np.all(np.isfinite(g))):
+            # a stand-in whose zero gradient passes L-BFGS-B's gradient test
             fell_back, v, g = True, 1e300, np.zeros_like(beta)
         start_grad = np.linalg.norm(g) if start_grad is None else start_grad
         return v, g
@@ -359,7 +370,9 @@ def nonlinear_solve(
     max_iter, ftol = rel_tol) in the whitened coordinates beta = R alpha,
     R'R = gram + lam I, in which the quadratic part is the identity (a
     change of variables; Nocedal & Wright 5.1 and 7.2).  Every Gram problem
-    carries its exact gradient, which L-BFGS-B takes with each value.  An
+    carries its exact gradient.  L-BFGS-B takes value and gradient at
+    alpha = R^-1 beta from ``terms`` alone, as |beta|^2 - 2 cross'alpha +
+    offset and 2 beta + R^-T (coupling - 2 cross), with no Gram product.  An
     ftol stop above sqrt(rel_tol) of the starting whitened gradient resumes
     from where it stopped, within max_iter iterations in total.  It has
     converged when L-BFGS-B succeeds and no evaluation met a non-finite

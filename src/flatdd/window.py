@@ -98,10 +98,6 @@ class WindowLayout:
     moved: dict[int, int]
     b: np.ndarray
 
-    def moving(self, c: int) -> np.ndarray:
-        """Rows of H that move coordinate c of the m points."""
-        return self.H[self.moved[c] : self.moved[c] + self.Z0.shape[0]]
-
     def points(self, alpha: np.ndarray) -> np.ndarray:
         v = self.H @ alpha
         Z = self.Z0.copy()
@@ -135,7 +131,7 @@ def explicit_solve(prob: WindowProblem, layout: WindowLayout) -> NonlinearResult
     psi_rows = basis.r * (L - traj.n)
     A = flat_stack(traj, basis, L)[: psi_rows + layout.b.size]
     coords = tuple(layout.moved)
-    moving = np.stack([layout.moving(c) for c in coords])
+    moving = np.stack([layout.H[first : first + len(layout.Z0)] for first in layout.moved.values()])
 
     def rhs(alpha: np.ndarray) -> np.ndarray:
         return candidate_stack(basis, layout.points(alpha), layout.b)
@@ -187,32 +183,30 @@ def kernel_problem(
     """Gram-space form of the window problem, and its starting point.
 
     The feature Hankel matrix stays implicit: its row block k pairs with
-    candidate point k, and the candidate points
-    Z(alpha)[k, c] = Z0[k, c] + J[k, c, :] @ alpha are affine in alpha,
-    with J[:, c, :] the rows of the layout's H that move coordinate c.
-    The problem carries the exact gradient of its objective.  The starting
-    point alpha0 is the ridge fit of the fixed rows B = H_L(y)[:len(b)] to b.
+    candidate point k at ``layout.points(alpha)``.  The problem carries
+    the exact gradient of its objective, whose coupling term reaches alpha
+    through H'.  The starting point alpha0 is the ridge fit of the fixed
+    rows B = H_L(y)[:len(b)] to b.
     """
-    Z0, b = layout.Z0, layout.b
-    m, width = Z0.shape
+    m, b = layout.Z0.shape[0], layout.b
     B = build_hankel(traj.y, m + traj.n).entries[: b.size]
     cols = B.shape[1]
-    J = np.zeros((m, width, cols))
-    for c in layout.moved:
-        J[:, c, :] = layout.moving(c)
-    J = J.reshape(m * width, cols)
     Z_data = window_points(traj.u.flat, traj.y.flat, traj.n)
-    gram = _slice_sum_gram(kernel_eval(kernel, Z_data, Z_data), m, cols) + B.T @ B
+    gram = _slice_sum_gram(kernel_eval(kernel, Z_data, Z_data), m, cols)
+    gram += B.T @ B
     const_cross = B.T @ b
     b_sq = float(b @ b)
 
     def terms(alpha: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
-        Z_bar = Z0 + (J @ alpha).reshape(m, width)
+        Z_bar = layout.points(alpha)
         K = kernel_eval(kernel, Z_bar, Z_data)
         diag, diag_grad = kernel_diag(kernel, Z_bar)
         W = np.zeros_like(K)
         _band(W, cols)[:] = alpha
         point_grad = diag_grad - 2.0 * kernel_grad(kernel, Z_bar, Z_data, K, W)
-        return _band(K, cols).sum(axis=0) + const_cross, float(diag.sum()) + b_sq, J.T @ point_grad.reshape(-1)
+        v = np.zeros(layout.H.shape[0])  # point gradients, on the rows of H that moved them
+        for c, first in layout.moved.items():
+            v[first : first + m] += point_grad[:, c]
+        return _band(K, cols).sum(axis=0) + const_cross, float(diag.sum()) + b_sq, layout.H.T @ v
 
     return NormalEquationsProblem(gram, terms, lam, **controls), ridge_solve(RidgeProblem(B, b, lam))

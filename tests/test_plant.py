@@ -95,6 +95,18 @@ def test_simulate_divergence_step_numbers():
         simulate(m, np.zeros(2), u)
 
 
+def test_simulate_state_turning_nan_reports_step():
+    # sqrt of a negative input gives NaN, not inf, in the state
+    def root(x, u):
+        return np.array([x[1], np.sqrt(u)])
+
+    m = FlatModel(2, root, lambda x: float(x[0]), "root")
+    u = np.ones(6)
+    u[3] = -1.0
+    with pytest.raises(DivergenceError, match=r"^state became non-finite at step 4$"):
+        simulate(m, np.zeros(2), u)
+
+
 def test_matching_oracle_recovers_input_example1(rng):
     m = example1_model()
     u = rng.uniform(-0.5, 0.5, size=20)

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -17,7 +18,7 @@ from flatdd.errors import (
     SingularMatrixError,
 )
 from flatdd.experiments import ExperimentConfig, _collect, example2_defaults, reference_output
-from flatdd.matching import MatchProblem, dd_match
+from flatdd.matching import MatchProblem, dd_match, kernel_match_problem
 from flatdd.plant import example1_model, example2_model
 from flatdd.simulation import SimProblem, dd_simulate, kernel_sim_problem
 from flatdd.solver import (
@@ -26,6 +27,7 @@ from flatdd.solver import (
     RidgeProblem,
     _NormalOperator,
     _RidgeOperator,
+    _whitened,
     nonlinear_solve,
     ridge_solve,
 )
@@ -197,6 +199,60 @@ def test_condition_estimate_quiet_on_kernel_sim_gram():
     with warnings.catch_warnings():
         warnings.simplefilter("error", ConditioningWarning)
         _NormalOperator(prob.gram, prob.lam)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_nonfinite_gram_is_singular(value):
+    M = np.random.default_rng(3).normal(size=(4, 4))
+    G = M @ M.T
+    G[1, 2] = G[2, 1] = value
+    prob = NormalEquationsProblem(G, lambda a: (np.ones(4), 0.0, np.zeros(4)), 0.1)
+    with pytest.raises(SingularMatrixError, match="lam = 0.1"):
+        nonlinear_solve(prob, np.zeros(4))
+
+
+def _kernel_sim_seed5():
+    config = example2_defaults(seed=5)
+    u = np.random.default_rng(6).uniform(-1.0, 1.0, config.horizon - 2)
+    traj = _collect(config, example2_model())
+    return kernel_sim_problem(traj, config.horizon, u, np.zeros(2), KernelSpec("gaussian", config.sigma), config.lam)
+
+
+def _kernel_match_seed5():
+    traj = _collect(ExperimentConfig(seed=5), example1_model())
+    return kernel_match_problem(traj, 50, reference_output(50), KernelSpec("gaussian_plus_linear", 1.0), 0.1)
+
+
+@pytest.mark.parametrize("build", [_kernel_sim_seed5, _kernel_match_seed5])
+def test_whitened_evaluation_matches_objective(build):
+    # the solver never forms gram @ alpha; its value and gradient in
+    # beta = R alpha must still be the problem's own at alpha = R^-1 beta
+    prob, _, alpha0 = build()
+    R = _NormalOperator(prob.gram, prob.lam).R
+    alpha_of, fun = _whitened(prob, R)
+    rng = np.random.default_rng(8)
+    for scale in (0.0, 0.1, 1.0):
+        beta = R @ alpha0 + scale * rng.normal(size=prob.dim)
+        alpha = np.linalg.solve(R, beta)
+        value, grad = fun(beta)
+        assert_allclose(alpha_of(beta), alpha, rtol=1e-10, atol=1e-12 * np.abs(alpha).max())
+        assert_allclose(value, prob.objective(alpha), rtol=1e-10)
+        expected = np.linalg.solve(R.T, prob.value_and_grad(alpha)[1])
+        assert np.linalg.norm(grad - expected) <= 1e-8 * np.linalg.norm(expected)
+
+
+def test_gram_factor_makes_one_copy():
+    # one Fortran-order copy of G, factored in place: no |M| temporary and
+    # no second copy for the factor
+    M = np.random.default_rng(3).normal(size=(701, 701))
+    G = M @ M.T / 701
+    tracemalloc.start()
+    try:
+        _NormalOperator(G, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * G.nbytes
 
 
 @pytest.mark.parametrize("radius", [0.0, 0.5])
