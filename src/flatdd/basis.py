@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Literal
 import numpy as np
 
 from .errors import ConfigError, DimensionError, EvaluationError
-from .signals import HankelMatrix, IoTrajectory, Signal, build_hankel
+from .signals import HankelMatrix, IoTrajectory, Signal, _memo, build_hankel
 
 __all__ = [
     "BasisSet",
@@ -135,10 +135,13 @@ def eval_psi_hat(basis: BasisSet, Z: np.ndarray) -> np.ndarray:
 
 
 def psi_hat_signal(traj: IoTrajectory, basis: BasisSet) -> Signal:
-    """The sequence Psi_0 ... Psi_{N-n-1} along a recorded trajectory."""
+    """The sequence Psi_0 ... Psi_{N-n-1} along a recorded trajectory,
+    evaluated once per basis and kept on ``traj``."""
     if basis.n != traj.n:
         raise ConfigError(f"basis window width {basis.n} != trajectory order {traj.n}")
-    return Signal(eval_psi_hat(basis, window_points(traj.u.flat, traj.y.flat, traj.n)))
+    return _memo(
+        traj, ("psi", basis), lambda: Signal(eval_psi_hat(basis, window_points(traj.u.flat, traj.y.flat, traj.n)))
+    )
 
 
 def build_psi_hankel(traj: IoTrajectory, basis: BasisSet, L: int) -> HankelMatrix:

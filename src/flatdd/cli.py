@@ -12,12 +12,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .basis import KernelSpec, named_basis, psi_hat_signal
+from .basis import KernelSpec, named_basis
 from .errors import (
     ConfigError,
     DimensionError,
@@ -30,21 +30,34 @@ from .errors import (
 from .experiments import (
     _FIELD_PARSERS,
     ExperimentConfig,
-    example2_defaults,
+    _dump_json,
+    _features,
     load_config,
+    pe_verdict,
     run_example1,
     run_example2,
     run_generate,
     run_sweep,
+    solve_metrics,
 )
 from .matching import MatchProblem, dd_match
 from .membership import flat_membership
 from .signals import read_signal_csv, read_trajectory, write_signal_csv
-from .signals import pe_check
 from .simulation import SimProblem, dd_simulate
+from .window import WindowProblem
 
 _VALIDATION_ERRORS = (ConfigError, DimensionError, FormatError, ParseError)
 _NUMERICAL_ERRORS = (DivergenceError, EvaluationError, SingularMatrixError)
+# the simulate/match flags default to the problem's and the kernel's own defaults
+_SOLVE_DEFAULTS = {f.name: f.default for cls in (WindowProblem, KernelSpec) for f in fields(cls)}
+
+# the commands that run a seeded experiment: name, run function, help
+_CONFIG_COMMANDS = (
+    ("generate", run_generate, "simulate a preset plant and write its trajectory CSV"),
+    ("example1", run_example1, "noisy output matching against the sinusoidal reference"),
+    ("example2", run_example2, "kernel-mode simulation of a fresh input"),
+    ("sweep", run_sweep, "repeat an example over consecutive seeds"),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,48 +79,23 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument(flag, dest=f.name, type=_FIELD_PARSERS[f.type])
 
 
-def _build_config(args, default_model: str) -> ExperimentConfig:
-    if args.config:
-        cfg = load_config(args.config)
-    else:
-        model = args.model or default_model
-        cfg = ExperimentConfig() if model == "example1" else example2_defaults()
+def _cmd_config(args) -> int:
+    """Run the command's experiment on the --config file, or on the preset of
+    the model, with the given flags overriding its fields."""
     overrides = {
         f.name: getattr(args, f.name) for f in fields(ExperimentConfig) if getattr(args, f.name) is not None
     }
     out_dir = args.out_dir or os.environ.get("FLATDD_OUTDIR")
     if out_dir:
         overrides["out_dir"] = out_dir
-    return replace(cfg, **overrides)
-
-
-def _default_out(name: str) -> Path:
-    return Path(os.environ.get("FLATDD_OUTDIR", ".")) / name
-
-
-def _cmd_generate(args) -> int:
-    _print_json(run_generate(_build_config(args, "example1")))
+    extra = dict(count=args.count) if args.command == "sweep" else {}
+    _print_json(args.run(load_config(args.config) if args.config else None, **extra, **overrides))
     return 0
 
 
 def _cmd_check_pe(args) -> int:
-    traj = read_trajectory(args.data)
-    if args.basis:
-        sequence = psi_hat_signal(traj, named_basis(args.basis))
-        kind = "basis"
-    else:
-        sequence = traj.u
-        kind = "input"
-    res = pe_check(sequence, args.order)
-    _print_json(
-        {
-            "kind": kind,
-            "order": args.order,
-            "order_satisfied": bool(res.order_satisfied),
-            "numerical_rank": int(res.numerical_rank),
-            "diagnostic": res.diagnostic,
-        }
-    )
+    basis = named_basis(args.basis) if args.basis else None
+    _print_json(pe_verdict(read_trajectory(args.data), args.order, basis))
     return 0
 
 
@@ -129,13 +117,10 @@ def _cmd_check_membership(args) -> int:
 
 def _cmd_simulate_or_match(args) -> int:
     traj = read_trajectory(args.data)
-    settings = dict(lam=args.lam, max_iter=args.max_iter, rel_tol=args.rel_tol)
-    if args.mode == "explicit":
-        settings["basis"] = named_basis(args.basis or "example1-poly")
-    else:
-        kind = "gaussian" if args.command == "simulate" else "gaussian_plus_linear"
-        settings["kernel"] = KernelSpec(kind, sigma=args.sigma)
-    if args.command == "simulate":
+    problem = SimProblem if args.command == "simulate" else MatchProblem
+    settings = _features(problem, args.mode, args.basis or "example1-poly", args.sigma)
+    settings.update(lam=args.lam, max_iter=args.max_iter, rel_tol=args.rel_tol)
+    if problem is SimProblem:
         u_new = read_signal_csv(args.input)
         y_init = read_signal_csv(args.init)
         res = dd_simulate(SimProblem(traj, u_new.size + traj.n, u_new, y_init, args.mode, **settings))
@@ -144,32 +129,11 @@ def _cmd_simulate_or_match(args) -> int:
         y_ref = read_signal_csv(args.reference)
         res = dd_match(MatchProblem(traj, y_ref.size, y_ref, args.mode, **settings))
         name, estimate = "u_est", res.u
-    out = Path(args.out) if args.out else _default_out(f"{name}.csv")
+    out = Path(args.out) if args.out else Path(os.environ.get("FLATDD_OUTDIR", ".")) / f"{name}.csv"
     write_signal_csv(out, name, estimate.flat)
-    metrics = {
-        "objective": float(res.objective),
-        "iterations": int(res.iterations),
-        "converged": bool(res.converged),
-        "initial_objective": float(res.initial_objective),
-    }
-    with open(out.with_name(out.stem + "_metrics.json"), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(metrics, sort_keys=True, indent=2) + "\n")
+    metrics = solve_metrics(res)
+    _dump_json(metrics, out.with_name(out.stem + "_metrics.json"))
     _print_json(metrics)
-    return 0
-
-
-def _cmd_example1(args) -> int:
-    _print_json(run_example1(_build_config(args, "example1")))
-    return 0
-
-
-def _cmd_example2(args) -> int:
-    _print_json(run_example2(_build_config(args, "example2")))
-    return 0
-
-
-def _cmd_sweep(args) -> int:
-    _print_json(run_sweep(_build_config(args, "example1"), count=args.count))
     return 0
 
 
@@ -180,9 +144,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="simulate a preset plant and write its trajectory CSV")
-    _add_config_flags(p)
-    p.set_defaults(handler=_cmd_generate)
+    for name, run, summary in _CONFIG_COMMANDS:
+        p = sub.add_parser(name, help=summary)
+        _add_config_flags(p)
+        p.set_defaults(handler=_cmd_config, run=run)
+        if name == "sweep":
+            p.add_argument("--count", type=int, default=10)
 
     p = sub.add_parser("check-pe", help="persistency-of-excitation verdict for recorded data")
     p.add_argument("--data", required=True)
@@ -206,25 +173,12 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, required=True)
         p.add_argument("--mode", choices=("explicit", "kernel"), default="explicit")
         p.add_argument("--basis")
-        p.add_argument("--sigma", type=float, default=1.0)
-        p.add_argument("--lambda", dest="lam", type=float, default=0.1)
-        p.add_argument("--max-iter", dest="max_iter", type=int, default=500)
-        p.add_argument("--rel-tol", dest="rel_tol", type=float, default=1e-8)
+        p.add_argument("--sigma", type=float, default=_SOLVE_DEFAULTS["sigma"])
+        p.add_argument("--lambda", dest="lam", type=float, default=_SOLVE_DEFAULTS["lam"])
+        p.add_argument("--max-iter", dest="max_iter", type=int, default=_SOLVE_DEFAULTS["max_iter"])
+        p.add_argument("--rel-tol", dest="rel_tol", type=float, default=_SOLVE_DEFAULTS["rel_tol"])
         p.add_argument("--out")
         p.set_defaults(handler=_cmd_simulate_or_match)
-
-    p = sub.add_parser("example1", help="noisy output matching against the sinusoidal reference")
-    _add_config_flags(p)
-    p.set_defaults(handler=_cmd_example1)
-
-    p = sub.add_parser("example2", help="kernel-mode simulation of a fresh input")
-    _add_config_flags(p)
-    p.set_defaults(handler=_cmd_example2)
-
-    p = sub.add_parser("sweep", help="repeat an example over consecutive seeds")
-    _add_config_flags(p)
-    p.add_argument("--count", type=int, default=10)
-    p.set_defaults(handler=_cmd_sweep)
 
     return parser
 

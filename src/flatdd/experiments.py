@@ -17,7 +17,6 @@ inside the excitation range of the identification data.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
@@ -25,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import KernelSpec, named_basis, psi_hat_signal
+from .basis import BasisSet, KernelSpec, named_basis, psi_hat_signal
 from .errors import ConfigError, ParseError
 from .matching import MatchProblem, dd_match
 from .plant import (
@@ -38,8 +37,9 @@ from .plant import (
     matching_input_oracle,
     simulate,
 )
-from .signals import _FLOAT_FMT, pe_check, write_trajectory
+from .signals import _FLOAT_FMT, IoTrajectory, pe_check, write_signal_csv, write_trajectory
 from .simulation import SimProblem, dd_simulate
+from .solver import NonlinearResult
 
 __all__ = [
     "ExperimentConfig",
@@ -47,6 +47,8 @@ __all__ = [
     "load_config",
     "save_config",
     "reference_output",
+    "solve_metrics",
+    "pe_verdict",
     "run_generate",
     "run_example1",
     "run_example2",
@@ -111,10 +113,16 @@ def example2_defaults(**overrides) -> ExperimentConfig:
         noise_hi=0.05,
         mode="kernel",
         basis="",
-        sigma=1.0,
-        lam=0.1,
     )
     return replace(base, **overrides)
+
+
+def _with_overrides(config: ExperimentConfig | None, overrides: dict) -> ExperimentConfig:
+    """``overrides`` applied to ``config`` or else to the preset of the model they
+    name: :func:`example2_defaults` for example2, the first example's otherwise."""
+    if config is None:
+        config = example2_defaults() if overrides.get("model") == "example2" else ExperimentConfig()
+    return replace(config, **overrides)
 
 
 _FIELD_PARSERS = {"int": int, "float": float, "str": str}
@@ -176,12 +184,38 @@ def _dump_json(obj: dict, path: Path) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def _write_columns(path: Path, names: list[str], columns: list[np.ndarray]) -> None:
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["k", *names])
-        for k in range(len(columns[0])):
-            w.writerow([k, *(_FLOAT_FMT.format(c[k]) for c in columns)])
+def _write_outputs(config: ExperimentConfig, json_name: str, obj: dict, **csvs) -> dict:
+    """Write ``obj`` to ``<json_name>.json`` and each ``<stem>=(names, columns)`` to the
+    signal file ``<stem>.csv`` in the config's output directory; returns ``obj``."""
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for stem, (names, columns) in csvs.items():
+        write_signal_csv(out / f"{stem}.csv", names, columns)
+    _dump_json(obj, out / f"{json_name}.json")
+    return obj
+
+
+def _features(problem: type, mode: str, basis: str, sigma: float) -> dict:
+    """The named basis (explicit mode) or the kernel that ``problem`` takes:
+    matching needs the gaussian_plus_linear kernel, simulation the gaussian."""
+    if mode == "explicit":
+        return dict(basis=named_basis(basis))
+    kind = "gaussian_plus_linear" if problem is MatchProblem else "gaussian"
+    return dict(kernel=KernelSpec(kind, sigma=sigma))
+
+
+def solve_metrics(res: NonlinearResult) -> dict:
+    """The solve diagnostics of a result as JSON values."""
+    return {
+        "converged": bool(res.converged),
+        "initial_objective": float(res.initial_objective),
+        "iterations": int(res.iterations),
+        "objective": float(res.objective),
+    }
+
+
+def _metrics(config: ExperimentConfig, res: NonlinearResult, **errors: float) -> dict:
+    return {"config": _config_echo(config), "seed": config.seed, **solve_metrics(res), **errors}
 
 
 def _collect(config: ExperimentConfig, model: FlatModel):
@@ -200,6 +234,16 @@ def reference_output(L: int) -> np.ndarray:
     return 0.5 * np.sin(2.0 * np.pi * np.arange(L) / 25.0)
 
 
+def pe_verdict(traj: IoTrajectory, order: int, basis: BasisSet | None = None) -> dict:
+    """Persistency-of-excitation verdict of order ``order`` as JSON values: on the
+    basis-function sequence of the data when a basis is given, else on the input."""
+    if basis is None:
+        kind, pe = "input", pe_check(traj.u, order)
+    else:
+        kind, pe = "basis", pe_check(psi_hat_signal(traj, basis), order)
+    return {"kind": kind, "order": order, **asdict(pe)}
+
+
 def run_generate(config: ExperimentConfig | None = None, **overrides) -> dict:
     """Simulate the configured preset and write the trajectory CSV.
 
@@ -207,23 +251,15 @@ def run_generate(config: ExperimentConfig | None = None, **overrides) -> dict:
     excitation verdict: on the basis-function sequence at order L in
     explicit mode, on the raw input at order L + n otherwise.
     """
-    config = replace(config or ExperimentConfig(), **overrides)
+    config = _with_overrides(config, overrides)
     model = _named_model(config.model)
     traj = _collect(config, model)
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_name = f"{config.model}_data.csv"
-    write_trajectory(out / csv_name, traj)
-
     if config.mode == "explicit":
-        pe = pe_check(psi_hat_signal(traj, named_basis(config.basis)), config.horizon)
-        verdict = {"kind": "basis", "order": config.horizon}
+        verdict = pe_verdict(traj, config.horizon, named_basis(config.basis))
     else:
-        pe = pe_check(traj.u, config.horizon + model.n)
-        verdict = {"kind": "input", "order": config.horizon + model.n}
-    verdict["order_satisfied"] = bool(pe.order_satisfied)
-    verdict["numerical_rank"] = int(pe.numerical_rank)
-
+        verdict = pe_verdict(traj, config.horizon + model.n)
+    del verdict["diagnostic"]  # the manifest records the verdict only
+    csv_name = f"{config.model}_data.csv"
     manifest = {
         "config": _config_echo(config),
         "persistency": verdict,
@@ -231,7 +267,8 @@ def run_generate(config: ExperimentConfig | None = None, **overrides) -> dict:
         "seed": config.seed,
         "trajectory_csv": csv_name,
     }
-    _dump_json(manifest, out / f"{config.model}_manifest.json")
+    _write_outputs(config, f"{config.model}_manifest", manifest)
+    write_trajectory(Path(config.out_dir) / csv_name, traj)
     return manifest
 
 
@@ -241,37 +278,27 @@ def run_example1(config: ExperimentConfig | None = None, **overrides) -> dict:
     Writes inputs/outputs plot CSVs and a metrics JSON; the achieved
     output applies the computed input to the true plant from rest.
     """
-    config = replace(config or ExperimentConfig(), **overrides)
+    config = _with_overrides(config, overrides)
     if config.model != "example1":
         raise ConfigError(f"run_example1 drives model example1, got {config.model!r}")
     model = example1_model()
     traj = _collect(config, model)
     L = config.horizon
     y_ref = reference_output(L)
-    if config.mode == "explicit":
-        features = dict(basis=named_basis(config.basis))
-    else:
-        features = dict(kernel=KernelSpec("gaussian_plus_linear", sigma=config.sigma))
+    features = _features(MatchProblem, config.mode, config.basis, config.sigma)
     res = dd_match(MatchProblem(traj, L, y_ref, config.mode, lam=config.lam, **features))
 
     u_model = matching_input_oracle(model, y_ref)
     y_achieved = simulate(model, np.zeros(model.n), res.u.flat).flat[:L]
-    metrics = {
-        "config": _config_echo(config),
-        "converged": bool(res.converged),
-        "initial_objective": float(res.initial_objective),
-        "iterations": int(res.iterations),
-        "objective": float(res.objective),
-        "seed": config.seed,
-        "u_err_2": float(np.linalg.norm(res.u.flat - u_model)),
-        "y_err_2": float(np.linalg.norm(y_achieved - y_ref)),
-    }
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_columns(out / "example1_inputs.csv", ["u_model", "u_data"], [u_model, res.u.flat])
-    _write_columns(out / "example1_outputs.csv", ["y_ref", "y_achieved"], [y_ref, y_achieved])
-    _dump_json(metrics, out / "example1_metrics.json")
-    return metrics
+    u_err_2, y_err_2 = np.linalg.norm(res.u.flat - u_model), np.linalg.norm(y_achieved - y_ref)
+    metrics = _metrics(config, res, u_err_2=float(u_err_2), y_err_2=float(y_err_2))
+    return _write_outputs(
+        config,
+        "example1_metrics",
+        metrics,
+        example1_inputs=(["u_model", "u_data"], [u_model, res.u.flat]),
+        example1_outputs=(["y_ref", "y_achieved"], [y_ref, y_achieved]),
+    )
 
 
 def run_example2(config: ExperimentConfig | None = None, **overrides) -> dict:
@@ -292,26 +319,13 @@ def run_example2(config: ExperimentConfig | None = None, **overrides) -> dict:
         seed=_derived_seed(config.seed, _TEST_INPUT_ROLE),
     )
     y_true = simulate(model, np.zeros(n), u_test.flat).flat
-    if config.mode == "explicit":
-        features = dict(basis=named_basis(config.basis))
-    else:
-        features = dict(kernel=KernelSpec("gaussian", sigma=config.sigma))
+    features = _features(SimProblem, config.mode, config.basis, config.sigma)
     res = dd_simulate(SimProblem(traj, L, u_test.flat, y_true[:n], config.mode, lam=config.lam, **features))
 
-    metrics = {
-        "config": _config_echo(config),
-        "converged": bool(res.converged),
-        "initial_objective": float(res.initial_objective),
-        "iterations": int(res.iterations),
-        "objective": float(res.objective),
-        "seed": config.seed,
-        "y_err_2": float(np.linalg.norm(res.y.flat - y_true)),
-    }
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_columns(out / "example2_outputs.csv", ["y_model", "y_data"], [y_true, res.y.flat])
-    _dump_json(metrics, out / "example2_metrics.json")
-    return metrics
+    metrics = _metrics(config, res, y_err_2=float(np.linalg.norm(res.y.flat - y_true)))
+    return _write_outputs(
+        config, "example2_metrics", metrics, example2_outputs=(["y_model", "y_data"], [y_true, res.y.flat])
+    )
 
 
 def run_sweep(config: ExperimentConfig | None = None, count: int = 10, **overrides) -> dict:
@@ -322,9 +336,7 @@ def run_sweep(config: ExperimentConfig | None = None, count: int = 10, **overrid
     """
     if count < 1:
         raise ConfigError(f"sweep needs count >= 1, got {count}")
-    if config is None:
-        config = ExperimentConfig() if overrides.get("model", "example1") == "example1" else example2_defaults()
-    config = replace(config, **overrides)
+    config = _with_overrides(config, overrides)
     runner = run_example1 if config.model == "example1" else run_example2
     per_seed = []
     for s in range(config.seed, config.seed + count):
@@ -339,7 +351,4 @@ def run_sweep(config: ExperimentConfig | None = None, count: int = 10, **overrid
     }
     if "u_err_2" in per_seed[0]:
         summary["median_u_err_2"] = float(np.median([m["u_err_2"] for m in per_seed]))
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _dump_json(summary, out / "sweep_metrics.json")
-    return summary
+    return _write_outputs(config, "sweep_metrics", summary)

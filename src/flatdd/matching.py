@@ -16,14 +16,14 @@ recoverable at all.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
 from .basis import KernelSpec, window_points
-from .errors import ConfigError, DimensionError
-from .signals import IoTrajectory, Signal, _check_finite, build_hankel
-from .solver import NormalEquationsProblem, nonlinear_solve
+from .errors import ConfigError
+from .signals import IoTrajectory, Signal, build_hankel
+from .solver import NonlinearResult, NormalEquationsProblem, nonlinear_solve
 from .window import WindowLayout, WindowProblem, explicit_solve, kernel_problem
 
 __all__ = ["MatchProblem", "MatchResult", "dd_match", "kernel_match_problem"]
@@ -44,10 +44,7 @@ class MatchProblem(WindowProblem):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        y_ref = np.asarray(self.y_ref, dtype=float).reshape(-1)
-        if y_ref.size != self.L:
-            raise DimensionError(f"reference has {y_ref.size} samples, expected L={self.L}")
-        _check_finite("reference sample y_ref", y_ref)
+        self._known_signal("y_ref", "reference", self.L, "L")
         if self.mode == "explicit" and self.basis.identity_index is None:
             raise ConfigError(
                 "matching needs the input itself among the basis functions "
@@ -58,21 +55,16 @@ class MatchProblem(WindowProblem):
                 "matching requires the gaussian_plus_linear kernel; a plain "
                 "gaussian leaves the input unrecoverable"
             )
-        object.__setattr__(self, "y_ref", y_ref)
 
 
 @dataclass(frozen=True)
-class MatchResult:
+class MatchResult(NonlinearResult):
     """Matching input u = H_{L-n}(u_data) alpha and solve diagnostics;
     ``initial_objective`` (never below ``objective``) is the objective at
     alpha = 0 in explicit mode, at the fit to the reference in kernel mode."""
 
+    _: KW_ONLY
     u: Signal
-    alpha: np.ndarray
-    objective: float
-    iterations: int
-    converged: bool
-    initial_objective: float = float("nan")
 
 
 def _layout(traj: IoTrajectory, L: int, y_ref: np.ndarray) -> WindowLayout:
@@ -119,5 +111,4 @@ def dd_match(prob: MatchProblem) -> MatchResult:
     else:
         layout = _layout(traj, L, prob.y_ref)
         U, res = layout.H, explicit_solve(prob, layout)
-    u = Signal(U @ res.alpha)
-    return MatchResult(u, res.alpha, res.objective, res.iterations, res.converged, res.initial_objective)
+    return MatchResult(**vars(res), u=Signal(U @ res.alpha))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .basis import BasisSet, build_psi_hankel, eval_psi_hat, psi_hat_signal, window_points
 from .errors import ConfigError, DimensionError, PersistencyWarning, SingularMatrixError
-from .signals import IoTrajectory, Signal, _check_finite, _memo, build_hankel, pe_check
+from .signals import IoTrajectory, Signal, _check_finite, _memo, as_signal, build_hankel, pe_check
 
 __all__ = [
     "MembershipVerdict",
@@ -80,11 +80,9 @@ def _pseudo_inverse(M: np.ndarray) -> np.ndarray:
     return (Vt[keep].T / s[keep]) @ U[:, keep].T
 
 
-def _warn_if_not_excited(
-    traj: IoTrajectory, basis: BasisSet, L: int, diagnostic: bool = False, stacklevel: int = 3
-) -> None:
+def _warn_if_not_excited(traj: IoTrajectory, basis: BasisSet, L: int, stacklevel: int = 3) -> None:
     """Warn unless the basis-function sequence of the data is persistently
-    exciting of order L.
+    exciting of order L, with the check's diagnostic when it gives one.
 
     The verdict is computed once per (basis, L) and kept on the
     trajectory; every call that finds it unsatisfied warns.  The warning
@@ -96,7 +94,7 @@ def _warn_if_not_excited(
         warnings.warn(
             f"basis-function sequence is not persistently exciting of order L={L} "
             f"(rank {pe.numerical_rank} of {basis.r * L})"
-            + (f": {pe.diagnostic}" if diagnostic and pe.diagnostic else ""),
+            + (f": {pe.diagnostic}" if pe.diagnostic else ""),
             PersistencyWarning,
             stacklevel=stacklevel,
         )
@@ -120,8 +118,7 @@ def lti_membership(
     informative.  A negative or non-finite ``tol`` raises ConfigError.
     """
     _check_tol(tol)
-    u = u if isinstance(u, Signal) else Signal(np.asarray(u, dtype=float))
-    y = y if isinstance(y, Signal) else Signal(np.asarray(y, dtype=float))
+    u, y = as_signal(u), as_signal(y)
     u_bar = np.asarray(u_bar, dtype=float).reshape(-1)
     y_bar = np.asarray(y_bar, dtype=float).reshape(-1)
     if u.length != y.length:
@@ -195,7 +192,7 @@ def flat_membership(
         )
     for name, values in (("u_bar", u_bar), ("y_bar", y_bar)):
         _check_finite(f"candidate sample {name}", values)
-    _warn_if_not_excited(traj, basis, L, diagnostic=True)
+    _warn_if_not_excited(traj, basis, L)
     M = flat_stack(traj, basis, L)
     P = _memo(traj, ("flat_pinv", basis, L), lambda: _pseudo_inverse(M))
     rhs = candidate_stack(basis, window_points(u_bar, y_bar, n), y_bar)

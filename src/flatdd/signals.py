@@ -5,7 +5,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 import scipy.linalg.lapack
@@ -231,19 +231,14 @@ def pe_check(z: Signal | np.ndarray, L: int) -> PeResult:
 #
 # Trajectory files: header "k,u,y", one row per output sample, u cells empty
 # for the final n rows, floats with 17 significant digits, LF line endings.
-# Signal files: header "k,<name>", used for bare input/reference sequences.
+# Signal files: header "k,<name>", used for bare input/reference sequences;
+# the experiment plot files and the trajectory files are the same format
+# with one column per name.
 # ---------------------------------------------------------------------------
 
 
 def write_trajectory(path: str | Path, traj: IoTrajectory) -> None:
-    u = traj.u.flat
-    y = traj.y.flat
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["k", "u", "y"])
-        for k in range(traj.N):
-            ucell = _FLOAT_FMT.format(u[k]) if k < u.size else ""
-            w.writerow([k, ucell, _FLOAT_FMT.format(y[k])])
+    write_signal_csv(path, ("u", "y"), (traj.u.flat, traj.y.flat))
 
 
 def _parse_cell(cell: str, row: int, col: str) -> float:
@@ -256,20 +251,21 @@ def _parse_cell(cell: str, row: int, col: str) -> float:
     return value
 
 
-def _read_rows(path: str | Path) -> list[list[str]]:
+def _read_rows(path: str | Path, what: str) -> list[list[str]]:
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            return list(csv.reader(fh))
+            rows = list(csv.reader(fh))
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
     except csv.Error as exc:
         raise ParseError(f"{path} is not a CSV file: {exc}") from None
+    if not rows:
+        raise ParseError(f"empty {what} file: {path}")
+    return rows
 
 
 def read_trajectory(path: str | Path) -> IoTrajectory:
-    rows = _read_rows(path)
-    if not rows:
-        raise ParseError(f"empty trajectory file: {path}")
+    rows = _read_rows(path, "trajectory")
     if [c.strip() for c in rows[0]] != ["k", "u", "y"]:
         raise FormatError(f"expected header 'k,u,y', got {rows[0]!r}")
     u_vals: list[float] = []
@@ -293,19 +289,21 @@ def read_trajectory(path: str | Path) -> IoTrajectory:
     return IoTrajectory.from_arrays(np.array(u_vals), np.array(y_vals), n_trailing_empty)
 
 
-def write_signal_csv(path: str | Path, name: str, values: np.ndarray) -> None:
-    values = np.asarray(values, dtype=float)
+def write_signal_csv(path: str | Path, name: str | Sequence[str], values) -> None:
+    """Write a signal file.  With a sequence of names, ``values`` holds one
+    sequence per name, each written as a column; a column shorter than the
+    longest leaves its last cells empty, as the input of a trajectory file."""
+    names, columns = ([name], [values]) if isinstance(name, str) else (name, values)
+    columns = [np.asarray(c, dtype=float) for c in columns]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["k", name])
-        for k, v in enumerate(values):
-            w.writerow([k, _FLOAT_FMT.format(v)])
+        w.writerow(["k", *names])
+        for k in range(max(c.size for c in columns)):
+            w.writerow([k, *(_FLOAT_FMT.format(c[k]) if k < c.size else "" for c in columns)])
 
 
 def read_signal_csv(path: str | Path) -> np.ndarray:
-    rows = _read_rows(path)
-    if not rows:
-        raise ParseError(f"empty signal file: {path}")
+    rows = _read_rows(path, "signal")
     header = [c.strip() for c in rows[0]]
     if len(header) != 2 or header[0] != "k":
         raise FormatError(f"expected header 'k,<name>', got {rows[0]!r}")

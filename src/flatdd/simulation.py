@@ -16,14 +16,13 @@ materializing any basis.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
 from .basis import KernelSpec, window_points
-from .errors import DimensionError
-from .signals import IoTrajectory, Signal, _check_finite, build_hankel
-from .solver import NormalEquationsProblem, nonlinear_solve
+from .signals import IoTrajectory, Signal, build_hankel
+from .solver import NonlinearResult, NormalEquationsProblem, nonlinear_solve
 from .window import WindowLayout, WindowProblem, explicit_solve, kernel_problem
 
 __all__ = ["SimProblem", "SimResult", "dd_simulate", "kernel_sim_problem"]
@@ -44,21 +43,12 @@ class SimProblem(WindowProblem):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        n = self.traj.n
-        u_new = np.asarray(self.u_new, dtype=float).reshape(-1)
-        y_init = np.asarray(self.y_init, dtype=float).reshape(-1)
-        if u_new.size != self.L - n:
-            raise DimensionError(f"new input has {u_new.size} samples, expected L-n={self.L - n}")
-        if y_init.size != n:
-            raise DimensionError(f"initial output has {y_init.size} samples, expected n={n}")
-        _check_finite("new input sample u_new", u_new)
-        _check_finite("initial output sample y_init", y_init)
-        object.__setattr__(self, "u_new", u_new)
-        object.__setattr__(self, "y_init", y_init)
+        self._known_signal("u_new", "new input", self.L - self.traj.n, "L-n")
+        self._known_signal("y_init", "initial output", self.traj.n, "n")
 
 
 @dataclass(frozen=True)
-class SimResult:
+class SimResult(NonlinearResult):
     """Simulated response y = H_L(y_data) alpha and solve diagnostics.
 
     ``initial_objective`` is the objective at the solver's starting point:
@@ -66,12 +56,8 @@ class SimResult:
     mode.  The solvers guarantee objective <= initial_objective.
     """
 
+    _: KW_ONLY
     y: Signal
-    alpha: np.ndarray
-    objective: float
-    iterations: int
-    converged: bool
-    initial_objective: float = float("nan")
 
 
 def _layout(traj: IoTrajectory, L: int, u_new: np.ndarray, y_init: np.ndarray) -> WindowLayout:
@@ -119,5 +105,4 @@ def dd_simulate(prob: SimProblem) -> SimResult:
     else:
         layout = _layout(traj, L, prob.u_new, prob.y_init)
         H_L_y, res = layout.H, explicit_solve(prob, layout)
-    y = Signal(H_L_y @ res.alpha)
-    return SimResult(y, res.alpha, res.objective, res.iterations, res.converged, res.initial_objective)
+    return SimResult(**vars(res), y=Signal(H_L_y @ res.alpha))

@@ -1,10 +1,14 @@
+import importlib
+import inspect
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from flatdd.cli import main
+from flatdd.basis import KernelSpec
+from flatdd.cli import build_parser, main
 from flatdd.errors import ConfigError
 from flatdd.experiments import (
     ExperimentConfig,
@@ -18,6 +22,7 @@ from flatdd.experiments import (
 )
 from flatdd.plant import collect_trajectory, example1_model
 from flatdd.signals import read_trajectory
+from flatdd.window import WindowProblem
 
 
 def test_config_round_trip(tmp_path):
@@ -299,3 +304,51 @@ def test_cli_nonfinite_data_cell(tmp_path, capsys):
     capsys.readouterr()
     assert main(["check-pe", "--data", str(tmp_path / "nan.csv"), "--order", "50"]) == 1
     assert "non-finite u cell at row 4" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "mode, pe_flags, short_order",
+    [("explicit", ["--basis", "example1-poly"], 100), ("kernel", [], 300)],
+)
+def test_cli_check_pe_prints_the_generate_verdict(tmp_path, capsys, mode, pe_flags, short_order):
+    manifest = run_generate(ExperimentConfig(seed=1, mode=mode, out_dir=str(tmp_path)))
+    verdict = manifest["persistency"]
+    data = ["check-pe", "--data", str(tmp_path / "example1_data.csv"), *pe_flags]
+    capsys.readouterr()
+    assert main(data + ["--order", str(verdict["order"])]) == 0
+    assert json.loads(capsys.readouterr().out) == {**verdict, "diagnostic": None}
+    # more Hankel rows than columns: no rank certificate, and the check says why
+    assert main(data + ["--order", str(short_order)]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert printed["kind"] == verdict["kind"] and printed["order_satisfied"] is False
+    assert "too short" in printed["diagnostic"]
+
+
+@pytest.mark.parametrize(
+    "signals", [["simulate", "--input", "u.csv", "--init", "y.csv"], ["match", "--reference", "y.csv"]]
+)
+def test_cli_solve_flag_defaults_are_the_field_defaults(signals):
+    args = vars(build_parser().parse_args([*signals, "--data", "d.csv"]))
+    defaults = {f.name: f.default for cls in (WindowProblem, KernelSpec) for f in fields(cls)}
+    for name in ("lam", "max_iter", "rel_tol", "sigma"):
+        assert args[name] == defaults[name], name
+
+
+def test_benchmark_layer_spans_name_public_functions():
+    # perfbench spans the functions in each traced layer's __all__; a per-layer
+    # metric <layer>.<fn>.s or .calls reads zero once fn is renamed or made private
+    traced = ("signals", "plant", "basis", "solver", "membership", "simulation", "matching", "experiments")
+    patched = {"solver.objective", "solver.polish"}  # methods and scipy, wrapped by name
+    bench = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    spans = set()
+    for metric in bench["per_layer"]:
+        span, _, unit = metric["name"].rpartition(".")
+        layer, _, fn = span.partition(".")
+        if layer in traced and fn and unit in ("s", "calls") and span not in patched:
+            spans.add((layer, fn))
+    assert ("simulation", "kernel_sim_problem") in spans and ("matching", "kernel_match_problem") in spans
+    for layer, fn in sorted(spans):
+        module = importlib.import_module(f"flatdd.{layer}")
+        value = getattr(module, fn, None)
+        assert inspect.isfunction(value) and value.__module__ == module.__name__, f"{layer}.{fn}"
+        assert fn in module.__all__, f"{layer}.{fn}"

@@ -204,3 +204,21 @@ def test_unexciting_data_warns(model, basis):
     traj = IoTrajectory.from_arrays(u, y.flat, 2)
     with pytest.warns(PersistencyWarning, match="not persistently exciting"):
         dd_match(MatchProblem(traj, 50, y.flat[20:70], "explicit", basis=basis, lam=0.1))
+
+
+def test_fresh_explicit_match_evaluates_psi_sequence_once(model, basis, monkeypatch):
+    # the excitation check and the data stack share one evaluation of Psi along the data
+    import flatdd.basis
+
+    traj = collect_trajectory(model, 500, (-0.5, 0.5), seed=3)
+    evaluated = []
+    eval_psi_hat = flatdd.basis.eval_psi_hat
+
+    def counting(basis_set, Z):
+        evaluated.append(len(Z))
+        return eval_psi_hat(basis_set, Z)
+
+    monkeypatch.setattr(flatdd.basis, "eval_psi_hat", counting)
+    y_ref = 0.5 * np.sin(2 * np.pi * np.arange(50) / 25)
+    dd_match(MatchProblem(traj, 50, y_ref, "explicit", basis=basis, lam=0.1))
+    assert evaluated.count(traj.N - traj.n) == 1
