@@ -23,7 +23,6 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from .errors import ConfigError, DivergenceError, SingularMatrixError
 from .errors import ConditioningWarning
@@ -317,6 +316,9 @@ def _whitened(prob: NormalEquationsProblem, R: np.ndarray):
 
 
 def _whitened_lbfgs(prob: NormalEquationsProblem, alpha0: np.ndarray) -> NonlinearResult:
+    # loaded on the first kernel solve only: explicit mode never needs it
+    import scipy.optimize
+
     # stacklevel 4 names the caller of nonlinear_solve
     R = _NormalOperator(prob.gram, prob.lam, stacklevel=4).R
     obj0 = prob.objective(alpha0)

@@ -166,20 +166,22 @@ def _slice_sum_gram(K: np.ndarray, depth: int, cols: int) -> np.ndarray:
     n = depth + cols - 1
     for i in range(1, n):
         K[i, 1:n] += K[i - 1, : n - 1]
-    # bottom row first: row depth-1+r is written only after row r-1 was read
-    for r in range(cols - 1, 0, -1):
-        K[depth - 1 + r, depth:n] -= K[r - 1, : cols - 1]
+    # row depth-1+r becomes P[depth-1+r] - P[r-1], for r in blocks of depth rows, bottom block
+    # first: a block writes rows that no later block reads, and reads none of the rows it writes
+    for hi in range(cols, 1, -depth):
+        lo = max(1, hi - depth)
+        K[depth - 1 + lo : depth - 1 + hi, depth:n] -= K[lo - 1 : hi - 1, : cols - 1]
     return K[depth - 1 : n, depth - 1 : n]
 
 
 def _band(A: np.ndarray, cols: int) -> np.ndarray:
-    """View V[k, j] = A[k, k+j] of an m x (m+cols-1) array; writes go through.
+    """View V[k, j] = A[k, k+j] of a C-contiguous m x (m+cols-1) array; writes go through.
 
     Candidate point k meets data point k+j in column j of the feature
     Hankel matrix, so V holds the pairs that enter the objective.
     """
     s0, s1 = A.strides
-    return np.lib.stride_tricks.as_strided(A, (A.shape[0], cols), (s0 + s1, s1))
+    return np.ndarray((A.shape[0], cols), A.dtype, A, 0, (s0 + s1, s1))
 
 
 def kernel_problem(
@@ -197,6 +199,10 @@ def kernel_problem(
     through H'.  The starting point alpha0 is the ridge fit of the fixed
     rows B = H_L(y)[:len(b)] to b.
     """
+    # the solve's optimizer, loaded before the data kernel block exists so
+    # that its memory does not add to the peak that block sets
+    import scipy.optimize  # noqa: F401
+
     m, b = layout.Z0.shape[0], layout.b
     B = build_hankel(traj.y, m + traj.n).entries[: b.size]
     cols = B.shape[1]

@@ -137,6 +137,16 @@ def test_slice_sum_gram_matches_naive_sum(depth, cols, extra):
     assert G.shape == (cols, cols)
     assert np.shares_memory(G, work)  # computed in the block's memory
     assert np.abs(G - naive).max() <= 1e-12 * np.abs(naive).max()
+    # bit for bit the diagonal prefix sums P and, row by row, P[i+depth-1, j+depth-1] - P[i-1, j-1]
+    n = depth + cols - 1
+    P = K.copy()
+    for i in range(1, n):
+        P[i, 1:n] += P[i - 1, : n - 1]
+    rows = [P[depth - 1, depth - 1 : n]] + [
+        np.concatenate([P[depth - 1 + r, depth - 1 : depth], P[depth - 1 + r, depth:n] - P[r - 1, : cols - 1]])
+        for r in range(1, cols)
+    ]
+    assert np.array_equal(G, np.stack(rows))
 
 
 def test_kernel_with_finite_basis_product_matches_explicit(ex1_basis, monkeypatch):
