@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Literal
 
 import numpy as np
+import scipy.linalg.blas
 
 from .errors import ConfigError, DimensionError, EvaluationError
 from .signals import HankelMatrix, IoTrajectory, Signal, _memo, build_hankel
@@ -209,16 +210,19 @@ def kernel_eval(spec: KernelSpec, Z1: np.ndarray, Z2: np.ndarray) -> np.ndarray:
     Z2 = np.atleast_2d(np.asarray(Z2, dtype=float))
     if Z1.shape[1] != Z2.shape[1]:
         raise EvaluationError(f"point widths differ: {Z1.shape[1]} vs {Z2.shape[1]}")
-    # squared distances |z1|^2 + |z2|^2 - 2 z1.z2, built and exponentiated in place
-    K = Z1 @ Z2.T
-    K *= -2.0
-    K += np.einsum("ij,ij->i", Z1, Z1)[:, None]
-    K += np.einsum("ij,ij->i", Z2, Z2)[None, :]
-    np.maximum(K, 0.0, out=K)
-    K *= -1.0 / (2.0 * spec.sigma**2)
+    # the exponent -s |z1 - z2|^2 = 2s z1.z2 - s|z2|^2 - s|z1|^2, s = 1/(2 sigma^2), is one
+    # product of the rows [z1, 1, -s|z1|^2] and [2s z2, -s|z2|^2, 1], clamped and exponentiated
+    # in place; a distance that rounds below zero is clamped, so no Gaussian value exceeds 1
+    s = 1.0 / (2.0 * spec.sigma**2)
+    sq1, sq2 = (-s * np.einsum("ij,ij->i", Z, Z) for Z in (Z1, Z2))
+    left = np.column_stack([Z1, np.ones_like(sq1), sq1])
+    right = np.column_stack([2.0 * s * Z2, sq2, np.ones_like(sq2)])
+    K = left @ right.T
+    np.minimum(K, 0.0, out=K)
     np.exp(K, out=K)
-    if spec.kind == "gaussian_plus_linear":
-        K += np.outer(Z1[:, 0], Z2[:, 0])
+    if spec.kind == "gaussian_plus_linear" and K.size:
+        # K += u1 u2' as a rank-one update of K's own memory (K' is Fortran-ordered)
+        scipy.linalg.blas.dger(1.0, Z2[:, 0], Z1[:, 0], a=K.T, overwrite_a=1)
     return K
 
 

@@ -15,9 +15,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import BasisSet, build_psi_hankel, eval_psi_hat, psi_hat_signal, window_points
+from .basis import BasisSet, eval_psi_hat, psi_hat_signal, window_points
 from .errors import ConfigError, DimensionError, PersistencyWarning, SingularMatrixError
 from .signals import IoTrajectory, Signal, _check_finite, _memo, as_signal, build_hankel, pe_check
+from .signals import _hankel_cols, _write_hankel
 
 __all__ = [
     "MembershipVerdict",
@@ -143,15 +144,21 @@ def lti_membership(
 def flat_stack(traj: IoTrajectory, basis: BasisSet, L: int) -> np.ndarray:
     """The stacked data matrix [H_{L-n}(Psi); H_L(y)], shape
     (r(L-n) + L) x (N-L+1).  A window problem that fixes the first l
-    outputs keeps its first r(L-n) + l rows.  Built once per (basis, L)
-    and kept on ``traj``, read-only."""
-    M = _memo(
-        traj,
-        ("flat_stack", basis, L),
-        lambda: np.vstack([build_psi_hankel(traj, basis, L).entries, build_hankel(traj.y, L).entries]),
-    )
-    M.setflags(write=False)
-    return M
+    outputs keeps its first r(L-n) + l rows.  Built once per (basis, L),
+    both blocks written straight into one array, and kept on ``traj``,
+    read-only."""
+
+    def build() -> np.ndarray:
+        if L <= traj.n:
+            raise ConfigError(f"window length L={L} must exceed order n={traj.n}")
+        psi, top = psi_hat_signal(traj, basis), basis.r * (L - traj.n)
+        M = np.empty((top + L, _hankel_cols(traj.y, L)))
+        _write_hankel(M[:top], psi, L - traj.n)
+        _write_hankel(M[top:], traj.y, L)
+        M.setflags(write=False)
+        return M
+
+    return _memo(traj, ("flat_stack", basis, L), build)
 
 
 def candidate_stack(basis: BasisSet, Z: np.ndarray, b: np.ndarray) -> np.ndarray:

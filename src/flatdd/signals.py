@@ -160,6 +160,15 @@ class HankelMatrix:
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", _freeze(self.entries))
 
+    @classmethod
+    def _over(cls, entries: np.ndarray, depth: int, sigma: int, source_length: int) -> "HankelMatrix":
+        """The matrix over ``entries``, a float array that no caller holds:
+        frozen in place instead of copied."""
+        entries.setflags(write=False)
+        out = cls.__new__(cls)
+        out.__dict__.update(entries=entries, depth=depth, sigma=sigma, source_length=source_length)
+        return out
+
     @property
     def cols(self) -> int:
         return self.entries.shape[1]
@@ -169,17 +178,26 @@ class HankelMatrix:
         return self.entries[i * self.sigma : (i + 1) * self.sigma, j]
 
 
+def _hankel_cols(z: Signal, L: int) -> int:
+    """Column count of the depth-L Hankel matrix of z; a depth outside 1..N raises."""
+    if not (1 <= L <= z.length):
+        raise DimensionError(f"Hankel depth L={L} out of range for sequence length N={z.length}")
+    return z.length - L + 1
+
+
+def _write_hankel(out: np.ndarray, z: Signal, L: int) -> None:
+    """Write the depth-L Hankel matrix of z into ``out``, an array of that matrix's shape."""
+    cols = out.shape[1]
+    for i in range(L):
+        out[i * z.sigma : (i + 1) * z.sigma, :] = z.values[i : i + cols, :].T
+
+
 def build_hankel(z: Signal | np.ndarray, L: int) -> HankelMatrix:
     """Hankel matrix of depth L whose column j stacks z_j ... z_{j+L-1}."""
     z = as_signal(z)
-    N = z.length
-    if not (1 <= L <= N):
-        raise DimensionError(f"Hankel depth L={L} out of range for sequence length N={N}")
-    cols = N - L + 1
-    H = np.empty((z.sigma * L, cols))
-    for i in range(L):
-        H[i * z.sigma : (i + 1) * z.sigma, :] = z.values[i : i + cols, :].T
-    return HankelMatrix(H, depth=L, sigma=z.sigma, source_length=N)
+    H = np.empty((z.sigma * L, _hankel_cols(z, L)))
+    _write_hankel(H, z, L)
+    return HankelMatrix._over(H, depth=L, sigma=z.sigma, source_length=z.length)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -77,7 +77,9 @@ class _RidgeOperator:
         self._gram = None
         if lam > 0.0:
             self._wide = A.shape[0] < A.shape[1]
-            self._gram = _NormalOperator(A @ A.T if self._wide else A.T @ A, lam, stacklevel + 1)
+            gram = A @ A.T if self._wide else A.T @ A
+            # the fresh product is the operator's own: factored in its memory
+            self._gram = _NormalOperator(gram, lam, stacklevel + 1, overwrite_g=True)
             return
         try:
             U, s, Vt = np.linalg.svd(A, full_matrices=False)
@@ -137,8 +139,9 @@ class NonlinearResidualProblem:
     """minimize over alpha:  |A alpha - rhs(alpha)|^2 + lam |alpha|^2
 
     The data block A is fixed; only the right-hand side moves with alpha.
-    ``jacobian``, when given, returns C = d rhs/d alpha at alpha as a new
-    array of A's shape, whose memory the solver reuses; without it,
+    ``jacobian``, when given, returns C = d rhs/d alpha at alpha as an
+    array of A's shape, whose memory the solver reuses until the next
+    call, so it may return the same array every time; without it,
     central differences of ``rhs`` stand in at two calls per coordinate.
     """
 
@@ -176,9 +179,16 @@ class NormalEquationsProblem:
     grad offset(alpha) - 2 (d cross/d alpha)' alpha in one pass; the exact
     gradient of the objective is 2 (gram + lam I) alpha - 2 cross(alpha)
     + coupling.
+
+    The first solve factors gram + lam I = R'R (Cholesky) and the problem
+    keeps R; later evaluations take alpha'(gram + lam I) alpha as |R alpha|^2.
+    A caller's ``gram`` is copied for the factor and never written.  A
+    problem that ``window.kernel_problem`` builds over a Gram of its own
+    factors that Gram in its memory instead, after which ``gram`` raises
+    AttributeError.
     """
 
-    gram: np.ndarray
+    gram: np.ndarray = field(repr=False)
     terms: Callable[[np.ndarray], tuple[np.ndarray, float, np.ndarray]]
     lam: float
     max_iter: int = 500
@@ -190,10 +200,37 @@ class NormalEquationsProblem:
             raise ConfigError(f"gram matrix must be square, got shape {G.shape}")
         _check_controls(self.lam, self.max_iter, self.rel_tol)
         object.__setattr__(self, "gram", G)
+        object.__setattr__(self, "_R", None)
+        object.__setattr__(self, "_own_gram", False)
+
+    @classmethod
+    def _over_own_gram(cls, gram: np.ndarray, terms, lam: float, **controls) -> "NormalEquationsProblem":
+        """A problem over ``gram``, a symmetric array that no caller holds:
+        the first solve factors it in its own memory."""
+        prob = cls(gram, terms, lam, **controls)
+        object.__setattr__(prob, "_own_gram", True)
+        return prob
+
+    def __getattr__(self, name: str):
+        # reached for ``gram`` only once a solve has factored the problem's own Gram in its memory
+        if name == "gram":
+            raise AttributeError("the Gram matrix was factored in its own memory by the first solve")
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    def _factor(self, stacklevel: int = 3) -> np.ndarray:
+        """R, upper triangular with R'R = gram + lam I, computed on the first
+        call (whose warnings go ``stacklevel`` frames up) and kept."""
+        if self._R is None:
+            G = self.gram
+            if self._own_gram:
+                object.__delattr__(self, "gram")  # its memory becomes the factor's, or is spoilt by a failure
+            R = _NormalOperator(G, self.lam, stacklevel + 1, overwrite_g=self._own_gram).R
+            object.__setattr__(self, "_R", R)
+        return self._R
 
     @property
     def dim(self) -> int:
-        return self.gram.shape[0]
+        return (self.gram if self._R is None else self._R).shape[0]
 
     def objective(self, alpha: np.ndarray) -> float:
         return self.value_and_grad(alpha)[0]
@@ -201,9 +238,13 @@ class NormalEquationsProblem:
     def value_and_grad(self, alpha: np.ndarray) -> tuple[float, np.ndarray]:
         """The objective and its exact gradient."""
         c, off, coupling = self.terms(alpha)
-        G_alpha = self.gram @ alpha
-        value = float(alpha @ G_alpha) - 2.0 * float(c @ alpha) + float(off) + self.lam * float(alpha @ alpha)
-        return value, 2.0 * (G_alpha + self.lam * alpha - c) + coupling
+        if self._R is None:
+            G_alpha = self.gram @ alpha + self.lam * alpha
+            quad = float(alpha @ G_alpha)
+        else:
+            R_alpha = self._R @ alpha
+            G_alpha, quad = self._R.T @ R_alpha, float(R_alpha @ R_alpha)
+        return quad - 2.0 * float(c @ alpha) + float(off), 2.0 * (G_alpha - c) + coupling
 
 
 @dataclass(frozen=True)
@@ -219,16 +260,21 @@ class _NormalOperator:
     """Cholesky solver for (G + lam I) x = c, reusable across c.
 
     ``R`` is the upper-triangular factor, R'R = G + lam I, computed in
-    place in one Fortran-order copy of G.  Conditioning is LAPACK's
-    1-norm estimate (``dpocon``, Higham 1988) from R, so no spectrum is
+    place in one Fortran-order copy of G; with ``overwrite_g``, for a
+    symmetric G that no caller holds, in G's own memory (a C-ordered G is
+    its own Fortran-ordered transpose).  Conditioning is LAPACK's 1-norm
+    estimate (``dpocon``, Higham 1988) from R, so no spectrum is
     computed.  A failed factorization, or a reciprocal condition number
     below machine epsilon (singular to working precision, as in LAPACK's
     ``?posvx``; a non-finite G ends in one of the two), is singular; a
     condition number above the limit warns, ``stacklevel`` frames up.
     """
 
-    def __init__(self, G: np.ndarray, lam: float, stacklevel: int = 3):
-        M = np.array(G, dtype=float, order="F")
+    def __init__(self, G: np.ndarray, lam: float, stacklevel: int = 3, overwrite_g: bool = False):
+        if overwrite_g:
+            M = G if G.flags.f_contiguous else G.T
+        else:
+            M = np.array(G, dtype=float, order="F")
         M.flat[:: M.shape[0] + 1] += lam
         anorm = scipy.linalg.lapack.dlange("1", M)
         if lam == 0.0:
@@ -320,7 +366,7 @@ def _whitened_lbfgs(prob: NormalEquationsProblem, alpha0: np.ndarray) -> Nonline
     import scipy.optimize
 
     # stacklevel 4 names the caller of nonlinear_solve
-    R = _NormalOperator(prob.gram, prob.lam, stacklevel=4).R
+    R = prob._factor(stacklevel=4)
     obj0 = prob.objective(alpha0)
     if not np.isfinite(obj0):
         raise DivergenceError("objective is not finite at alpha0")

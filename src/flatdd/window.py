@@ -41,6 +41,8 @@ from .solver import (
 
 __all__ = ["WindowProblem", "WindowLayout", "explicit_solve", "kernel_problem"]
 
+_ROW_BLOCK = 64  # rows per step where a Gram-sized array is rewritten in place
+
 
 @dataclass(frozen=True)
 class WindowProblem:
@@ -145,9 +147,11 @@ def explicit_solve(prob: WindowProblem, layout: WindowLayout) -> NonlinearResult
     def rhs(alpha: np.ndarray) -> np.ndarray:
         return candidate_stack(basis, layout.points(alpha), layout.b)
 
+    C = np.empty(A.shape)  # one buffer for every step: the solver overwrites it with J = A - C
+
     def jacobian(alpha: np.ndarray) -> np.ndarray:
         # row k*r + i of the psi rows: sum over moved c of dpsi_i/dz_c at point k times its moving row
-        C = np.zeros(A.shape)
+        C[psi_rows:] = 0.0
         slope = psi_jacobian(basis, layout.points(alpha), coords)
         np.einsum("kic,ckp->kip", slope, moving, out=C[:psi_rows].reshape(-1, basis.r, A.shape[1]))
         return C
@@ -158,10 +162,12 @@ def explicit_solve(prob: WindowProblem, layout: WindowLayout) -> NonlinearResult
 def _slice_sum_gram(K: np.ndarray, depth: int, cols: int) -> np.ndarray:
     """sum_k K[k:k+cols, k:k+cols] for k = 0..depth-1, computed in K's memory.
 
-    K is overwritten with its prefix sums along diagonals,
+    K, C-contiguous, is overwritten with its prefix sums along diagonals,
     P[i, j] = sum_t K[i-t, j-t], so each depth-long diagonal run is one
-    difference P[i+depth-1, j+depth-1] - P[i-1, j-1].  The result is a
-    view into K; no second matrix of K's size is made.
+    difference P[i+depth-1, j+depth-1] - P[i-1, j-1].  The result is then
+    moved to the head of K's buffer and returned as a C-contiguous view of
+    it, which LAPACK can factor in place; no second matrix of K's size is
+    made.
     """
     n = depth + cols - 1
     for i in range(1, n):
@@ -171,7 +177,13 @@ def _slice_sum_gram(K: np.ndarray, depth: int, cols: int) -> np.ndarray:
     for hi in range(cols, 1, -depth):
         lo = max(1, hi - depth)
         K[depth - 1 + lo : depth - 1 + hi, depth:n] -= K[lo - 1 : hi - 1, : cols - 1]
-    return K[depth - 1 : n, depth - 1 : n]
+    # row r moves from K[depth-1+r, depth-1:n] to flat entries r*cols...: a block of rows ends
+    # before any later block starts, so no row is overwritten before it moves (numpy buffers a
+    # block that overlaps its own source)
+    G, result = K.reshape(-1)[: cols * cols].reshape(cols, cols), K[depth - 1 : n, depth - 1 : n]
+    for lo in range(0, cols, _ROW_BLOCK):
+        G[lo : lo + _ROW_BLOCK] = result[lo : lo + _ROW_BLOCK]
+    return G
 
 
 def _band(A: np.ndarray, cols: int) -> np.ndarray:
@@ -197,7 +209,9 @@ def kernel_problem(
     candidate point k at ``layout.points(alpha)``.  The problem carries
     the exact gradient of its objective, whose coupling term reaches alpha
     through H'.  The starting point alpha0 is the ridge fit of the fixed
-    rows B = H_L(y)[:len(b)] to b.
+    rows B = H_L(y)[:len(b)] to b.  The Gram is built in the memory of the
+    data kernel block and belongs to the problem, whose first solve
+    factors it there.
     """
     # the solve's optimizer, loaded before the data kernel block exists so
     # that its memory does not add to the peak that block sets
@@ -207,16 +221,18 @@ def kernel_problem(
     B = build_hankel(traj.y, m + traj.n).entries[: b.size]
     cols = B.shape[1]
     Z_data = window_points(traj.u.flat, traj.y.flat, traj.n)
+    # B'B is added in row blocks: no Gram-sized product is made
     gram = _slice_sum_gram(kernel_eval(kernel, Z_data, Z_data), m, cols)
-    gram += B.T @ B
+    for lo in range(0, cols, _ROW_BLOCK):
+        gram[lo : lo + _ROW_BLOCK] += B[:, lo : lo + _ROW_BLOCK].T @ B
     const_cross = B.T @ b
     b_sq = float(b @ b)
+    W = np.zeros((m, len(Z_data)))  # the band weights; only the band is ever written
 
     def terms(alpha: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
         Z_bar = layout.points(alpha)
         K = kernel_eval(kernel, Z_bar, Z_data)
         diag, diag_grad = kernel_diag(kernel, Z_bar)
-        W = np.zeros_like(K)
         _band(W, cols)[:] = alpha
         point_grad = diag_grad - 2.0 * kernel_grad(kernel, Z_bar, Z_data, K, W)
         v = np.zeros(layout.H.shape[0])  # point gradients, on the rows of H that moved them
@@ -224,4 +240,5 @@ def kernel_problem(
             v[first : first + m] += point_grad[:, c]
         return _band(K, cols).sum(axis=0) + const_cross, float(diag.sum()) + b_sq, layout.H.T @ v
 
-    return NormalEquationsProblem(gram, terms, lam, **controls), ridge_solve(RidgeProblem(B, b, lam))
+    prob = NormalEquationsProblem._over_own_gram(gram, terms, lam, **controls)
+    return prob, ridge_solve(RidgeProblem(B, b, lam))

@@ -155,6 +155,22 @@ def test_linear_term_adds_input_product():
     )
 
 
+@pytest.mark.parametrize("kind", ["gaussian", "gaussian_plus_linear"])
+def test_kernel_eval_matches_broadcast_reference(kind):
+    rng = np.random.default_rng(21)
+    Z2 = rng.normal(scale=1.5, size=(40, 3))
+    Z1 = np.vstack([Z2[:10], rng.normal(scale=1.5, size=(15, 3))])  # ten points coincide with data points
+    sigma = 0.7
+    gauss = np.exp(-((Z1[:, None, :] - Z2[None, :, :]) ** 2).sum(axis=2) / (2.0 * sigma**2))
+    linear = np.outer(Z1[:, 0], Z2[:, 0]) if kind == "gaussian_plus_linear" else 0.0
+    K = kernel_eval(KernelSpec(kind, sigma), Z1, Z2)
+    assert np.abs(K - (gauss + linear)).max() <= 1e-13
+    # far from the origin the distance of coincident points rounds to either side of 0; it is
+    # clamped, so no Gaussian value exceeds 1
+    far = Z2 + 40.0
+    assert kernel_eval(KernelSpec("gaussian", sigma), far, far).max() <= 1.0
+
+
 def test_kernel_spec_validation():
     with pytest.raises(ConfigError):
         KernelSpec("cubic")

@@ -48,6 +48,11 @@ def test_hankel_entries_read_only():
     H = build_hankel(np.arange(5.0), 2)
     with pytest.raises(ValueError):
         H.entries[0, 0] = 9.0
+    # a matrix over a caller's array freezes a copy and leaves the caller's array writable
+    mine = np.array([[0.0, 1.0, 2.0], [1.0, 2.0, 3.0]])
+    M = HankelMatrix(mine, depth=2, sigma=1, source_length=4)
+    mine[0, 0] = 9.0
+    assert M.entries[0, 0] == 0.0 and not M.entries.flags.writeable
 
 
 def test_signal_window():

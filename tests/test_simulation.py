@@ -3,10 +3,18 @@ import pytest
 from numpy.testing import assert_allclose
 
 import flatdd.window
-from flatdd.basis import KernelSpec, build_psi_hankel, eval_psi_hat, named_basis, psi_jacobian, window_points
+from flatdd.basis import (
+    KernelSpec,
+    build_psi_hankel,
+    eval_psi_hat,
+    kernel_eval,
+    named_basis,
+    psi_jacobian,
+    window_points,
+)
 from flatdd.errors import ConfigError, DataLengthWarning, DimensionError
 from flatdd.experiments import ExperimentConfig, _collect
-from flatdd.matching import MatchProblem, dd_match
+from flatdd.matching import MatchProblem, dd_match, kernel_match_problem
 from flatdd.membership import flat_membership
 from flatdd.plant import (
     FlatModel,
@@ -147,6 +155,26 @@ def test_slice_sum_gram_matches_naive_sum(depth, cols, extra):
         for r in range(1, cols)
     ]
     assert np.array_equal(G, np.stack(rows))
+
+
+@pytest.mark.parametrize("task", ["simulation", "matching"])
+def test_kernel_problem_gram_matches_naive_sum(task):
+    # the Gram is summed, moved and topped up with B'B inside the data kernel block's memory
+    traj = collect_trajectory(example1_model(), 150, (-0.5, 0.5), seed=12)
+    L, n = 20, traj.n
+    if task == "simulation":
+        spec, b = KernelSpec("gaussian", 0.8), np.array([0.1, -0.2])
+        prob, _, _ = kernel_sim_problem(traj, L, np.zeros(L - n), b, spec, 0.1)
+    else:
+        spec, b = KernelSpec("gaussian_plus_linear", 1.0), np.sin(np.arange(L) / 3.0)
+        prob, _, _ = kernel_match_problem(traj, L, b, spec, 0.1)
+    Z_data = window_points(traj.u.flat, traj.y.flat, n)
+    K = kernel_eval(spec, Z_data, Z_data)
+    B = build_hankel(traj.y, L).entries[: b.size]
+    cols = B.shape[1]
+    naive = sum(K[k : k + cols, k : k + cols] for k in range(L - n)) + B.T @ B
+    assert prob.gram.flags.c_contiguous
+    assert np.abs(prob.gram - naive).max() <= 1e-12 * np.abs(naive).max()
 
 
 def test_kernel_with_finite_basis_product_matches_explicit(ex1_basis, monkeypatch):

@@ -255,6 +255,36 @@ def test_gram_factor_makes_one_copy():
     assert peak <= 1.1 * G.nbytes
 
 
+def test_kernel_solve_factors_its_gram_in_the_data_block():
+    # the Gram is summed and factored in the data kernel block's memory: no Gram-sized copy
+    config = example2_defaults(seed=5)
+    u = np.random.default_rng(6).uniform(-1.0, 1.0, config.horizon - 2)
+    traj = _collect(config, example2_model())
+    tracemalloc.start()
+    try:
+        prob, _, alpha0 = kernel_sim_problem(
+            traj, config.horizon, u, np.zeros(2), KernelSpec("gaussian", config.sigma), config.lam
+        )
+        res = nonlinear_solve(prob, alpha0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.4 * traj.u.length**2 * 8  # the 748 x 748 block of the data points
+    # the factor has taken the Gram's place: gram no longer reads, the objective still evaluates
+    with pytest.raises(AttributeError, match="factored"):
+        prob.gram
+    assert_allclose(prob.objective(res.alpha), res.objective, rtol=1e-10)
+
+
+def test_hand_built_gram_is_not_written():
+    M = np.random.default_rng(4).normal(size=(30, 30))
+    G = M @ M.T
+    before = G.copy()
+    prob = NormalEquationsProblem(G, lambda a: (np.ones(30), 0.0, np.zeros(30)), 0.1)
+    nonlinear_solve(prob, np.zeros(30))
+    assert prob.gram is G and np.array_equal(G, before)
+
+
 @pytest.mark.parametrize("radius", [0.0, 0.5])
 def test_gram_solve_survives_nonfinite_region(radius):
     # the objective is NaN farther than radius from alpha0; L-BFGS-B sees
