@@ -1,0 +1,79 @@
+#!/usr/bin/env python3
+"""Print one SHA-256 digest per group of flatdd outputs.
+
+A change meant to leave every number as it was can be checked by running
+this script against two checkouts and comparing what it prints:
+
+    PYTHONPATH=<old checkout>/src python scripts/output_digest.py
+    PYTHONPATH=<new checkout>/src python scripts/output_digest.py
+
+Groups:
+  example1-explicit  every file run_example1 writes, data seeds 5-29
+  example1-kernel    the same in kernel mode
+  example2           every file run_example2 writes, data seeds 5-29
+  flat-membership    alpha, residual and verdict of flat_membership on
+                     ten fixed windows, five members and five non-members
+
+The runs write into a temporary directory that is removed afterwards.
+The whole run takes a few seconds with one BLAS thread.  Digests are
+only comparable between runs with the same BLAS build and thread count.
+"""
+
+import hashlib
+import os
+import tempfile
+from pathlib import Path
+
+# One BLAS thread unless the environment already sets one: threaded BLAS
+# may sum in another order and change the last bits.  Set before numpy loads.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+
+from flatdd.basis import named_basis  # noqa: E402
+from flatdd.experiments import run_example1, run_example2  # noqa: E402
+from flatdd.membership import flat_membership  # noqa: E402
+from flatdd.plant import collect_trajectory, example1_model  # noqa: E402
+
+SEEDS = range(5, 30)
+
+
+def _tree_digest(root: Path) -> str:
+    """Digest of every file under ``root``: its relative path and bytes, in path order."""
+    h = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        h.update(path.relative_to(root).as_posix().encode() + b"\0")
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+def _experiment_digest(runner, **options) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in SEEDS:
+            runner(seed=seed, out_dir=str(Path(tmp) / f"seed_{seed:03d}"), **options)
+        return _tree_digest(Path(tmp))
+
+
+def _membership_digest() -> str:
+    traj = collect_trajectory(example1_model(), 500, (-0.5, 0.5), seed=5)
+    other = collect_trajectory(example1_model(), 500, (-0.5, 0.5), seed=6)
+    basis = named_basis("example1-poly")
+    h = hashlib.sha256()
+    for k in (0, 90, 180, 270, 450):
+        u, y = other.u.flat[k : k + 48], other.y.flat[k : k + 50]
+        for y_bar in (y, y + 0.1 * (1.0 + np.abs(y))):
+            v = flat_membership(traj, basis, 50, u, y_bar)
+            h.update(v.alpha.tobytes() + repr((v.residual, v.is_member)).encode())
+    return h.hexdigest()
+
+
+def main() -> None:
+    print(f"example1-explicit  {_experiment_digest(run_example1)}")
+    print(f"example1-kernel    {_experiment_digest(run_example1, mode='kernel')}")
+    print(f"example2           {_experiment_digest(run_example2)}")
+    print(f"flat-membership    {_membership_digest()}")
+
+
+if __name__ == "__main__":
+    main()

@@ -318,9 +318,9 @@ def run_example2(config: ExperimentConfig | None = None, **overrides) -> dict:
         (config.input_lo, config.input_hi),
         seed=_derived_seed(config.seed, _TEST_INPUT_ROLE),
     )
-    y_true = simulate(model, np.zeros(n), u_test.flat).flat
+    y_true = simulate(model, np.zeros(n), u_test).flat
     features = _features(SimProblem, config.mode, config.basis, config.sigma)
-    res = dd_simulate(SimProblem(traj, L, u_test.flat, y_true[:n], config.mode, lam=config.lam, **features))
+    res = dd_simulate(SimProblem(traj, L, u_test, y_true[:n], config.mode, lam=config.lam, **features))
 
     metrics = _metrics(config, res, y_err_2=float(np.linalg.norm(res.y.flat - y_true)))
     return _write_outputs(

@@ -17,7 +17,7 @@ import numpy as np
 
 from .basis import BasisSet, eval_psi_hat, psi_hat_signal, window_points
 from .errors import ConfigError, DimensionError, PersistencyWarning, SingularMatrixError
-from .signals import IoTrajectory, Signal, _check_finite, _memo, as_signal, build_hankel, pe_check
+from .signals import IoTrajectory, PeResult, Signal, _known_samples, _memo, as_signal, build_hankel, pe_check
 from .signals import _hankel_cols, _write_hankel
 
 __all__ = [
@@ -81,9 +81,23 @@ def _pseudo_inverse(M: np.ndarray) -> np.ndarray:
     return (Vt[keep].T / s[keep]) @ U[:, keep].T
 
 
+def _warn_unless_excited(pe: PeResult, what: str, order: str, full: int, stacklevel: int) -> None:
+    """Warn that ``what`` is not persistently exciting of ``order`` unless
+    ``pe`` says it is, with the rank reached of the ``full`` one needed and
+    the check's diagnostic when it gives one.  The warning goes
+    ``stacklevel`` frames up, counted from this function."""
+    if not pe.order_satisfied:
+        warnings.warn(
+            f"{what} is not persistently exciting of order {order} (rank {pe.numerical_rank} of {full})"
+            + (f": {pe.diagnostic}" if pe.diagnostic else ""),
+            PersistencyWarning,
+            stacklevel=stacklevel,
+        )
+
+
 def _warn_if_not_excited(traj: IoTrajectory, basis: BasisSet, L: int, stacklevel: int = 3) -> None:
     """Warn unless the basis-function sequence of the data is persistently
-    exciting of order L, with the check's diagnostic when it gives one.
+    exciting of order L.
 
     The verdict is computed once per (basis, L) and kept on the
     trajectory; every call that finds it unsatisfied warns.  The warning
@@ -91,14 +105,7 @@ def _warn_if_not_excited(traj: IoTrajectory, basis: BasisSet, L: int, stacklevel
     that asked.
     """
     pe = _memo(traj, ("pe", basis, L), lambda: pe_check(psi_hat_signal(traj, basis), L))
-    if not pe.order_satisfied:
-        warnings.warn(
-            f"basis-function sequence is not persistently exciting of order L={L} "
-            f"(rank {pe.numerical_rank} of {basis.r * L})"
-            + (f": {pe.diagnostic}" if pe.diagnostic else ""),
-            PersistencyWarning,
-            stacklevel=stacklevel,
-        )
+    _warn_unless_excited(pe, "basis-function sequence", f"L={L}", basis.r * L, stacklevel + 1)
 
 
 def lti_membership(
@@ -116,29 +123,18 @@ def lti_membership(
     minimum-norm least-squares alpha.  The data input must be
     persistently exciting of order L + n for the span to be complete; a
     violation is reported as a warning since the residual remains
-    informative.  A negative or non-finite ``tol`` raises ConfigError.
+    informative.  Non-finite data or candidate samples and a negative or
+    non-finite ``tol`` raise ConfigError.
     """
     _check_tol(tol)
-    u, y = as_signal(u), as_signal(y)
-    u_bar = np.asarray(u_bar, dtype=float).reshape(-1)
-    y_bar = np.asarray(y_bar, dtype=float).reshape(-1)
-    if u.length != y.length:
-        raise DimensionError(f"data lengths differ: {u.length} inputs, {y.length} outputs")
-    if u_bar.size != L or y_bar.size != L:
-        raise DimensionError(
-            f"candidate lengths ({u_bar.size}, {y_bar.size}) must both equal L={L}"
-        )
-    pe = pe_check(u, L + n)
-    if not pe.order_satisfied:
-        warnings.warn(
-            f"data input is not persistently exciting of order L+n={L + n} "
-            f"(rank {pe.numerical_rank})",
-            PersistencyWarning,
-            stacklevel=2,
-        )
+    u = _known_samples(as_signal(u).flat, "data", "u")
+    y = _known_samples(as_signal(y).flat, "data", "y", u.size, "len(u)")
+    u_bar = _known_samples(u_bar, "candidate", "u_bar", L, "L")
+    y_bar = _known_samples(y_bar, "candidate", "y_bar", L, "L")
+    _warn_unless_excited(pe_check(u, L + n), "data input", f"L+n={L + n}", L + n, stacklevel=3)
     M = np.vstack([build_hankel(u, L).entries, build_hankel(y, L).entries])
     rhs = np.concatenate([u_bar, y_bar])
-    return _verdict(M, np.linalg.lstsq(M, rhs, rcond=None)[0], rhs, tol)
+    return _verdict(M, _pseudo_inverse(M) @ rhs, rhs, tol)
 
 
 def flat_stack(traj: IoTrajectory, basis: BasisSet, L: int) -> np.ndarray:
@@ -191,14 +187,8 @@ def flat_membership(
     """
     _check_tol(tol)
     n = traj.n
-    u_bar = np.asarray(u_bar, dtype=float).reshape(-1)
-    y_bar = np.asarray(y_bar, dtype=float).reshape(-1)
-    if u_bar.size != L - n or y_bar.size != L:
-        raise DimensionError(
-            f"candidate lengths ({u_bar.size}, {y_bar.size}) must be (L-n, L) = ({L - n}, {L})"
-        )
-    for name, values in (("u_bar", u_bar), ("y_bar", y_bar)):
-        _check_finite(f"candidate sample {name}", values)
+    u_bar = _known_samples(u_bar, "candidate", "u_bar", L - n, "L-n")
+    y_bar = _known_samples(y_bar, "candidate", "y_bar", L, "L")
     _warn_if_not_excited(traj, basis, L)
     M = flat_stack(traj, basis, L)
     P = _memo(traj, ("flat_pinv", basis, L), lambda: _pseudo_inverse(M))

@@ -32,11 +32,17 @@ _FLOAT_FMT = "{:.17g}"
 _T = TypeVar("_T")
 
 
-def _check_finite(what: str, values: np.ndarray) -> None:
-    """Raise ConfigError naming ``what`` and the first non-finite index."""
+def _known_samples(values, what: str, name: str, size: int | None = None, expected: str = "") -> np.ndarray:
+    """``values`` as a flat float array of finite samples.  With ``size``,
+    another length raises DimensionError naming ``expected``; a non-finite
+    sample raises ConfigError naming "``what`` sample ``name``" and its index."""
+    values = np.asarray(values, dtype=float).reshape(-1)
+    if size is not None and values.size != size:
+        raise DimensionError(f"{what} {name} has {values.size} samples, expected {expected}={size}")
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
-        raise ConfigError(f"non-finite {what}[{bad[0]}] = {values[bad[0]]}")
+        raise ConfigError(f"non-finite {what} sample {name}[{bad[0]}] = {values[bad[0]]}")
+    return values
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -114,7 +120,7 @@ class IoTrajectory:
                 f"length(y)={self.y.length} must equal length(u)+n={self.u.length + self.n}"
             )
         for name, signal in (("u", self.u), ("y", self.y)):
-            _check_finite(f"trajectory sample {name}", signal.flat)
+            _known_samples(signal.flat, "trajectory", name)
 
     @property
     def N(self) -> int:
@@ -235,6 +241,8 @@ def pe_check(z: Signal | np.ndarray, L: int) -> PeResult:
                 return PeResult(True, full)
     try:
         s = np.linalg.svd(H.entries, compute_uv=False)
+        if not np.isfinite(s).all():  # an infinite entry leaves NaN where a NaN raises
+            raise np.linalg.LinAlgError
     except np.linalg.LinAlgError:
         raise SingularMatrixError("SVD of the Hankel matrix did not converge; is the sequence finite?") from None
     rank_tol = max(H.entries.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)

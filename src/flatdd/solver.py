@@ -57,55 +57,45 @@ class RidgeProblem:
         object.__setattr__(self, "b", b)
 
 
-class _RidgeOperator:
-    """Solver for min |A x - b|^2 + lam |x|^2, reusable across b.
+def _ridge(A: np.ndarray, b: np.ndarray, lam: float, stacklevel: int = 3) -> np.ndarray:
+    """Minimizer x of |A x - b|^2 + lam |x|^2.
 
     With lam > 0 the Gram matrix of the smaller side of A plus lam I is
-    factored by Cholesky (``_NormalOperator``): x = A' (A A' + lam I)^-1 b
+    factored by Cholesky (``_cholesky``): x = A' (A A' + lam I)^-1 b
     when A has fewer rows than columns, x = (A'A + lam I)^-1 A'b
     otherwise.  Its eigenvalues are s_i^2 + lam for the min(m, p)
     singular values s_i of A, so the warned condition number is that of
     the normal equations.  With lam = 0 the SVD of A is used: it is the
     only way to tell a rank-deficient block from an ill-conditioned one,
-    which no Gram matrix can once cond(A) passes about 1e8.
+    which no Gram matrix can once cond(A) passes about 1e8.  Warnings go
+    ``stacklevel`` frames up.
     """
-
-    def __init__(self, A: np.ndarray, lam: float, stacklevel: int = 3):
-        if not np.isfinite(A).all():
-            raise SingularMatrixError("ridge solve did not converge: the data block has non-finite entries")
-        self._A = A
-        self._gram = None
-        if lam > 0.0:
-            self._wide = A.shape[0] < A.shape[1]
-            gram = A @ A.T if self._wide else A.T @ A
-            # the fresh product is the operator's own: factored in its memory
-            self._gram = _NormalOperator(gram, lam, stacklevel + 1, overwrite_g=True)
-            return
-        try:
-            U, s, Vt = np.linalg.svd(A, full_matrices=False)
-        except np.linalg.LinAlgError:
-            raise SingularMatrixError("SVD of the data block did not converge") from None
-        cutoff = max(A.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-        if s.size == 0 or s[-1] <= cutoff:
-            raise SingularMatrixError(
-                "data block is rank-deficient and lam = 0; set lam > 0 to regularize"
-            )
-        cond = s[0] ** 2 / s[-1] ** 2
-        if cond > _COND_LIMIT:
-            warnings.warn(
-                f"normal equations have condition number {cond:.3e}",
-                ConditioningWarning,
-                stacklevel=stacklevel,
-            )
-        self._U, self._Vt = U, Vt
-        self._filter = 1.0 / s
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        if self._gram is None:
-            return self._Vt.T @ (self._filter * (self._U.T @ b))
-        if self._wide:
-            return self._A.T @ self._gram.solve(b)
-        return self._gram.solve(self._A.T @ b)
+    if not np.isfinite(A).all():
+        raise SingularMatrixError("ridge solve did not converge: the data block has non-finite entries")
+    if lam > 0.0:
+        wide = A.shape[0] < A.shape[1]
+        # the fresh product is factored in its own memory
+        R = _cholesky(A @ A.T if wide else A.T @ A, lam, stacklevel + 1, overwrite_g=True)
+        if wide:
+            return A.T @ scipy.linalg.cho_solve((R, False), b)
+        return scipy.linalg.cho_solve((R, False), A.T @ b)
+    try:
+        U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError("SVD of the data block did not converge") from None
+    cutoff = max(A.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
+    if s.size == 0 or s[-1] <= cutoff:
+        raise SingularMatrixError(
+            "data block is rank-deficient and lam = 0; set lam > 0 to regularize"
+        )
+    cond = s[0] ** 2 / s[-1] ** 2
+    if cond > _COND_LIMIT:
+        warnings.warn(
+            f"normal equations have condition number {cond:.3e}",
+            ConditioningWarning,
+            stacklevel=stacklevel,
+        )
+    return Vt.T @ ((1.0 / s) * (U.T @ b))
 
 
 def ridge_solve(prob: RidgeProblem) -> np.ndarray:
@@ -118,7 +108,7 @@ def ridge_solve(prob: RidgeProblem) -> np.ndarray:
     regularize.  A data block with non-finite entries raises
     SingularMatrixError.
     """
-    return _RidgeOperator(prob.A, prob.lam).solve(prob.b)
+    return _ridge(prob.A, prob.b, prob.lam)
 
 
 def _check_lam(lam: float) -> None:
@@ -224,7 +214,7 @@ class NormalEquationsProblem:
             G = self.gram
             if self._own_gram:
                 object.__delattr__(self, "gram")  # its memory becomes the factor's, or is spoilt by a failure
-            R = _NormalOperator(G, self.lam, stacklevel + 1, overwrite_g=self._own_gram).R
+            R = _cholesky(G, self.lam, stacklevel + 1, overwrite_g=self._own_gram)
             object.__setattr__(self, "_R", R)
         return self._R
 
@@ -256,44 +246,40 @@ class NonlinearResult:
     initial_objective: float = float("nan")
 
 
-class _NormalOperator:
-    """Cholesky solver for (G + lam I) x = c, reusable across c.
+def _cholesky(G: np.ndarray, lam: float, stacklevel: int = 3, overwrite_g: bool = False) -> np.ndarray:
+    """R, upper triangular with R'R = G + lam I.
 
-    ``R`` is the upper-triangular factor, R'R = G + lam I, computed in
-    place in one Fortran-order copy of G; with ``overwrite_g``, for a
-    symmetric G that no caller holds, in G's own memory (a C-ordered G is
-    its own Fortran-ordered transpose).  Conditioning is LAPACK's 1-norm
-    estimate (``dpocon``, Higham 1988) from R, so no spectrum is
-    computed.  A failed factorization, or a reciprocal condition number
-    below machine epsilon (singular to working precision, as in LAPACK's
-    ``?posvx``; a non-finite G ends in one of the two), is singular; a
-    condition number above the limit warns, ``stacklevel`` frames up.
+    R is computed in place in one Fortran-order copy of G; with
+    ``overwrite_g``, for a symmetric G that no caller holds, in G's own
+    memory (a C-ordered G is its own Fortran-ordered transpose).
+    Conditioning is LAPACK's 1-norm estimate (``dpocon``, Higham 1988)
+    from R, so no spectrum is computed.  A failed factorization, or a
+    reciprocal condition number below machine epsilon (singular to
+    working precision, as in LAPACK's ``?posvx``; a non-finite G ends in
+    one of the two), is singular; a condition number above the limit
+    warns, ``stacklevel`` frames up.
     """
-
-    def __init__(self, G: np.ndarray, lam: float, stacklevel: int = 3, overwrite_g: bool = False):
-        if overwrite_g:
-            M = G if G.flags.f_contiguous else G.T
-        else:
-            M = np.array(G, dtype=float, order="F")
-        M.flat[:: M.shape[0] + 1] += lam
-        anorm = scipy.linalg.lapack.dlange("1", M)
-        if lam == 0.0:
-            singular = "gram matrix is numerically singular and lam = 0; set lam > 0 to regularize"
-        else:
-            singular = f"gram matrix plus lam I is numerically singular at lam = {lam:g}; increase lam"
-        self.R, info = scipy.linalg.lapack.dpotrf(M, lower=0, clean=1, overwrite_a=1)
-        rcond, info = scipy.linalg.lapack.dpocon(self.R, anorm) if info == 0 else (0.0, info)
-        if info != 0 or not rcond >= np.finfo(float).eps:
-            raise SingularMatrixError(singular)
-        if rcond < 1.0 / _COND_LIMIT:
-            warnings.warn(
-                f"normal equations have condition number {1.0 / rcond:.3e}",
-                ConditioningWarning,
-                stacklevel=stacklevel,
-            )
-
-    def solve(self, c: np.ndarray) -> np.ndarray:
-        return scipy.linalg.cho_solve((self.R, False), c)
+    if overwrite_g:
+        M = G if G.flags.f_contiguous else G.T
+    else:
+        M = np.array(G, dtype=float, order="F")
+    M.flat[:: M.shape[0] + 1] += lam
+    anorm = scipy.linalg.lapack.dlange("1", M)
+    if lam == 0.0:
+        singular = "gram matrix is numerically singular and lam = 0; set lam > 0 to regularize"
+    else:
+        singular = f"gram matrix plus lam I is numerically singular at lam = {lam:g}; increase lam"
+    R, info = scipy.linalg.lapack.dpotrf(M, lower=0, clean=1, overwrite_a=1)
+    rcond, info = scipy.linalg.lapack.dpocon(R, anorm) if info == 0 else (0.0, info)
+    if info != 0 or not rcond >= np.finfo(float).eps:
+        raise SingularMatrixError(singular)
+    if rcond < 1.0 / _COND_LIMIT:
+        warnings.warn(
+            f"normal equations have condition number {1.0 / rcond:.3e}",
+            ConditioningWarning,
+            stacklevel=stacklevel,
+        )
+    return R
 
 
 def _difference_jacobian(rhs: Callable[[np.ndarray], np.ndarray], alpha: np.ndarray) -> np.ndarray:
@@ -323,7 +309,7 @@ def _gauss_newton(prob: NonlinearResidualProblem, alpha: np.ndarray) -> Nonlinea
         target = rhs - C @ alpha
         J = np.subtract(A, C, out=C)
         # stacklevel 4 names the caller of nonlinear_solve
-        alpha_star = _RidgeOperator(J, lam, stacklevel=4).solve(target)
+        alpha_star = _ridge(J, target, lam, stacklevel=4)
         r = J @ alpha_star - target
         model = float(r @ r + lam * (alpha_star @ alpha_star))
         step = 1.0

@@ -26,9 +26,9 @@ from dataclasses import KW_ONLY, dataclass
 import numpy as np
 
 from .basis import BasisSet, KernelSpec, kernel_diag, kernel_eval, kernel_grad, psi_jacobian, window_points
-from .errors import ConfigError, DataLengthWarning, DimensionError
+from .errors import ConfigError, DataLengthWarning
 from .membership import _warn_if_not_excited, candidate_stack, data_length_check, flat_stack
-from .signals import IoTrajectory, _check_finite, build_hankel
+from .signals import IoTrajectory, _known_samples, build_hankel
 from .solver import (
     NonlinearResidualProblem,
     NonlinearResult,
@@ -84,13 +84,8 @@ class WindowProblem:
         return dict(max_iter=self.max_iter, rel_tol=self.rel_tol)
 
     def _known_signal(self, name: str, what: str, size: int, expected: str) -> None:
-        """Store field ``name`` as a flat float array; a length other than ``size``
-        (named ``expected``) raises DimensionError, a non-finite sample ConfigError."""
-        values = np.asarray(getattr(self, name), dtype=float).reshape(-1)
-        if values.size != size:
-            raise DimensionError(f"{what} has {values.size} samples, expected {expected}={size}")
-        _check_finite(f"{what} sample {name}", values)
-        object.__setattr__(self, name, values)
+        """Store field ``name`` as checked by ``signals._known_samples``."""
+        object.__setattr__(self, name, _known_samples(getattr(self, name), what, name, size, expected))
 
 
 @dataclass(frozen=True)

@@ -79,8 +79,22 @@ def test_lti_alpha_is_min_norm(lti_data):
 def test_lti_pe_warning():
     u = np.ones(30)
     y = lti_response(u)
-    with pytest.warns(PersistencyWarning, match="order L\\+n=6"):
+    with pytest.warns(PersistencyWarning, match="order L\\+n=6") as record:
         lti_membership(u, y, 1, 5, u[:5], y[:5])
+    assert record[0].filename == __file__
+
+
+@pytest.mark.parametrize(
+    "name, index, value",
+    [("u", 0, np.inf), ("u", 3, np.nan), ("y", 41, np.inf), ("u_bar", 0, np.nan), ("y_bar", 9, -np.inf)],
+)
+def test_lti_nonfinite_sample_rejected(lti_data, name, index, value):
+    u, y = lti_data
+    arrays = {"u": u.copy(), "y": y.copy(), "u_bar": u[5:15].copy(), "y_bar": y[5:15].copy()}
+    arrays[name][index] = value
+    kind = "candidate" if name.endswith("_bar") else "data"
+    with pytest.raises(ConfigError, match=rf"non-finite {kind} sample {name}\[{index}\]"):
+        lti_membership(arrays["u"], arrays["y"], 1, 10, arrays["u_bar"], arrays["y_bar"])
 
 
 def test_lti_dimension_checks(lti_data):
@@ -136,8 +150,9 @@ def test_flat_stack_shapes(ex1_data):
 def test_flat_pe_warning_short_data():
     traj = collect_trajectory(example1_model(), 30, (-0.5, 0.5), seed=2)
     basis = named_basis("example1-poly")
-    with pytest.warns(PersistencyWarning, match="not persistently exciting"):
+    with pytest.warns(PersistencyWarning, match="not persistently exciting") as record:
         flat_membership(traj, basis, 10, traj.u.flat[:8], traj.y.flat[:10])
+    assert record[0].filename == __file__
 
 
 def test_linear_flat_system_agrees_with_lti_baseline():

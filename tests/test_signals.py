@@ -188,6 +188,15 @@ def test_pe_check_nonfinite_sequence_is_singular():
         pe_check(z, 5)
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_pe_check_infinite_sequence_is_singular(value):
+    # the values-only SVD returns NaN singular values here instead of raising
+    z = np.random.default_rng(4).uniform(-1.0, 1.0, size=40)
+    z[7] = value
+    with pytest.raises(SingularMatrixError, match="did not converge"):
+        pe_check(z, 5)
+
+
 @given(st.integers(2, 30), st.integers(0, 1000))
 def test_hankel_columns_are_windows(N, seed):
     rng = np.random.default_rng(seed)

@@ -25,8 +25,8 @@ from flatdd.solver import (
     NonlinearResidualProblem,
     NormalEquationsProblem,
     RidgeProblem,
-    _NormalOperator,
-    _RidgeOperator,
+    _cholesky,
+    _ridge,
     _whitened,
     nonlinear_solve,
     ridge_solve,
@@ -198,7 +198,7 @@ def test_condition_estimate_quiet_on_kernel_sim_gram():
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error", ConditioningWarning)
-        _NormalOperator(prob.gram, prob.lam)
+        _cholesky(prob.gram, prob.lam)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -228,7 +228,7 @@ def test_whitened_evaluation_matches_objective(build):
     # the solver never forms gram @ alpha; its value and gradient in
     # beta = R alpha must still be the problem's own at alpha = R^-1 beta
     prob, _, alpha0 = build()
-    R = _NormalOperator(prob.gram, prob.lam).R
+    R = _cholesky(prob.gram, prob.lam)
     alpha_of, fun = _whitened(prob, R)
     rng = np.random.default_rng(8)
     for scale in (0.0, 0.1, 1.0):
@@ -248,7 +248,7 @@ def test_gram_factor_makes_one_copy():
     G = M @ M.T / 701
     tracemalloc.start()
     try:
-        _NormalOperator(G, 0.1)
+        _cholesky(G, 0.1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -358,13 +358,12 @@ def example1_match_block():
     match: the one Gauss-Newton step of a basis affine in u."""
     captured = []
 
-    class Recording(_RidgeOperator):
-        def solve(self, b):
-            captured.append((self._A, b))
-            return super().solve(b)
+    def recording(A, b, lam, stacklevel=3):
+        captured.append((A, b))
+        return _ridge(A, b, lam, stacklevel)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(flatdd.solver, "_RidgeOperator", Recording)
+        mp.setattr(flatdd.solver, "_ridge", recording)
         dd_match(MatchProblem(
             _collect(ExperimentConfig(seed=5), example1_model()), 50, reference_output(50),
             "explicit", basis=named_basis("example1-poly"), lam=0.1,
