@@ -13,6 +13,8 @@ Groups:
   example2           every file run_example2 writes, data seeds 5-29
   flat-membership    alpha, residual and verdict of flat_membership on
                      ten fixed windows, five members and five non-members
+  data               the bytes of the recorded u and y (noise included)
+                     that run_example1 and run_example2 use, data seeds 5-29
 
 The runs write into a temporary directory that is removed afterwards.
 The whole run takes a few seconds with one BLAS thread.  Digests are
@@ -32,9 +34,15 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 
 from flatdd.basis import named_basis  # noqa: E402
-from flatdd.experiments import run_example1, run_example2  # noqa: E402
+from flatdd.experiments import (  # noqa: E402
+    ExperimentConfig,
+    _collect,
+    example2_defaults,
+    run_example1,
+    run_example2,
+)
 from flatdd.membership import flat_membership  # noqa: E402
-from flatdd.plant import collect_trajectory, example1_model  # noqa: E402
+from flatdd.plant import collect_trajectory, example1_model, example2_model  # noqa: E402
 
 SEEDS = range(5, 30)
 
@@ -68,11 +76,25 @@ def _membership_digest() -> str:
     return h.hexdigest()
 
 
+def _data_digest() -> str:
+    """Digest of the recordings run_example1 and run_example2 make: u, and y with its noise."""
+    h = hashlib.sha256()
+    for seed in SEEDS:
+        for config, model in (
+            (ExperimentConfig(seed=seed), example1_model()),
+            (example2_defaults(seed=seed), example2_model()),
+        ):
+            traj = _collect(config, model)
+            h.update(traj.u.values.tobytes() + traj.y.values.tobytes())
+    return h.hexdigest()
+
+
 def main() -> None:
     print(f"example1-explicit  {_experiment_digest(run_example1)}")
     print(f"example1-kernel    {_experiment_digest(run_example1, mode='kernel')}")
     print(f"example2           {_experiment_digest(run_example2)}")
     print(f"flat-membership    {_membership_digest()}")
+    print(f"data               {_data_digest()}")
 
 
 if __name__ == "__main__":

@@ -249,12 +249,18 @@ def kernel_grad(
     Row k is sum_j W[k, j] dk(z, Z2_j)/dz at z = Z1_k, given the values
     K = kernel_eval(spec, Z1, Z2).  The Gaussian part contributes
     -(z - Z2_j) / sigma^2 times its value, the linear term (u_j, 0, ..., 0).
+    K is overwritten: the weighted Gaussian part is formed in its memory
+    (a K that is not a writable C-contiguous float array is copied first).
     """
     Z1 = np.atleast_2d(np.asarray(Z1, dtype=float))
     Z2 = np.atleast_2d(np.asarray(Z2, dtype=float))
+    K = np.require(K, dtype=float, requirements=("C", "W"))
     linear = spec.kind == "gaussian_plus_linear"
-    WK = W * (K - np.outer(Z1[:, 0], Z2[:, 0]) if linear else K)
-    out = (WK @ Z2 - Z1 * WK.sum(axis=1)[:, None]) / spec.sigma**2
+    if linear and K.size:
+        # K -= u1 u2', the rank-one update kernel_eval adds, undone in K's own memory
+        scipy.linalg.blas.dger(-1.0, Z2[:, 0], Z1[:, 0], a=K.T, overwrite_a=1)
+    K *= W
+    out = (K @ Z2 - Z1 * K.sum(axis=1)[:, None]) / spec.sigma**2
     if linear:
         out[:, 0] += W @ Z2[:, 0]
     return out

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -39,12 +39,17 @@ class FlatModel:
     it is the exact inverse of the input-output recursion and is used
     for oracle checks, not by the data-driven algorithms.
 
+    ``f`` takes the n state values and the input and returns the n next
+    state values, each as any sequence of floats (a tuple, a list or a
+    1-D ndarray); ``h`` takes the same sequence.  ``simulate`` starts from
+    a tuple of floats and passes on whatever ``f`` returns.
+
     ``state_from_window(xi)`` maps an output window to the state x_k.
     """
 
     n: int
-    f: Callable[[np.ndarray, float], np.ndarray]
-    h: Callable[[np.ndarray], float]
+    f: Callable[[Sequence[float], float], Sequence[float]]
+    h: Callable[[Sequence[float]], float]
     name: str
     flat_inverse: Callable[[float, np.ndarray], float] | None = None
     state_from_window: Callable[[np.ndarray], np.ndarray] | None = None
@@ -56,10 +61,10 @@ def example1_model() -> FlatModel:
     Output recursion: y_{k+2} = u_k (y_k^2 + 2).
     """
 
-    def f(x: np.ndarray, u: float) -> np.ndarray:
-        return np.array([x[1], u * (x[0] ** 2 + 2.0)])
+    def f(x: Sequence[float], u: float) -> tuple[float, float]:
+        return (x[1], u * (x[0] ** 2 + 2.0))
 
-    def h(x: np.ndarray) -> float:
+    def h(x: Sequence[float]) -> float:
         return float(x[0])
 
     def inv(v: float, xi: np.ndarray) -> float:
@@ -75,10 +80,10 @@ def example2_model() -> FlatModel:
     the principal arcsin branch, so it recovers inputs in (-pi/2, pi/2).
     """
 
-    def f(x: np.ndarray, u: float) -> np.ndarray:
-        return np.array([x[1], np.sin(u) / (1.0 + x[1] ** 2)])
+    def f(x: Sequence[float], u: float) -> tuple[float, float]:
+        return (x[1], math.sin(u) / (1.0 + x[1] ** 2))
 
-    def h(x: np.ndarray) -> float:
+    def h(x: Sequence[float]) -> float:
         return float(x[0])
 
     def inv(v: float, xi: np.ndarray) -> float:
@@ -95,25 +100,34 @@ def simulate(model: FlatModel, x0: np.ndarray, u: np.ndarray | Signal) -> Signal
 
     Because the relative degree is n, the last n outputs do not depend on
     any input beyond u_{M-1}; the state is stepped with zero inputs there.
-    Raises DivergenceError naming the first step at which the state or
-    output leaves the finite range.
+    The state starts as a tuple of Python floats and the inputs are Python
+    floats.  Raises DivergenceError naming the first step at which the
+    state or output leaves the finite range, or at which ``f`` raises
+    ArithmeticError or ValueError, as Python float arithmetic and the
+    ``math`` module do where numpy returns inf or nan (``x ** 2``
+    overflowing, ``math.sin(inf)``).
     """
-    uu = u.flat if isinstance(u, Signal) else np.asarray(u, dtype=float).reshape(-1)
+    inputs = (u.flat if isinstance(u, Signal) else np.asarray(u, dtype=float).reshape(-1)).tolist()
     x = np.asarray(x0, dtype=float).reshape(-1)
     if x.size != model.n:
         raise EvaluationError(f"initial state has size {x.size}, model order is {model.n}")
-    M = uu.size
-    y = np.empty(M + model.n)
-    # overflow surfaces as a non-finite state, reported with its step index
+    x = tuple(x.tolist())
+    steps = len(inputs) + model.n
+    inputs += [0.0] * (model.n - 1)
+    y = []
+    # a model stepping ndarrays overflows to a non-finite state, reported with its step index
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(M + model.n):
+        for k in range(steps):
             yk = model.h(x)
             if not math.isfinite(yk):
                 raise DivergenceError(f"output became non-finite at step {k}")
-            y[k] = yk
-            if k < M + model.n - 1:
-                x = np.asarray(model.f(x, uu[k] if k < M else 0.0), dtype=float)
-                if not all(map(math.isfinite, x.ravel().tolist())):
+            y.append(yk)
+            if k < steps - 1:
+                try:
+                    x = model.f(x, inputs[k])
+                except (ArithmeticError, ValueError) as exc:
+                    raise DivergenceError(f"state became non-finite at step {k + 1}") from exc
+                if not all(map(math.isfinite, x)):
                     raise DivergenceError(f"state became non-finite at step {k + 1}")
     return Signal(y)
 

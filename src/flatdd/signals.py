@@ -192,10 +192,10 @@ def _hankel_cols(z: Signal, L: int) -> int:
 
 
 def _write_hankel(out: np.ndarray, z: Signal, L: int) -> None:
-    """Write the depth-L Hankel matrix of z into ``out``, an array of that matrix's shape."""
-    cols = out.shape[1]
-    for i in range(L):
-        out[i * z.sigma : (i + 1) * z.sigma, :] = z.values[i : i + cols, :].T
+    """Write the depth-L Hankel matrix of z into ``out``, an array of that matrix's shape,
+    in one strided copy: row i*sigma + s, column j is z_{i+j}[s]."""
+    windows = np.lib.stride_tricks.sliding_window_view(z.values, out.shape[1], axis=0)
+    out[...] = windows[:L].reshape(out.shape)  # a view: z.values is C-contiguous
 
 
 def build_hankel(z: Signal | np.ndarray, L: int) -> HankelMatrix:

@@ -223,7 +223,14 @@ class NormalEquationsProblem:
         return (self.gram if self._R is None else self._R).shape[0]
 
     def objective(self, alpha: np.ndarray) -> float:
-        return self.value_and_grad(alpha)[0]
+        """The objective alone, with no gradient formed."""
+        c, off, _ = self.terms(alpha)
+        if self._R is None:
+            quad = float(alpha @ (self.gram @ alpha + self.lam * alpha))
+        else:
+            R_alpha = self._R @ alpha
+            quad = float(R_alpha @ R_alpha)
+        return quad - 2.0 * float(c @ alpha) + float(off)
 
     def value_and_grad(self, alpha: np.ndarray) -> tuple[float, np.ndarray]:
         """The objective and its exact gradient."""

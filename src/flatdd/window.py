@@ -227,13 +227,14 @@ def kernel_problem(
     def terms(alpha: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
         Z_bar = layout.points(alpha)
         K = kernel_eval(kernel, Z_bar, Z_data)
+        cross = _band(K, cols).sum(axis=0) + const_cross  # taken before kernel_grad overwrites K
         diag, diag_grad = kernel_diag(kernel, Z_bar)
         _band(W, cols)[:] = alpha
         point_grad = diag_grad - 2.0 * kernel_grad(kernel, Z_bar, Z_data, K, W)
         v = np.zeros(layout.H.shape[0])  # point gradients, on the rows of H that moved them
         for c, first in layout.moved.items():
             v[first : first + m] += point_grad[:, c]
-        return _band(K, cols).sum(axis=0) + const_cross, float(diag.sum()) + b_sq, layout.H.T @ v
+        return cross, float(diag.sum()) + b_sq, layout.H.T @ v
 
     prob = NormalEquationsProblem._over_own_gram(gram, terms, lam, **controls)
     return prob, ridge_solve(RidgeProblem(B, b, lam))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,6 +12,7 @@ from flatdd.basis import (
     build_psi_hankel,
     eval_psi_hat,
     kernel_eval,
+    kernel_grad,
     kernel_gram,
     named_basis,
     psi_hat_signal,
@@ -169,6 +172,33 @@ def test_kernel_eval_matches_broadcast_reference(kind):
     # clamped, so no Gaussian value exceeds 1
     far = Z2 + 40.0
     assert kernel_eval(KernelSpec("gaussian", sigma), far, far).max() <= 1.0
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "gaussian_plus_linear"])
+def test_kernel_grad_weights_the_block_in_place(kind):
+    # the weighted gradient of a matching request's shape, against the formula that forms
+    # K - u1 u2' and W * (.) as new arrays
+    rng = np.random.default_rng(23)
+    Z2 = rng.normal(scale=0.5, size=(498, 3))
+    Z1 = rng.normal(scale=0.5, size=(48, 3))
+    W = np.zeros((48, 498))
+    W[:, :451] = rng.normal(size=451)
+    spec = KernelSpec(kind, 0.8)
+    K = kernel_eval(spec, Z1, Z2)
+    linear = np.outer(Z1[:, 0], Z2[:, 0]) if kind == "gaussian_plus_linear" else 0.0
+    WK = W * (K - linear)
+    expected = (WK @ Z2 - Z1 * WK.sum(axis=1)[:, None]) / spec.sigma**2
+    if kind == "gaussian_plus_linear":
+        expected[:, 0] += W @ Z2[:, 0]
+    tracemalloc.start()
+    try:
+        grad = kernel_grad(spec, Z1, Z2, K, W)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.abs(grad - expected).max() <= 1e-13 * np.abs(expected).max()
+    assert peak < 0.5 * K.nbytes  # no m x N temporary
+    assert np.abs(K - WK).max() <= 1e-13 * np.abs(WK).max()  # K now holds the weighted Gaussian part
 
 
 def test_kernel_spec_validation():

@@ -107,6 +107,55 @@ def test_simulate_state_turning_nan_reports_step():
         simulate(m, np.zeros(2), u)
 
 
+# the bundled models' equations, stepped as ndarrays of numpy floats
+_NDARRAY_STEPS = {
+    "example1": (example1_model, lambda x, u: np.array([x[1], u * (x[0] ** 2 + 2.0)])),
+    "example2": (example2_model, lambda x, u: np.array([x[1], np.sin(u) / (1.0 + x[1] ** 2)])),
+}
+
+
+def _ndarray_reference(f, u):
+    """Outputs of f from rest under inputs u, and the step at which the state left the
+    finite range (None if it never did)."""
+    x, y = np.zeros(2), [0.0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, uk in enumerate(np.append(np.asarray(u, dtype=float), 0.0)):
+            x = f(x, uk)
+            if not np.isfinite(x).all():
+                return np.array(y), k + 1
+            y.append(float(x[0]))
+    return np.array(y), None
+
+
+@pytest.mark.parametrize("seed", range(5, 30))
+@pytest.mark.parametrize("name, N, bounds", [("example1", 500, (-0.5, 0.5)), ("example2", 750, (-1.0, 1.0))])
+def test_bundled_models_match_ndarray_stepping(name, N, bounds, seed):
+    # the experiments' recordings, bit for bit; x ** 2 and x * x differ in the last bit of a
+    # few states and the next step mostly absorbs it, so all 25 data seeds are needed to see it
+    model, f = _NDARRAY_STEPS[name]
+    u = generate_excitation(N - 2, bounds, seed)
+    expected, diverged = _ndarray_reference(f, u)
+    assert diverged is None
+    np.testing.assert_array_equal(simulate(model(), np.zeros(2), u).flat, expected)
+
+
+@pytest.mark.parametrize(
+    "name, u",
+    [
+        ("example1", np.full(2000, 3.0)),
+        ("example1", [1e200, 1.0, 1.0, 0.0, 0.0]),  # x1 ** 2 overflows: a Python float raises
+        ("example1", [0.0, np.inf, 1.0]),
+        ("example2", [0.1, np.inf, 0.2]),  # math.sin(inf) raises
+        ("example2", [0.1, np.nan, 0.2]),
+    ],
+)
+def test_bundled_model_divergence_step_matches_ndarray_stepping(name, u):
+    model, f = _NDARRAY_STEPS[name]
+    _, step = _ndarray_reference(f, u)
+    with pytest.raises(DivergenceError, match=rf"^state became non-finite at step {step}$"):
+        simulate(model(), np.zeros(2), u)
+
+
 def test_matching_oracle_recovers_input_example1(rng):
     m = example1_model()
     u = rng.uniform(-0.5, 0.5, size=20)

@@ -197,10 +197,10 @@ def test_pe_check_infinite_sequence_is_singular(value):
         pe_check(z, 5)
 
 
-@given(st.integers(2, 30), st.integers(0, 1000))
-def test_hankel_columns_are_windows(N, seed):
+@given(st.integers(2, 30), st.integers(0, 1000), st.integers(1, 3))
+def test_hankel_columns_are_windows(N, seed, sigma):
     rng = np.random.default_rng(seed)
-    z = Signal(rng.normal(size=N))
+    z = Signal(rng.normal(size=(N, sigma)))
     L = int(rng.integers(1, N + 1))
     H = build_hankel(z, L)
     for j in range(H.cols):
