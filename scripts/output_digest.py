@@ -19,9 +19,16 @@ Groups:
 The runs write into a temporary directory that is removed afterwards.
 The whole run takes a few seconds with one BLAS thread.  Digests are
 only comparable between runs with the same BLAS build and thread count.
+
+With ``--solves`` the script prints, instead of digests, one JSON line
+per kernel run (group, data seed, objective, initial_objective,
+iterations, converged), so that kernel outputs that move in their last
+bits can still be compared number by number between two checkouts.
 """
 
+import argparse
 import hashlib
+import json
 import os
 import tempfile
 from pathlib import Path
@@ -89,7 +96,25 @@ def _data_digest() -> str:
     return h.hexdigest()
 
 
+def _solves() -> None:
+    """One JSON line per kernel run of run_example1 and run_example2, data seeds 5-29."""
+    keys = ("objective", "initial_objective", "iterations", "converged")
+    with tempfile.TemporaryDirectory() as tmp:
+        for group, runner, options in (
+            ("example1-kernel", run_example1, {"mode": "kernel"}),
+            ("example2", run_example2, {}),
+        ):
+            for seed in SEEDS:
+                metrics = runner(seed=seed, out_dir=str(Path(tmp) / group / f"seed_{seed:03d}"), **options)
+                print(json.dumps({"group": group, "seed": seed, **{k: metrics[k] for k in keys}}))
+
+
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--solves", action="store_true", help="print one JSON line per kernel run instead")
+    if parser.parse_args().solves:
+        _solves()
+        return
     print(f"example1-explicit  {_experiment_digest(run_example1)}")
     print(f"example1-kernel    {_experiment_digest(run_example1, mode='kernel')}")
     print(f"example2           {_experiment_digest(run_example2)}")

@@ -5,14 +5,19 @@ coefficient vector.  The window problems of simulation and matching
 (assembled in ``window``) have a right-hand side that depends on the
 coefficients and come in two shapes: explicit residual rows, solved by
 Gauss-Newton, and the kernelized form through Gram matrices, which always
-carries its exact gradient and is solved by L-BFGS-B in whitened
-coordinates, where the Gram term is |beta|^2 and multiplies no vector.
-Each stops on one convergence test or at one iteration cap.
+carries its exact gradient.  A Gram problem sees the coefficients only
+through a short signal v = H alpha; it is solved by L-BFGS-B over that
+signal in whitened coordinates (variable projection), with the
+coefficients eliminated in closed form by two triangular solves on the
+Gram's Cholesky factor per evaluation.  Each stops on one convergence
+test or at one iteration cap.
 
 Every regularized linear step is a Cholesky solve: of the given Gram
 matrix in kernel mode, of the Gram matrix of the smaller side of the data
-block in explicit mode.  Only an unregularized ridge solve (lam = 0) goes
-through the SVD of the data block.
+block in explicit mode.  A Gram that flatdd builds skips the condition
+estimate where its trace already bounds the condition number below the
+warning limit.  Only an unregularized ridge solve (lam = 0) goes through
+the SVD of the data block.
 """
 from __future__ import annotations
 
@@ -37,6 +42,8 @@ __all__ = [
 ]
 
 _COND_LIMIT = 1e12
+_ROW_BLOCK = 64  # rows per step where an array is rewritten in place
+_GRAM_ROUNDING = 1e-8  # delta / trace(G + lam I): the rounding margin of a Gram flatdd builds
 
 
 @dataclass(frozen=True)
@@ -160,15 +167,17 @@ class NormalEquationsProblem:
     """Same objective as NonlinearResidualProblem, expressed through inner
     products so that kernelized (implicit-basis) residuals fit.
 
-    objective(alpha) = alpha' gram alpha - 2 cross(alpha)' alpha
-                       + offset(alpha) + lam |alpha|^2
+    objective(alpha) = alpha' (gram + lam I) alpha - 2 cross(v)' alpha + offset(v),
+                       v = H alpha
 
-    ``gram`` collects the alpha-independent products.  ``terms(alpha)``
-    returns the mixed terms cross(alpha), the alpha-only block
-    offset(alpha) = |rhs(alpha)|^2 and the coupling gradient
-    grad offset(alpha) - 2 (d cross/d alpha)' alpha in one pass; the exact
-    gradient of the objective is 2 (gram + lam I) alpha - 2 cross(alpha)
-    + coupling.
+    ``gram`` collects the alpha-independent products.  The nonlinear terms
+    see alpha only through the signal v = H alpha; ``H`` defaults to the
+    identity (v = alpha).  ``terms(v)`` returns cross(v), the block
+    offset(v) = |rhs(v)|^2 that holds no alpha, and ``slope``: a function
+    that, called once with alpha, returns the gradient in v of offset(v)
+    - 2 cross(v)' alpha at that alpha.  The exact gradient of the
+    objective is
+    2 (gram + lam I) alpha - 2 cross(v) + H' slope(alpha).
 
     The first solve factors gram + lam I = R'R (Cholesky) and the problem
     keeps R; later evaluations take alpha'(gram + lam I) alpha as |R alpha|^2.
@@ -179,17 +188,22 @@ class NormalEquationsProblem:
     """
 
     gram: np.ndarray = field(repr=False)
-    terms: Callable[[np.ndarray], tuple[np.ndarray, float, np.ndarray]]
+    terms: Callable[[np.ndarray], tuple[np.ndarray, float, Callable[[np.ndarray], np.ndarray]]]
     lam: float
     max_iter: int = 500
     rel_tol: float = 1e-8
+    H: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         G = np.asarray(self.gram, dtype=float)
         if G.ndim != 2 or G.shape[0] != G.shape[1]:
             raise ConfigError(f"gram matrix must be square, got shape {G.shape}")
+        H = np.eye(G.shape[0]) if self.H is None else np.asarray(self.H, dtype=float)
+        if H.ndim != 2 or H.shape[1] != G.shape[0]:
+            raise ConfigError(f"signal map has shape {H.shape}, gram matrix {G.shape}")
         _check_controls(self.lam, self.max_iter, self.rel_tol)
         object.__setattr__(self, "gram", G)
+        object.__setattr__(self, "H", H)
         object.__setattr__(self, "_R", None)
         object.__setattr__(self, "_own_gram", False)
 
@@ -220,28 +234,17 @@ class NormalEquationsProblem:
 
     @property
     def dim(self) -> int:
-        return (self.gram if self._R is None else self._R).shape[0]
+        return self.H.shape[1]
 
     def objective(self, alpha: np.ndarray) -> float:
         """The objective alone, with no gradient formed."""
-        c, off, _ = self.terms(alpha)
+        c, off, _ = self.terms(self.H @ alpha)
         if self._R is None:
             quad = float(alpha @ (self.gram @ alpha + self.lam * alpha))
         else:
             R_alpha = self._R @ alpha
             quad = float(R_alpha @ R_alpha)
         return quad - 2.0 * float(c @ alpha) + float(off)
-
-    def value_and_grad(self, alpha: np.ndarray) -> tuple[float, np.ndarray]:
-        """The objective and its exact gradient."""
-        c, off, coupling = self.terms(alpha)
-        if self._R is None:
-            G_alpha = self.gram @ alpha + self.lam * alpha
-            quad = float(alpha @ G_alpha)
-        else:
-            R_alpha = self._R @ alpha
-            G_alpha, quad = self._R.T @ R_alpha, float(R_alpha @ R_alpha)
-        return quad - 2.0 * float(c @ alpha) + float(off), 2.0 * (G_alpha - c) + coupling
 
 
 @dataclass(frozen=True)
@@ -265,18 +268,32 @@ def _cholesky(G: np.ndarray, lam: float, stacklevel: int = 3, overwrite_g: bool 
     working precision, as in LAPACK's ``?posvx``; a non-finite G ends in
     one of the two), is singular; a condition number above the limit
     warns, ``stacklevel`` frames up.
+
+    The Grams that flatdd builds itself, the ``overwrite_g`` callers, are
+    sums of outer products of finite data: positive semidefinite up to
+    rounding of 2-norm at most delta = 1e-8 trace(M), M = G + lam I, a
+    margin that also covers the factorization's backward error.  Then
+    cond_1(M) <= n lambda_max / lambda_min <= n (trace(M) + 2 delta) /
+    (lam - delta), and where that bound is below the limit the estimate
+    can neither warn nor call M singular, so it is not computed.
     """
     if overwrite_g:
         M = G if G.flags.f_contiguous else G.T
     else:
         M = np.array(G, dtype=float, order="F")
     M.flat[:: M.shape[0] + 1] += lam
-    anorm = scipy.linalg.lapack.dlange("1", M)
+    trace = float(np.trace(M))
+    delta = _GRAM_ROUNDING * trace
+    bound = len(M) * (trace + 2.0 * delta)  # times 1 / (lam - delta)
+    certified = overwrite_g and 0.0 <= trace < math.inf and bound < _COND_LIMIT * (lam - delta)
+    anorm = None if certified else scipy.linalg.lapack.dlange("1", M)  # before dpotrf overwrites M
     if lam == 0.0:
         singular = "gram matrix is numerically singular and lam = 0; set lam > 0 to regularize"
     else:
         singular = f"gram matrix plus lam I is numerically singular at lam = {lam:g}; increase lam"
     R, info = scipy.linalg.lapack.dpotrf(M, lower=0, clean=1, overwrite_a=1)
+    if info == 0 and certified:
+        return R
     rcond, info = scipy.linalg.lapack.dpocon(R, anorm) if info == 0 else (0.0, info)
     if info != 0 or not rcond >= np.finfo(float).eps:
         raise SingularMatrixError(singular)
@@ -338,23 +355,51 @@ def _gauss_newton(prob: NonlinearResidualProblem, alpha: np.ndarray) -> Nonlinea
     return NonlinearResult(alpha, obj, iterations, converged, initial_obj)
 
 
-def _whitened(prob: NormalEquationsProblem, R: np.ndarray):
-    """alpha = R^-1 beta, and the objective with its gradient in beta; as R'R
-    = gram + lam I, the quadratic part is |beta|^2 and no Gram product is formed."""
+def _projected(prob: NormalEquationsProblem, R: np.ndarray, alpha0: np.ndarray):
+    """The coordinates eta of the signal v = H alpha, and the objective over them.
 
-    def alpha_of(beta: np.ndarray) -> np.ndarray:
-        return scipy.linalg.blas.dtrsv(R, beta)
+    For a fixed v the objective is quadratic in alpha on {alpha : H alpha
+    = v}, and its minimizer there is alpha = M^-1 (cross(v) + H' mu) with
+    M = R'R = gram + lam I (variable projection; Golub & Pereyra, SIAM J.
+    Numer. Anal., 1973).  Y = R^-T H' takes one ``dtrsm``, and S = Y'Y =
+    H M^-1 H' is factored by pivoted Cholesky (``dpstrf``, at LAPACK's
+    default tolerance m eps max S_ii for the m rows of H) as P'SP = U'U
+    with U of rank r rows.  Then v = T' eta with T = U P' keeps v in the
+    range of H and whitens the part of the objective quadratic in v, and
+    Z = Y X, X = P [U_11^-1; 0], has orthonormal columns; Z is formed in
+    Y's memory.  An evaluation at eta takes w = R^-T cross(v),
+    e = eta - Z'w and R alpha = w + Z e, so alpha costs two triangular
+    solves and no Gram product.  The value is |w + Z e|^2 - 2 cross'alpha
+    + offset(v), the objective at that alpha, and the gradient in eta is
+    T slope(alpha) + 2 e.  Returns eta0 = X'H alpha0, the coordinates of
+    the start's signal, and the evaluation, which gives the value, the
+    gradient and alpha.
+    """
+    H = prob.H
+    Y = scipy.linalg.blas.dtrsm(1.0, R, H.T, trans_a=1)
+    U, piv, rank, _ = scipy.linalg.lapack.dpstrf(Y.T @ Y)
+    U, piv = np.triu(U[:rank]), piv - 1
+    T = np.empty_like(U)
+    T[:, piv] = U
+    X = np.zeros((len(piv), rank))
+    X[piv[:rank]] = scipy.linalg.solve_triangular(U[:, :rank], np.eye(rank))
+    Z = Y[:, :rank]
+    for lo in range(0, len(Y), _ROW_BLOCK):  # a block's rows are read before they are written
+        Z[lo : lo + _ROW_BLOCK] = Y[lo : lo + _ROW_BLOCK] @ X
 
-    def fun(beta: np.ndarray) -> tuple[float, np.ndarray]:
-        alpha = alpha_of(beta)
-        c, off, coupling = prob.terms(alpha)
-        value = float(beta @ beta) - 2.0 * float(c @ alpha) + float(off)
-        return value, 2.0 * beta + scipy.linalg.blas.dtrsv(R, coupling - 2.0 * c, trans=1)
+    def evaluate(eta: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        c, off, slope = prob.terms(T.T @ eta)
+        w = scipy.linalg.blas.dtrsv(R, c, trans=1)
+        e = eta - Z.T @ w
+        R_alpha = w + Z @ e
+        alpha = scipy.linalg.blas.dtrsv(R, R_alpha)
+        value = float(R_alpha @ R_alpha) - 2.0 * float(c @ alpha) + float(off)
+        return value, T @ slope(alpha) + 2.0 * e, alpha
 
-    return alpha_of, fun
+    return X.T @ (H @ alpha0), evaluate
 
 
-def _whitened_lbfgs(prob: NormalEquationsProblem, alpha0: np.ndarray) -> NonlinearResult:
+def _projected_lbfgs(prob: NormalEquationsProblem, alpha0: np.ndarray) -> NonlinearResult:
     # loaded on the first kernel solve only: explicit mode never needs it
     import scipy.optimize
 
@@ -363,32 +408,34 @@ def _whitened_lbfgs(prob: NormalEquationsProblem, alpha0: np.ndarray) -> Nonline
     obj0 = prob.objective(alpha0)
     if not np.isfinite(obj0):
         raise DivergenceError("objective is not finite at alpha0")
-    alpha_of, whitened = _whitened(prob, R)
+    eta, evaluate = _projected(prob, R, alpha0)
     start_grad, fell_back = None, False
 
-    def fun(beta: np.ndarray) -> tuple[float, np.ndarray]:
+    def fun(eta: np.ndarray) -> tuple[float, np.ndarray]:
         nonlocal start_grad, fell_back
-        v, g = whitened(beta)  # a non-finite slope stays non-finite through R^-T
-        if not (np.isfinite(v) and np.all(np.isfinite(g))):
+        value, grad, _ = evaluate(eta)  # a non-finite slope stays non-finite through T
+        if not (np.isfinite(value) and np.all(np.isfinite(grad))):
             # a stand-in whose zero gradient passes L-BFGS-B's gradient test
-            fell_back, v, g = True, 1e300, np.zeros_like(beta)
-        start_grad = np.linalg.norm(g) if start_grad is None else start_grad
-        return v, g
+            fell_back, value, grad = True, 1e300, np.zeros_like(eta)
+        start_grad = np.linalg.norm(grad) if start_grad is None else start_grad
+        return value, grad
 
-    beta, nit, resume = R @ alpha0, 0, True
+    nit, success, resume = 0, True, eta.size > 0  # a signal map of rank 0 leaves v = 0 only
     while resume:
         res = scipy.optimize.minimize(
-            fun, beta, jac=True, method="L-BFGS-B",
+            fun, eta, jac=True, method="L-BFGS-B",
             options={"maxiter": prob.max_iter - nit, "ftol": prob.rel_tol, "maxfun": math.inf},
         )
-        beta, nit = res.x, nit + res.nit
+        eta, nit, success = res.x, nit + res.nit, bool(res.success)
         # an ftol stop on a flat stretch is resumed until the gradient falls to sqrt(rel_tol) of its start
         stalled = np.linalg.norm(res.jac) > math.sqrt(prob.rel_tol) * start_grad
         resume = res.success and res.nit > 0 and stalled and nit < prob.max_iter and not fell_back
     alpha, obj = alpha0, obj0
-    if np.all(np.isfinite(res.x)) and res.fun < obj0:
-        alpha, obj = alpha_of(res.x), float(res.fun)
-    return NonlinearResult(alpha, obj, int(nit), bool(res.success) and not fell_back, obj0)
+    if np.all(np.isfinite(eta)):
+        value, _, alpha_eta = evaluate(eta)
+        if value < obj0:
+            alpha, obj = alpha_eta, value
+    return NonlinearResult(alpha, obj, int(nit), success and not fell_back, obj0)
 
 
 def nonlinear_solve(
@@ -407,17 +454,25 @@ def nonlinear_solve(
     a right-hand side affine in alpha is the first step; it stops short at
     max_iter accepted steps (``iterations``) or when no halving descends.
 
-    A NormalEquationsProblem is solved by one L-BFGS-B run (maxiter =
-    max_iter, ftol = rel_tol) in the whitened coordinates beta = R alpha,
-    R'R = gram + lam I, in which the quadratic part is the identity (a
-    change of variables; Nocedal & Wright 5.1 and 7.2).  Every Gram problem
-    carries its exact gradient.  L-BFGS-B takes value and gradient at
-    alpha = R^-1 beta from ``terms`` alone, as |beta|^2 - 2 cross'alpha +
-    offset and 2 beta + R^-T (coupling - 2 cross), with no Gram product.  An
-    ftol stop above sqrt(rel_tol) of the starting whitened gradient resumes
-    from where it stopped, within max_iter iterations in total.  It has
-    converged when L-BFGS-B succeeds and no evaluation met a non-finite
-    objective.
+    A NormalEquationsProblem is solved by variable projection (Golub &
+    Pereyra, SIAM J. Numer. Anal., 1973).  For a fixed signal v = H alpha
+    the objective is quadratic in alpha, so alpha is eliminated, and one
+    L-BFGS-B run (maxiter = max_iter, ftol = rel_tol) searches the signal
+    alone.  Its coordinates eta give v = T'eta, where T'T = H (gram +
+    lam I)^-1 H' on the range of H, so the part of the objective quadratic
+    in v is |eta|^2 (a change of variables; Nocedal & Wright 5.1 and 7.2).
+    For H = I these are the coefficients whitened by the Gram's factor, up
+    to a rotation.  Every Gram problem carries its exact gradient.  An
+    evaluation takes the terms at v, the alpha that minimizes the objective
+    among those with H alpha = v (two triangular solves on the factor, no
+    Gram product), the objective there, and the gradient T (slope(alpha) +
+    2 mu), mu the Lagrange multiplier of H alpha = v.  An ftol stop above
+    sqrt(rel_tol) of the starting gradient in eta resumes from where it
+    stopped, within max_iter iterations in total.  The result is the alpha
+    of the last point, or alpha0 where that is not lower.  It has converged
+    when L-BFGS-B succeeds and no evaluation met a non-finite objective.  A
+    signal map of rank 0 leaves the one signal v = 0, whose minimizer takes
+    one evaluation and no iteration.
     """
     if not isinstance(prob, (NonlinearResidualProblem, NormalEquationsProblem)):
         raise ConfigError(f"unsupported problem type {type(prob).__name__}")
@@ -428,4 +483,4 @@ def nonlinear_solve(
         raise DivergenceError("alpha0 is not finite")
     if isinstance(prob, NonlinearResidualProblem):
         return _gauss_newton(prob, alpha)
-    return _whitened_lbfgs(prob, alpha)
+    return _projected_lbfgs(prob, alpha)

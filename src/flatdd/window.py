@@ -14,9 +14,11 @@ front end describes its problem as a :class:`WindowLayout`: the data
 Hankel matrix through which alpha moves the points, which point
 coordinates it moves, and b.  Simulation moves the output window
 through H_L(y) and fixes the first n outputs; matching moves the input
-through H_{L-n}(u) and fixes the whole reference.  Explicit mode
-evaluates a basis at the points; kernel mode carries the same objective
-through Gram matrices.
+through H_{L-n}(u) and fixes the whole reference.  The points depend
+on alpha only through that moved signal v = H alpha, a few dozen entries
+against hundreds of coefficients.  Explicit mode evaluates a basis at
+the points; kernel mode carries the same objective through Gram
+matrices, and its solve searches v itself, with alpha eliminated.
 """
 from __future__ import annotations
 
@@ -93,10 +95,11 @@ class WindowLayout:
     """Where alpha enters one horizon's window problem.
 
     Row k of the candidate points is Z0[k] with coordinate c replaced by
-    (H @ alpha)[k + moved[c]] for each c in ``moved`` (0 is the input,
-    1..n the output window); Z0 holds zeros there.  H @ alpha is also the
-    signal the front end returns.  The first len(b) outputs of the window
-    are fixed to b: the rows H_L(y)[:len(b)] alpha must match it.
+    v[k + moved[c]] for each c in ``moved`` (0 is the input, 1..n the
+    output window), where v = H @ alpha is the moved signal; Z0 holds
+    zeros there.  v is also the signal the front end returns.  The first
+    len(b) outputs of the window are fixed to b: the rows
+    H_L(y)[:len(b)] alpha must match it.
     """
 
     Z0: np.ndarray
@@ -104,8 +107,8 @@ class WindowLayout:
     moved: dict[int, int]
     b: np.ndarray
 
-    def points(self, alpha: np.ndarray) -> np.ndarray:
-        v = self.H @ alpha
+    def points(self, v: np.ndarray) -> np.ndarray:
+        """The candidate points of the moved signal v."""
         Z = self.Z0.copy()
         for c, first in self.moved.items():
             Z[:, c] = v[first : first + Z.shape[0]]
@@ -140,14 +143,14 @@ def explicit_solve(prob: WindowProblem, layout: WindowLayout) -> NonlinearResult
     moving = np.stack([layout.H[first : first + len(layout.Z0)] for first in layout.moved.values()])
 
     def rhs(alpha: np.ndarray) -> np.ndarray:
-        return candidate_stack(basis, layout.points(alpha), layout.b)
+        return candidate_stack(basis, layout.points(layout.H @ alpha), layout.b)
 
     C = np.empty(A.shape)  # one buffer for every step: the solver overwrites it with J = A - C
 
     def jacobian(alpha: np.ndarray) -> np.ndarray:
         # row k*r + i of the psi rows: sum over moved c of dpsi_i/dz_c at point k times its moving row
         C[psi_rows:] = 0.0
-        slope = psi_jacobian(basis, layout.points(alpha), coords)
+        slope = psi_jacobian(basis, layout.points(layout.H @ alpha), coords)
         np.einsum("kic,ckp->kip", slope, moving, out=C[:psi_rows].reshape(-1, basis.r, A.shape[1]))
         return C
 
@@ -201,12 +204,14 @@ def kernel_problem(
     """Gram-space form of the window problem, and its starting point.
 
     The feature Hankel matrix stays implicit: its row block k pairs with
-    candidate point k at ``layout.points(alpha)``.  The problem carries
-    the exact gradient of its objective, whose coupling term reaches alpha
-    through H'.  The starting point alpha0 is the ridge fit of the fixed
-    rows B = H_L(y)[:len(b)] to b.  The Gram is built in the memory of the
-    data kernel block and belongs to the problem, whose first solve
-    factors it there.
+    candidate point k at ``layout.points(v)``.  The problem's signal map is
+    the layout's H, so its terms are taken at the moved signal v: the
+    points, their kernel block against the data points, cross(v) and
+    offset(v) come from v, and the slope, the gradient in v at given
+    alpha, comes afterwards from the same kernel block.  The starting
+    point alpha0 is the ridge fit of the fixed rows B = H_L(y)[:len(b)] to
+    b.  The Gram is built in the memory of the data kernel block and
+    belongs to the problem, whose first solve factors it there.
     """
     # the solve's optimizer, loaded before the data kernel block exists so
     # that its memory does not add to the peak that block sets
@@ -224,17 +229,21 @@ def kernel_problem(
     b_sq = float(b @ b)
     W = np.zeros((m, len(Z_data)))  # the band weights; only the band is ever written
 
-    def terms(alpha: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
-        Z_bar = layout.points(alpha)
+    def terms(v: np.ndarray):
+        Z_bar = layout.points(v)
         K = kernel_eval(kernel, Z_bar, Z_data)
-        cross = _band(K, cols).sum(axis=0) + const_cross  # taken before kernel_grad overwrites K
         diag, diag_grad = kernel_diag(kernel, Z_bar)
-        _band(W, cols)[:] = alpha
-        point_grad = diag_grad - 2.0 * kernel_grad(kernel, Z_bar, Z_data, K, W)
-        v = np.zeros(layout.H.shape[0])  # point gradients, on the rows of H that moved them
-        for c, first in layout.moved.items():
-            v[first : first + m] += point_grad[:, c]
-        return cross, float(diag.sum()) + b_sq, layout.H.T @ v
 
-    prob = NormalEquationsProblem._over_own_gram(gram, terms, lam, **controls)
+        def slope(alpha: np.ndarray) -> np.ndarray:
+            # kernel_grad overwrites K, whose band sum is taken below before slope can run
+            _band(W, cols)[:] = alpha
+            point_grad = diag_grad - 2.0 * kernel_grad(kernel, Z_bar, Z_data, K, W)
+            g = np.zeros(v.size)  # point gradients, on the entries of v that moved them
+            for c, first in layout.moved.items():
+                g[first : first + m] += point_grad[:, c]
+            return g
+
+        return _band(K, cols).sum(axis=0) + const_cross, float(diag.sum()) + b_sq, slope
+
+    prob = NormalEquationsProblem._over_own_gram(gram, terms, lam, H=layout.H, **controls)
     return prob, ridge_solve(RidgeProblem(B, b, lam))

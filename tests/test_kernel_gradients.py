@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 import flatdd.window
 from flatdd.basis import KernelSpec, named_basis
+from flatdd.experiments import run_example2
 from flatdd.matching import MatchProblem, dd_match, kernel_match_problem
 from flatdd.plant import collect_trajectory, example1_model, example2_model, simulate
+from flatdd.signals import IoTrajectory
 from flatdd.simulation import SimProblem, dd_simulate, kernel_sim_problem
-from flatdd.solver import nonlinear_solve
+from flatdd.solver import _cholesky, _projected, nonlinear_solve
 
 L = 20
 
@@ -55,19 +57,21 @@ def _central_differences(f, alpha, h=1e-6):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_fused_gradient_matches_central_differences(case):
+    # the solver's evaluation in the coordinates eta of the moved signal
     prob, _, alpha0 = CASES[case]()
+    eta0, evaluate = _projected(prob, _cholesky(prob.gram, prob.lam), alpha0)
     rng = np.random.default_rng(11)
     for _ in range(3):
-        alpha = alpha0 + rng.normal(size=alpha0.size) * 0.05 * (1.0 + np.abs(alpha0).max())
-        value, grad = prob.value_and_grad(alpha)
+        eta = eta0 + rng.normal(size=eta0.size) * 0.05 * (1.0 + np.abs(eta0).max())
+        value, grad, alpha = evaluate(eta)
         assert abs(value - prob.objective(alpha)) <= 1e-12 * abs(value)
-        fd = _central_differences(prob.objective, alpha)
+        fd = _central_differences(lambda e: evaluate(e)[0], eta)
         assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(fd)
 
 
 def test_kernel_simulation_polish_uses_exact_gradient(monkeypatch):
     # with finite differences the solve costs thousands of evaluations; the
-    # whitened solve evaluates the problem's terms, not its objective, so
+    # projected solve evaluates the problem's terms, not its objective, so
     # L-BFGS-B's own count is read
     evaluations = []
     minimize = scipy.optimize.minimize
@@ -102,6 +106,35 @@ def test_kernel_solve_never_above_initial_objective(seed, task, lam, sigma):
     assert res.objective <= res.initial_objective
 
 
+@pytest.mark.parametrize("data_input", ["random", "constant"])
+@pytest.mark.parametrize("level", [0.0, 0.3])
+@pytest.mark.parametrize("task", ["simulation", "matching"])
+def test_kernel_solve_on_constant_output_data(task, level, data_input):
+    # constant outputs give a depth-L output Hankel matrix of rank 1, or 0 at
+    # level 0, and a constant input does the same to matching's input Hankel
+    # matrix: the moved signal is confined to its range, or fixed at 0
+    rng = np.random.default_rng(3)
+    u = rng.uniform(-1.0, 1.0, 118) if data_input == "random" else np.full(118, level)
+    traj = IoTrajectory.from_arrays(u, np.full(120, level), 2)
+    if task == "simulation":
+        u_new, y_init = rng.uniform(-1.0, 1.0, L - 2), np.full(2, level)
+        res = dd_simulate(SimProblem(traj, L, u_new, y_init, "kernel", kernel=KernelSpec("gaussian")))
+        signal = res.y.flat
+    else:
+        res = dd_match(MatchProblem(traj, L, _match_data(5)[2], "kernel", kernel=KernelSpec("gaussian_plus_linear")))
+        signal = res.u.flat
+    assert np.isfinite(res.objective) and res.objective <= res.initial_objective
+    assert np.all(np.isfinite(res.alpha)) and np.all(np.isfinite(signal))
+
+
+@pytest.mark.parametrize("seed", range(5, 10))
+def test_example2_kernel_solve_takes_few_iterations(seed, tmp_path):
+    # L-BFGS-B searches the 50-entry moved signal in whitened coordinates; over
+    # all 701 coefficients it took 26-29 iterations on these data seeds
+    metrics = run_example2(seed=seed, out_dir=str(tmp_path))
+    assert metrics["converged"] and metrics["iterations"] <= 16
+
+
 def _explicit_sim_problem(seed, lam):
     """The residual problem of an explicit example-1 simulation at L = 20."""
     traj = collect_trajectory(example1_model(), 150, (-0.5, 0.5), seed=seed)
@@ -132,8 +165,6 @@ def test_converged_solves_are_stationary(seed, task, lam, sigma):
         prob, alpha0 = _explicit_sim_problem(seed, lam * 1e-4), None
     res = nonlinear_solve(prob, alpha0)
     assert res.converged
-    if task == "explicit-simulation":
-        start, end = (_central_differences(prob.objective, a) for a in (np.zeros(prob.dim), res.alpha))
-    else:
-        start, end = (prob.value_and_grad(a)[1] for a in (alpha0, res.alpha))
+    start = np.zeros(prob.dim) if alpha0 is None else alpha0
+    start, end = (_central_differences(prob.objective, a) for a in (start, res.alpha))
     assert np.linalg.norm(end) <= 1e-4 * np.linalg.norm(start)

@@ -226,7 +226,7 @@ def test_kernel_with_finite_basis_product_matches_explicit(ex1_basis, monkeypatc
     # one frozen step from a common point agrees as well
     a0 = rng.normal(size=normal.dim) * 0.02
     step_explicit = ridge_solve(RidgeProblem(A, explicit_rhs(a0), lam))
-    step_kernel = np.linalg.solve(normal.gram + lam * np.eye(normal.dim), normal.terms(a0)[0])
+    step_kernel = np.linalg.solve(normal.gram + lam * np.eye(normal.dim), normal.terms(H_L_y @ a0)[0])
     assert_allclose(step_kernel, step_explicit, atol=1e-8 * (1 + np.linalg.norm(step_explicit)))
 
     # endpoints of the two pipelines are optimizer-path dependent (same

@@ -27,7 +27,7 @@ from flatdd.solver import (
     RidgeProblem,
     _cholesky,
     _ridge,
-    _whitened,
+    _projected,
     nonlinear_solve,
     ridge_solve,
 )
@@ -149,6 +149,11 @@ def test_divergent_rhs_raises():
         nonlinear_solve(prob, np.zeros(2))
 
 
+def _fixed_terms(cross, offset=0.0):
+    """Terms of a Gram problem whose cross and offset do not move with the signal."""
+    return lambda v: (cross, offset, lambda alpha: np.zeros(v.size))
+
+
 def test_normal_equations_form_matches_explicit():
     rng = np.random.default_rng(5)
     A = rng.normal(size=(9, 4))
@@ -156,23 +161,28 @@ def test_normal_equations_form_matches_explicit():
     lam = 0.2
     explicit = nonlinear_solve(NonlinearResidualProblem(A, lambda a: b, lam), np.zeros(4))
     viagram = nonlinear_solve(
-        NormalEquationsProblem(A.T @ A, lambda a: (A.T @ b, float(b @ b), np.zeros(4)), lam),
+        NormalEquationsProblem(A.T @ A, _fixed_terms(A.T @ b, float(b @ b)), lam),
         np.zeros(4),
     )
     assert_allclose(viagram.alpha, explicit.alpha, rtol=1e-8)
     assert_allclose(viagram.objective, explicit.objective, rtol=1e-8, atol=1e-10)
 
 
+def test_normal_equations_signal_map_must_fit_gram():
+    with pytest.raises(ConfigError, match="signal map"):
+        NormalEquationsProblem(np.eye(3), _fixed_terms(np.ones(3)), 0.1, H=np.eye(2))
+
+
 def test_normal_equations_singular_guard():
     G = np.zeros((3, 3))
-    prob = NormalEquationsProblem(G, lambda a: (np.zeros(3), 0.0, np.zeros(3)), 0.0)
+    prob = NormalEquationsProblem(G, _fixed_terms(np.zeros(3)), 0.0)
     with pytest.raises(SingularMatrixError):
         nonlinear_solve(prob, np.zeros(3))
 
 
 def test_normal_equations_conditioning_warning():
     G = np.diag([1.0, 1e-13])
-    prob = NormalEquationsProblem(G, lambda a: (np.ones(2), 0.0, np.zeros(2)), 0.0)
+    prob = NormalEquationsProblem(G, _fixed_terms(np.ones(2)), 0.0)
     with pytest.warns(ConditioningWarning, match=r"condition number 1\.000e\+13"):
         nonlinear_solve(prob, np.zeros(2))
 
@@ -181,7 +191,7 @@ def test_condition_estimate_warns_on_dense_ill_conditioned_gram():
     n = 20
     Q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(n, n)))
     G = (Q * np.logspace(0, -13, n)) @ Q.T
-    prob = NormalEquationsProblem(G, lambda a: (np.ones(n), 0.0, np.zeros(n)), 0.0)
+    prob = NormalEquationsProblem(G, _fixed_terms(np.ones(n)), 0.0)
     with pytest.warns(ConditioningWarning) as record:
         nonlinear_solve(prob, np.zeros(n))
     # the 1-norm estimate is within a small factor of the true condition number 1e13
@@ -206,7 +216,7 @@ def test_nonfinite_gram_is_singular(value):
     M = np.random.default_rng(3).normal(size=(4, 4))
     G = M @ M.T
     G[1, 2] = G[2, 1] = value
-    prob = NormalEquationsProblem(G, lambda a: (np.ones(4), 0.0, np.zeros(4)), 0.1)
+    prob = NormalEquationsProblem(G, _fixed_terms(np.ones(4)), 0.1)
     with pytest.raises(SingularMatrixError, match="lam = 0.1"):
         nonlinear_solve(prob, np.zeros(4))
 
@@ -225,20 +235,30 @@ def _kernel_match_seed5():
 
 @pytest.mark.parametrize("build", [_kernel_sim_seed5, _kernel_match_seed5])
 def test_whitened_evaluation_matches_objective(build):
-    # the solver never forms gram @ alpha; its value and gradient in
-    # beta = R alpha must still be the problem's own at alpha = R^-1 beta
-    prob, _, alpha0 = build()
-    R = _cholesky(prob.gram, prob.lam)
-    alpha_of, fun = _whitened(prob, R)
+    # the solver never forms gram @ alpha; at each point of its coordinates its
+    # value must be the problem's own objective at the alpha it returns, that
+    # alpha must move the signal the terms were taken at, and it must minimize
+    # the objective among the alphas that move the same signal
+    prob, H, alpha0 = build()
+    signals = []
+    recording = NormalEquationsProblem(
+        prob.gram, lambda v: signals.append(v) or prob.terms(v), prob.lam, H=H
+    )
+    M = prob.gram + prob.lam * np.eye(prob.dim)
+    eta0, evaluate = _projected(recording, _cholesky(prob.gram, prob.lam), alpha0)
     rng = np.random.default_rng(8)
     for scale in (0.0, 0.1, 1.0):
-        beta = R @ alpha0 + scale * rng.normal(size=prob.dim)
-        alpha = np.linalg.solve(R, beta)
-        value, grad = fun(beta)
-        assert_allclose(alpha_of(beta), alpha, rtol=1e-10, atol=1e-12 * np.abs(alpha).max())
+        value, _, alpha = evaluate(eta0 + scale * rng.normal(size=eta0.size))
+        v = signals[-1]
+        assert np.linalg.norm(H @ alpha - v) <= 1e-10 * np.linalg.norm(np.abs(H) @ np.abs(alpha))
         assert_allclose(value, prob.objective(alpha), rtol=1e-10)
-        expected = np.linalg.solve(R.T, prob.value_and_grad(alpha)[1])
-        assert np.linalg.norm(grad - expected) <= 1e-8 * np.linalg.norm(expected)
+        # M alpha - cross(v) = H' mu: no part of it keeps the signal fixed
+        gap = M @ alpha - prob.terms(v)[0]
+        mu = np.linalg.lstsq(H.T, gap, rcond=None)[0]
+        assert np.linalg.norm(gap - H.T @ mu) <= 1e-8 * np.linalg.norm(gap)
+    # the start is the signal of alpha0
+    evaluate(eta0)
+    assert np.linalg.norm(signals[-1] - H @ alpha0) <= 1e-10 * np.linalg.norm(H @ alpha0)
 
 
 def test_gram_factor_makes_one_copy():
@@ -280,7 +300,7 @@ def test_hand_built_gram_is_not_written():
     M = np.random.default_rng(4).normal(size=(30, 30))
     G = M @ M.T
     before = G.copy()
-    prob = NormalEquationsProblem(G, lambda a: (np.ones(30), 0.0, np.zeros(30)), 0.1)
+    prob = NormalEquationsProblem(G, _fixed_terms(np.ones(30)), 0.1)
     nonlinear_solve(prob, np.zeros(30))
     assert prob.gram is G and np.array_equal(G, before)
 
@@ -288,8 +308,8 @@ def test_hand_built_gram_is_not_written():
 @pytest.mark.parametrize("radius", [0.0, 0.5])
 def test_gram_solve_survives_nonfinite_region(radius):
     # the objective is NaN farther than radius from alpha0; L-BFGS-B sees
-    # 1e300 there, and at radius 0 its whitened start R^-1 (R alpha0) misses
-    # alpha0 by rounding, so only the guard on its result keeps alpha0
+    # 1e300 there, and at radius 0 every point it tries but its start is
+    # outside, so the result is the start or, by the guard on it, alpha0
     M = np.random.default_rng(3).normal(size=(3, 3))
     alpha0 = np.array([0.3, -0.2, 0.1])
     outside = []
@@ -297,8 +317,8 @@ def test_gram_solve_survives_nonfinite_region(radius):
     def terms(a):
         if np.linalg.norm(a - alpha0) > radius:
             outside.append(a)
-            return np.full(3, np.nan), np.nan, np.full(3, np.nan)
-        return np.array([10.0, 5.0, -3.0]), 0.0, np.zeros(3)
+            return np.full(3, np.nan), np.nan, lambda alpha: np.full(3, np.nan)
+        return np.array([10.0, 5.0, -3.0]), 0.0, lambda alpha: np.zeros(3)
 
     prob = NormalEquationsProblem(M @ M.T, terms, 0.1)
     res = nonlinear_solve(prob, alpha0)
@@ -313,7 +333,7 @@ def test_gram_solve_survives_nonfinite_region(radius):
 def test_gram_solve_started_at_its_minimizer_converges():
     M = np.random.default_rng(3).normal(size=(3, 3))
     c = np.array([10.0, 5.0, -3.0])
-    prob = NormalEquationsProblem(M @ M.T, lambda a: (c, 0.0, np.zeros(3)), 0.1)
+    prob = NormalEquationsProblem(M @ M.T, _fixed_terms(c), 0.1)
     alpha_star = np.linalg.solve(M @ M.T + 0.1 * np.eye(3), c)
     res = nonlinear_solve(prob, alpha_star)
     assert res.converged
@@ -326,7 +346,7 @@ def test_rank_deficient_gram_is_singular(seed):
     # seed 57 gives a 2-vector whose v v' passes Cholesky with a pivot at rounding level
     rng = np.random.default_rng(seed)
     v = rng.normal(size=rng.integers(2, 12))
-    prob = NormalEquationsProblem(np.outer(v, v), lambda a: (v, 0.0, np.zeros(v.size)), 0.0)
+    prob = NormalEquationsProblem(np.outer(v, v), _fixed_terms(v), 0.0)
     with pytest.raises(SingularMatrixError):
         nonlinear_solve(prob, np.zeros(v.size))
 
@@ -452,3 +472,45 @@ def test_objective_and_minimize_calls_by_mode(monkeypatch):
     ))
     assert calls["NormalEquationsProblem"] >= 1 and calls["minimize"] == 1
     assert calls["NonlinearResidualProblem"] == 0
+
+
+def test_certified_gram_skips_condition_estimate(monkeypatch):
+    # a Gram that flatdd builds skips dpocon where n trace(M) / (lam - delta)
+    # certifies its condition number below the warning limit; on random
+    # positive semidefinite Grams, with lam on both sides of that bound,
+    # every skipped estimate would have been quiet
+    calls = []
+    dpocon = scipy.linalg.lapack.dpocon
+    monkeypatch.setattr(scipy.linalg.lapack, "dpocon", lambda *a, **k: calls.append(1) or dpocon(*a, **k))
+    rng = np.random.default_rng(12)
+    skipped = estimated = 0
+    for _ in range(200):
+        n = int(rng.integers(2, 60))
+        A = rng.normal(size=(n, int(rng.integers(1, 2 * n)))) * 10.0 ** rng.uniform(-3, 3)
+        G = A @ A.T
+        # lam / trace(G) from 1e-16 to 1e-6, across the rounding margin delta = 1e-8 trace(M)
+        lam = float(np.trace(G)) * 10.0 ** rng.uniform(-16, -6)
+        M = G + lam * np.eye(n)
+        calls.clear()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ConditioningWarning)
+                R = _cholesky(G, lam, overwrite_g=True)
+        except SingularMatrixError:
+            R = None
+        if calls:
+            estimated += 1
+            continue
+        skipped += 1
+        assert dpocon(R, scipy.linalg.lapack.dlange("1", M))[0] >= 1e-12
+    assert skipped >= 20 and estimated >= 20
+
+
+def test_caller_gram_keeps_condition_estimate(monkeypatch):
+    calls = []
+    dpocon = scipy.linalg.lapack.dpocon
+    monkeypatch.setattr(scipy.linalg.lapack, "dpocon", lambda *a, **k: calls.append(1) or dpocon(*a, **k))
+    _cholesky(np.eye(5), 0.1)
+    assert calls == [1]
+    _cholesky(np.eye(5), 0.1, overwrite_g=True)
+    assert calls == [1]
