@@ -15,6 +15,9 @@ Groups:
                      ten fixed windows, five members and five non-members
   data               the bytes of the recorded u and y (noise included)
                      that run_example1 and run_example2 use, data seeds 5-29
+  pe                 the pe_verdict results on run_example1's data, data
+                     seeds 5-29: the basis at orders L-1, L and L+1, and
+                     the raw input at order L+n
 
 The runs write into a temporary directory that is removed afterwards.
 The whole run takes a few seconds with one BLAS thread.  Digests are
@@ -45,6 +48,7 @@ from flatdd.experiments import (  # noqa: E402
     ExperimentConfig,
     _collect,
     example2_defaults,
+    pe_verdict,
     run_example1,
     run_example2,
 )
@@ -96,6 +100,17 @@ def _data_digest() -> str:
     return h.hexdigest()
 
 
+def _pe_digest() -> str:
+    h = hashlib.sha256()
+    for seed in SEEDS:
+        config = ExperimentConfig(seed=seed)
+        traj = _collect(config, example1_model())
+        basis, L = named_basis(config.basis), config.horizon
+        verdicts = [pe_verdict(traj, order, basis) for order in (L - 1, L, L + 1)] + [pe_verdict(traj, L + traj.n)]
+        h.update(json.dumps(verdicts).encode())
+    return h.hexdigest()
+
+
 def _solves() -> None:
     """One JSON line per kernel run of run_example1 and run_example2, data seeds 5-29."""
     keys = ("objective", "initial_objective", "iterations", "converged")
@@ -120,6 +135,7 @@ def main() -> None:
     print(f"example2           {_experiment_digest(run_example2)}")
     print(f"flat-membership    {_membership_digest()}")
     print(f"data               {_data_digest()}")
+    print(f"pe                 {_pe_digest()}")
 
 
 if __name__ == "__main__":

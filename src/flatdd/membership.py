@@ -18,7 +18,7 @@ import numpy as np
 from .basis import BasisSet, eval_psi_hat, psi_hat_signal, window_points
 from .errors import ConfigError, DimensionError, PersistencyWarning, SingularMatrixError
 from .signals import IoTrajectory, PeResult, Signal, _known_samples, _memo, as_signal, build_hankel, pe_check
-from .signals import _hankel_cols, _write_hankel
+from .signals import _excitation, _hankel_cols, _write_hankel
 
 __all__ = [
     "MembershipVerdict",
@@ -103,8 +103,23 @@ def _warn_if_not_excited(traj: IoTrajectory, basis: BasisSet, L: int, stacklevel
     trajectory; every call that finds it unsatisfied warns.  The warning
     goes ``stacklevel`` frames up, to the caller of the public function
     that asked.
+
+    The depth-L Hankel matrix of the sequence is read from the Psi block
+    of ``flat_stack``, whose depth is L - n: its first N-L+1-n columns
+    are the top rows, and its last block row shifted right by 1 ... n
+    columns gives the n block rows below them.  The Hankel matrix itself
+    is built only where the excitation check falls back to an SVD.
     """
-    pe = _memo(traj, ("pe", basis, L), lambda: pe_check(psi_hat_signal(traj, basis), L))
+
+    def verdict() -> PeResult:
+        psi = psi_hat_signal(traj, basis)
+        cols = _hankel_cols(psi, L)  # raises as pe_check does for a depth outside 1..N-n
+        top = flat_stack(traj, basis, L)[: basis.r * (L - traj.n)]
+        last = top[-basis.r :]
+        rows = [top[:, :cols], *(last[:, k : k + cols] for k in range(1, traj.n + 1))]
+        return _excitation(rows, lambda: build_hankel(psi, L).entries)
+
+    pe = _memo(traj, ("pe", basis, L), verdict)
     _warn_unless_excited(pe, "basis-function sequence", f"L={L}", basis.r * L, stacklevel + 1)
 
 

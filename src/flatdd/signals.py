@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -213,7 +214,7 @@ class PeResult:
     diagnostic: str | None = field(default=None)
 
 
-_PE_CERTIFY_RCOND = 1e-8  # the least dpocon estimate of 1/cond_1(H H') that pe_check certifies
+_PE_CERTIFY_RCOND = 1e-8  # the least dpocon estimate of 1/cond_1(H H') that certifies excitation
 
 
 def pe_check(z: Signal | np.ndarray, L: int) -> PeResult:
@@ -227,28 +228,53 @@ def pe_check(z: Signal | np.ndarray, L: int) -> PeResult:
     factorization, a lower estimate, a G within 1/eps of underflow or
     overflowing, too few columns, non-finite data) the numerical rank is
     the exact count of singular values above max(rows, cols) * eps * s_max.
+    The window problems over a recorded trajectory reach the same verdict
+    from the rows of their stored data matrix (``_excitation``), with no
+    second Hankel matrix.
     """
     z = as_signal(z)
-    H = build_hankel(z, L)
-    full = z.sigma * L
-    if H.cols >= full:
+    H = build_hankel(z, L).entries
+    return _excitation([H], lambda: H)
+
+
+def _excitation(rows: Sequence[np.ndarray], hankel: Callable[[], np.ndarray]) -> PeResult:
+    """The ``pe_check`` verdict on the Hankel matrix H that the row blocks
+    ``rows`` stack to, in order; they may be views into a larger array.
+    ``hankel()`` returns H itself and is called only for the SVD, where
+    the Cholesky certificate fails.
+
+    G = H H' is assembled block by block in one array, its 1-norm taken
+    by ``dlange`` and the array factored in place by ``dpotrf`` on its
+    Fortran-ordered transpose (G is symmetric), so the certificate
+    allocates nothing of G's size beyond G.
+    """
+    edges = np.cumsum([0, *(len(b) for b in rows)])
+    full, cols = int(edges[-1]), rows[0].shape[1]
+    if cols >= full:
+        G = np.empty((full, full))
+        blocks = list(zip(rows, edges, edges[1:]))
         with np.errstate(over="ignore", invalid="ignore"):  # such a G is not certified
-            G = H.entries @ H.entries.T
-            anorm = np.abs(G).sum(axis=0).max()
+            for i, (a, lo, hi) in enumerate(blocks):
+                np.matmul(a, a.T, out=G[lo:hi, lo:hi])
+                for b, b_lo, b_hi in blocks[:i]:  # the block above the diagonal is this one's transpose
+                    np.matmul(a, b.T, out=G[lo:hi, b_lo:b_hi])
+                    G[b_lo:b_hi, lo:hi] = G[lo:hi, b_lo:b_hi].T
+        anorm = scipy.linalg.lapack.dlange("1", G.T)
         if np.finfo(float).tiny / np.finfo(float).eps <= anorm < math.inf:
-            R, info = scipy.linalg.lapack.dpotrf(G)
+            R, info = scipy.linalg.lapack.dpotrf(G.T, lower=0, clean=0, overwrite_a=1)
             if info == 0 and scipy.linalg.lapack.dpocon(R, anorm)[0] >= _PE_CERTIFY_RCOND:
                 return PeResult(True, full)
+    H = hankel()
     try:
-        s = np.linalg.svd(H.entries, compute_uv=False)
+        s = np.linalg.svd(H, compute_uv=False)
         if not np.isfinite(s).all():  # an infinite entry leaves NaN where a NaN raises
             raise np.linalg.LinAlgError
     except np.linalg.LinAlgError:
         raise SingularMatrixError("SVD of the Hankel matrix did not converge; is the sequence finite?") from None
-    rank_tol = max(H.entries.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
+    rank_tol = max(H.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
     rank = int(np.count_nonzero(s > rank_tol))
-    if H.cols < full:
-        return PeResult(False, rank, diagnostic=f"sequence too short: {H.cols} columns < sigma*L = {full}")
+    if cols < full:
+        return PeResult(False, rank, diagnostic=f"sequence too short: {cols} columns < sigma*L = {full}")
     return PeResult(rank == full, rank)
 
 
@@ -320,12 +346,14 @@ def write_signal_csv(path: str | Path, name: str | Sequence[str], values) -> Non
     sequence per name, each written as a column; a column shorter than the
     longest leaves its last cells empty, as the input of a trajectory file."""
     names, columns = ([name], [values]) if isinstance(name, str) else (name, values)
-    columns = [np.asarray(c, dtype=float) for c in columns]
+    columns = [np.asarray(c, dtype=float).tolist() for c in columns]
+    depth = max(len(c) for c in columns)
+    cells = [[_FLOAT_FMT.format(v) for v in c] + [""] * (depth - len(c)) for c in columns]
+    header = io.StringIO()
+    csv.writer(header, lineterminator="\n").writerow(["k", *names])  # a name may need quoting
+    body = "".join(f"{k},{','.join(row)}\n" for k, row in enumerate(zip(*cells)))
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["k", *names])
-        for k in range(max(c.size for c in columns)):
-            w.writerow([k, *(_FLOAT_FMT.format(c[k]) if k < c.size else "" for c in columns)])
+        fh.write(header.getvalue() + body)
 
 
 def read_signal_csv(path: str | Path) -> np.ndarray:

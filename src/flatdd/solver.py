@@ -409,11 +409,12 @@ def _projected_lbfgs(prob: NormalEquationsProblem, alpha0: np.ndarray) -> Nonlin
     if not np.isfinite(obj0):
         raise DivergenceError("objective is not finite at alpha0")
     eta, evaluate = _projected(prob, R, alpha0)
-    start_grad, fell_back = None, False
+    start_grad, fell_back, last = None, False, None
 
     def fun(eta: np.ndarray) -> tuple[float, np.ndarray]:
-        nonlocal start_grad, fell_back
-        value, grad, _ = evaluate(eta)  # a non-finite slope stays non-finite through T
+        nonlocal start_grad, fell_back, last
+        last = eta.copy(), evaluate(eta)
+        value, grad, _ = last[1]  # a non-finite slope stays non-finite through T
         if not (np.isfinite(value) and np.all(np.isfinite(grad))):
             # a stand-in whose zero gradient passes L-BFGS-B's gradient test
             fell_back, value, grad = True, 1e300, np.zeros_like(eta)
@@ -432,7 +433,8 @@ def _projected_lbfgs(prob: NormalEquationsProblem, alpha0: np.ndarray) -> Nonlin
         resume = res.success and res.nit > 0 and stalled and nit < prob.max_iter and not fell_back
     alpha, obj = alpha0, obj0
     if np.all(np.isfinite(eta)):
-        value, _, alpha_eta = evaluate(eta)
+        # L-BFGS-B usually stops at the point it evaluated last
+        value, _, alpha_eta = last[1] if last is not None and np.array_equal(last[0], eta) else evaluate(eta)
         if value < obj0:
             alpha, obj = alpha_eta, value
     return NonlinearResult(alpha, obj, int(nit), success and not fell_back, obj0)

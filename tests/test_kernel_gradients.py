@@ -88,6 +88,32 @@ def test_kernel_simulation_polish_uses_exact_gradient(monkeypatch):
     assert 0 < sum(evaluations) <= 300
 
 
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_kernel_solve_keeps_its_last_evaluation(monkeypatch, case):
+    # L-BFGS-B stops at the point it evaluated last, whose alpha and value the
+    # result takes: one kernel block for alpha0 and one per L-BFGS-B evaluation
+    import flatdd.solver
+
+    prob, _, alpha0 = CASES[case]()
+    runs, blocks, evaluations = [], [], []
+    minimize, kernel_eval, projected = scipy.optimize.minimize, flatdd.window.kernel_eval, flatdd.solver._projected
+
+    def projected_kept(*args):
+        eta0, evaluate = projected(*args)
+        evaluations.append(evaluate)
+        return eta0, evaluate
+
+    monkeypatch.setattr(scipy.optimize, "minimize", lambda *a, **k: runs.append(minimize(*a, **k)) or runs[-1])
+    monkeypatch.setattr(flatdd.window, "kernel_eval", lambda *a: blocks.append(1) or kernel_eval(*a))
+    monkeypatch.setattr(flatdd.solver, "_projected", projected_kept)
+    res = nonlinear_solve(prob, alpha0)
+    assert runs and len(blocks) == 1 + sum(r.nfev for r in runs)
+    # bit for bit what a fresh evaluation of the final point gives
+    value, _, alpha = evaluations[0](runs[-1].x)
+    assert value < res.initial_objective
+    assert res.objective == value and np.array_equal(res.alpha, alpha)
+
+
 @settings(deadline=None, max_examples=20)
 @given(
     st.integers(5, 29),

@@ -1,12 +1,15 @@
 import gc
+import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from flatdd.basis import BasisSet, named_basis, window_points
+from flatdd.basis import BasisSet, named_basis, psi_hat_signal, window_points
 from flatdd.errors import ConfigError, DimensionError, PersistencyWarning
+from flatdd.experiments import ExperimentConfig, _collect
 from flatdd.matching import MatchProblem, dd_match
 from flatdd.membership import (
     candidate_stack,
@@ -16,6 +19,7 @@ from flatdd.membership import (
     lti_membership,
 )
 from flatdd.plant import FlatModel, collect_trajectory, example1_model, simulate
+from flatdd.signals import IoTrajectory, pe_check
 
 
 def lti_response(u, x0=0.0):
@@ -232,12 +236,12 @@ def test_repeated_queries_reuse_stored_factorizations(monkeypatch):
     basis = named_basis("example1-poly")
     u, y = traj.u.flat[:48], traj.y.flat[:50]
     counts = {}
-    _count_calls(monkeypatch, membership, "pe_check", counts)
+    _count_calls(monkeypatch, membership, "_excitation", counts)
     for name in ("svd", "lstsq"):
         _count_calls(monkeypatch, np.linalg, name, counts)
     # the excitation check is certified without an SVD; the one SVD is the pseudo-inverse's
     first = flat_membership(traj, basis, 50, u, y)
-    assert counts == {"pe_check": 1, "svd": 1}
+    assert counts == {"_excitation": 1, "svd": 1}
     counts.clear()
     second = flat_membership(traj, basis, 50, u, y)
     assert counts == {}
@@ -246,10 +250,10 @@ def test_repeated_queries_reuse_stored_factorizations(monkeypatch):
     assert flat_stack(traj, basis, 50) is stack and not stack.flags.writeable
     # a different horizon or a different basis object is another entry
     flat_membership(traj, basis, 40, u[:38], y[:40])
-    assert counts == {"pe_check": 1, "svd": 1}
+    assert counts == {"_excitation": 1, "svd": 1}
     counts.clear()
     flat_membership(traj, named_basis("example1-poly"), 50, u, y)
-    assert counts == {"pe_check": 1, "svd": 1}
+    assert counts == {"_excitation": 1, "svd": 1}
 
 
 def test_explicit_match_reads_the_stored_pe_verdict(monkeypatch):
@@ -259,7 +263,7 @@ def test_explicit_match_reads_the_stored_pe_verdict(monkeypatch):
     basis = named_basis("example1-poly")
     flat_membership(traj, basis, 50, traj.u.flat[:48], traj.y.flat[:50])
     counts = {}
-    _count_calls(monkeypatch, membership, "pe_check", counts)
+    _count_calls(monkeypatch, membership, "_excitation", counts)
     dd_match(MatchProblem(traj, 50, traj.y.flat[100:150], "explicit", basis=basis, lam=1e-8))
     assert counts == {}
 
@@ -270,6 +274,97 @@ def test_basis_given_as_list_keys_the_store():
     as_list = BasisSet(list(basis.functions), 2, "listed", identity_index=0)
     v = flat_membership(traj, as_list, 50, traj.u.flat[:48], traj.y.flat[:50])
     assert v.is_member and v.residual < 1e-9
+
+
+def _verdict_from_stack(monkeypatch, traj, basis, L):
+    """The excitation verdict that the window problems store, computed from
+    the rows of flat_stack, and the SVDs computing it took."""
+    from flatdd import membership
+
+    verdicts, svds = [], []
+    excitation, svd = membership._excitation, np.linalg.svd
+    monkeypatch.setattr(membership, "_excitation", lambda *a: verdicts.append(excitation(*a)) or verdicts[-1])
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(1) or svd(*a, **k))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PersistencyWarning)
+        membership._warn_if_not_excited(traj, basis, L)
+    monkeypatch.undo()
+    (verdict,) = verdicts
+    return verdict, len(svds)
+
+
+def _constant_input_data(model, N):
+    u = np.full(N - 2, 0.1)
+    return IoTrajectory.from_arrays(u, simulate(model, np.zeros(2), u).flat, 2)
+
+
+def _random_data(n, N, seed):
+    rng = np.random.default_rng(seed)
+    return IoTrajectory.from_arrays(rng.uniform(-1, 1, N - n), rng.uniform(-1, 1, N), n)
+
+
+def _product_basis(n):
+    """Three functions of (u, xi) for a window of width n: u, u xi_1 and xi_n^2."""
+    return BasisSet((lambda u, xi: u, lambda u, xi: u * xi[:, 0], lambda u, xi: xi[:, -1] ** 2), n, "product", 0)
+
+
+def _example1_basis():
+    return named_basis("example1-poly")
+
+
+@pytest.mark.parametrize(
+    "data, basis, L, svd_calls",
+    [*((lambda seed=seed: _collect(ExperimentConfig(seed=seed), example1_model()), _example1_basis, L, 0)
+       for seed in range(5, 30) for L in (40, 50)),
+     (lambda: collect_trajectory(example1_model(), 120, (-0.5, 0.5), seed=2), _example1_basis, 50, 1),
+     (lambda: _constant_input_data(example1_model(), 250), _example1_basis, 50, 1),
+     # other window widths and basis sizes; the last two leave too few columns
+     (lambda: _random_data(1, 60, 0), lambda: named_basis("identity-only", n=1), 20, 0),
+     (lambda: _random_data(3, 90, 1), lambda: _product_basis(3), 20, 0),
+     (lambda: _random_data(3, 60, 2), lambda: _product_basis(3), 20, 1),
+     (lambda: _random_data(3, 60, 3), lambda: _product_basis(3), 57, 1)],
+    ids=[*(f"seed{seed}-L{L}" for seed in range(5, 30) for L in (40, 50)), "too-short", "constant-input",
+         "n1-r1", "n3-r3", "n3-r3-too-short", "n3-r3-one-column"],
+)
+def test_verdict_from_flat_stack_equals_pe_check(monkeypatch, data, basis, L, svd_calls):
+    traj, basis = data(), basis()
+    verdict, svds = _verdict_from_stack(monkeypatch, traj, basis, L)
+    assert verdict == pe_check(psi_hat_signal(traj, basis), L)
+    assert svds == svd_calls  # the SVD runs only where the Cholesky certificate fails
+
+
+def test_explicit_match_builds_no_second_psi_hankel(monkeypatch):
+    from flatdd import membership, signals
+
+    traj = collect_trajectory(example1_model(), 500, (-0.5, 0.5), seed=5)
+    written = []
+    write = signals._write_hankel
+
+    def counted(out, z, depth):
+        written.append((z.sigma, depth))
+        write(out, z, depth)
+
+    monkeypatch.setattr(signals, "_write_hankel", counted)
+    monkeypatch.setattr(membership, "_write_hankel", counted)
+    basis = named_basis("example1-poly")
+    dd_match(MatchProblem(traj, 50, traj.y.flat[100:150], "explicit", basis=basis, lam=0.1))
+    # one Psi Hankel, flat_stack's block of depth L - n; the excitation check reads its rows
+    assert [depth for sigma, depth in written if sigma == basis.r] == [48]
+
+
+def test_excitation_certificate_allocates_only_its_gram():
+    from flatdd import membership
+
+    traj = collect_trajectory(example1_model(), 500, (-0.5, 0.5), seed=5)
+    basis, L = named_basis("example1-poly"), 50
+    flat_stack(traj, basis, L)  # the data matrix and the Psi sequence are stored before tracing
+    tracemalloc.start()
+    try:
+        membership._warn_if_not_excited(traj, basis, L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * (basis.r * L) ** 2 * 8
 
 
 def test_stored_pe_verdict_still_warns():

@@ -159,6 +159,36 @@ def test_signal_csv_roundtrip(tmp_path):
         read_signal_csv(p)
 
 
+def _csv_module_signal_file(path, names, columns):
+    """The signal-file format row by row through the csv module: the reference
+    that write_signal_csv's one-pass formatting must match byte for byte."""
+    import csv
+
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["k", *names])
+        for k in range(max(len(c) for c in columns)):
+            w.writerow([k, *("{:.17g}".format(c[k]) if k < len(c) else "" for c in columns)])
+
+
+@pytest.mark.parametrize(
+    "names, columns",
+    [
+        # a trajectory file: the u column is n samples shorter, its last cells empty
+        (("u", "y"), lambda rng: (rng.normal(size=48), rng.normal(size=50))),
+        (("y_ref",), lambda rng: (np.array([0.0, -0.0, 1e-300, -2.5e300, 0.1, 1.0 / 3.0, 7.0]),)),
+        # names that need quoting, and an empty column
+        (('y, "est"', "u\nnew", "plain"), lambda rng: (rng.uniform(-1, 1, 5), rng.uniform(-1, 1, 3), [])),
+    ],
+    ids=["trajectory", "edge-values", "quoted-names"],
+)
+def test_signal_csv_bytes_match_csv_module(tmp_path, names, columns):
+    cols = columns(np.random.default_rng(8))
+    write_signal_csv(tmp_path / "fast.csv", names if len(names) > 1 else names[0], cols if len(names) > 1 else cols[0])
+    _csv_module_signal_file(tmp_path / "ref.csv", names, [np.asarray(c, dtype=float) for c in cols])
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 def test_signal_csv_one_cell_row(tmp_path):
     p = tmp_path / "short.csv"
     p.write_text("k,u\n0,0.5\n1\n")
