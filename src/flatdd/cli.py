@@ -157,7 +157,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis")
     p.set_defaults(handler=_cmd_check_pe)
 
-    p = sub.add_parser("check-membership", help="is a candidate trajectory consistent with the data")
+    p = sub.add_parser(
+        "check-membership",
+        help="is a candidate trajectory consistent with the data (exact; meaningless on noisy data)",
+        description="Exact membership verdict. Noise gives the data matrix full row rank, and then every "
+        "candidate passes: use noise-free data (a calibrated score is planned, ROADMAP.md item 3).",
+    )
     p.add_argument("--data", required=True)
     p.add_argument("--candidate", required=True)
     p.add_argument("--basis", required=True)

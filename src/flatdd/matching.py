@@ -81,16 +81,14 @@ def kernel_match_problem(
     kernel: KernelSpec,
     lam: float,
     **controls,
-) -> tuple[NormalEquationsProblem, np.ndarray, np.ndarray]:
+) -> tuple[NormalEquationsProblem, np.ndarray]:
     """Assemble the Gram-space matching objective, with its exact gradient.
 
-    Returns the problem, the depth-(L-n) input Hankel matrix (for
-    recovering u from alpha), and the starting point alpha0 fit to the
+    Returns the problem, whose signal map H is the depth-(L-n) input
+    Hankel matrix (u = H alpha), and the starting point alpha0 fit to the
     reference rows.
     """
-    layout = _layout(traj, L, y_ref)
-    prob, alpha0 = kernel_problem(traj, kernel, layout, lam, **controls)
-    return prob, layout.H, alpha0
+    return kernel_problem(traj, kernel, _layout(traj, L, y_ref), lam, **controls)
 
 
 def dd_match(prob: MatchProblem) -> MatchResult:
@@ -106,8 +104,8 @@ def dd_match(prob: MatchProblem) -> MatchResult:
     """
     traj, L = prob.traj, prob.L
     if prob.mode == "kernel":
-        normal, U, alpha0 = kernel_match_problem(traj, L, prob.y_ref, prob.kernel, prob.lam, **prob.controls)
-        res = nonlinear_solve(normal, alpha0)
+        normal, alpha0 = kernel_match_problem(traj, L, prob.y_ref, prob.kernel, prob.lam, **prob.controls)
+        U, res = normal.H, nonlinear_solve(normal, alpha0)
     else:
         layout = _layout(traj, L, prob.y_ref)
         U, res = layout.H, explicit_solve(prob, layout)

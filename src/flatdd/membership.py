@@ -199,6 +199,9 @@ def flat_membership(
     and kept on ``traj``; the residual is always computed afresh.
     Non-finite candidate samples and a negative or non-finite ``tol``
     raise ConfigError.
+    The verdict means nothing on noisy data, where the data matrix has
+    full row rank (338x451 on example1 seed-1 data at L = 50) and every
+    candidate fits to rounding; see ROADMAP.md item 3's calibrated score.
     """
     _check_tol(tol)
     n = traj.n

@@ -75,16 +75,14 @@ def kernel_sim_problem(
     kernel: KernelSpec,
     lam: float,
     **controls,
-) -> tuple[NormalEquationsProblem, np.ndarray, np.ndarray]:
+) -> tuple[NormalEquationsProblem, np.ndarray]:
     """Assemble the Gram-space simulation objective, with its exact gradient.
 
     The kernel pairs points z = (u, output window).  Returns the problem,
-    the depth-L output Hankel matrix (for recovering y from alpha), and
-    the starting point alpha0 fit to the initial-output rows.
+    whose signal map H is the depth-L output Hankel matrix (y = H alpha),
+    and the starting point alpha0 fit to the initial-output rows.
     """
-    layout = _layout(traj, L, u_new, y_init)
-    prob, alpha0 = kernel_problem(traj, kernel, layout, lam, **controls)
-    return prob, layout.H, alpha0
+    return kernel_problem(traj, kernel, _layout(traj, L, u_new, y_init), lam, **controls)
 
 
 def dd_simulate(prob: SimProblem) -> SimResult:
@@ -98,10 +96,10 @@ def dd_simulate(prob: SimProblem) -> SimResult:
     """
     traj, L = prob.traj, prob.L
     if prob.mode == "kernel":
-        normal, H_L_y, alpha0 = kernel_sim_problem(
+        normal, alpha0 = kernel_sim_problem(
             traj, L, prob.u_new, prob.y_init, prob.kernel, prob.lam, **prob.controls
         )
-        res = nonlinear_solve(normal, alpha0)
+        H_L_y, res = normal.H, nonlinear_solve(normal, alpha0)
     else:
         layout = _layout(traj, L, prob.u_new, prob.y_init)
         H_L_y, res = layout.H, explicit_solve(prob, layout)

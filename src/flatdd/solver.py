@@ -12,11 +12,12 @@ coefficients eliminated in closed form by two triangular solves on the
 Gram's Cholesky factor per evaluation.  Each stops on one convergence
 test or at one iteration cap.
 
-Every regularized linear step is a Cholesky solve: of the given Gram
-matrix in kernel mode, of the Gram matrix of the smaller side of the data
-block in explicit mode.  A Gram that flatdd builds skips the condition
-estimate where its trace already bounds the condition number below the
-warning limit.  Only an unregularized ridge solve (lam = 0) goes through
+Every regularized linear step is a Cholesky solve: of the Gram matrix in
+kernel mode, factored once where it is built (a Gram problem holds only
+the factor), of the Gram matrix of the smaller side of the data block in
+explicit mode.  A Gram that flatdd builds skips the condition estimate
+where its trace already bounds the condition number below the warning
+limit.  Only an unregularized ridge solve (lam = 0) goes through
 the SVD of the data block.
 """
 from __future__ import annotations
@@ -167,70 +168,33 @@ class NormalEquationsProblem:
     """Same objective as NonlinearResidualProblem, expressed through inner
     products so that kernelized (implicit-basis) residuals fit.
 
-    objective(alpha) = alpha' (gram + lam I) alpha - 2 cross(v)' alpha + offset(v),
-                       v = H alpha
+    objective(alpha) = |R alpha|^2 - 2 cross(v)' alpha + offset(v),  v = H alpha
 
-    ``gram`` collects the alpha-independent products.  The nonlinear terms
-    see alpha only through the signal v = H alpha; ``H`` defaults to the
-    identity (v = alpha).  ``terms(v)`` returns cross(v), the block
-    offset(v) = |rhs(v)|^2 that holds no alpha, and ``slope``: a function
-    that, called once with alpha, returns the gradient in v of offset(v)
-    - 2 cross(v)' alpha at that alpha.  The exact gradient of the
-    objective is
-    2 (gram + lam I) alpha - 2 cross(v) + H' slope(alpha).
-
-    The first solve factors gram + lam I = R'R (Cholesky) and the problem
-    keeps R; later evaluations take alpha'(gram + lam I) alpha as |R alpha|^2.
-    A caller's ``gram`` is copied for the factor and never written.  A
-    problem that ``window.kernel_problem`` builds over a Gram of its own
-    factors that Gram in its memory instead, after which ``gram`` raises
-    AttributeError.
+    ``R`` is the upper triangular Cholesky factor of the alpha-independent
+    products plus the weight, R'R = gram + lam I, as ``_cholesky`` returns
+    it; the problem only reads it.  The nonlinear terms see alpha only
+    through the signal v = H alpha.  ``terms(v)`` returns cross(v), the
+    block offset(v) = |rhs(v)|^2 that holds no alpha, and ``slope``: a
+    function that, called once with alpha, returns the gradient in v of
+    offset(v) - 2 cross(v)' alpha at that alpha.  The exact gradient of
+    the objective is 2 R'R alpha - 2 cross(v) + H' slope(alpha).
     """
 
-    gram: np.ndarray = field(repr=False)
+    R: np.ndarray = field(repr=False)
     terms: Callable[[np.ndarray], tuple[np.ndarray, float, Callable[[np.ndarray], np.ndarray]]]
-    lam: float
+    H: np.ndarray = field(repr=False)
     max_iter: int = 500
     rel_tol: float = 1e-8
-    H: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        G = np.asarray(self.gram, dtype=float)
-        if G.ndim != 2 or G.shape[0] != G.shape[1]:
-            raise ConfigError(f"gram matrix must be square, got shape {G.shape}")
-        H = np.eye(G.shape[0]) if self.H is None else np.asarray(self.H, dtype=float)
-        if H.ndim != 2 or H.shape[1] != G.shape[0]:
-            raise ConfigError(f"signal map has shape {H.shape}, gram matrix {G.shape}")
-        _check_controls(self.lam, self.max_iter, self.rel_tol)
-        object.__setattr__(self, "gram", G)
+        R, H = np.asarray(self.R, dtype=float), np.asarray(self.H, dtype=float)
+        if R.ndim != 2 or R.shape[0] != R.shape[1]:
+            raise ConfigError(f"Cholesky factor must be square, got shape {R.shape}")
+        if H.ndim != 2 or H.shape[1] != R.shape[0]:
+            raise ConfigError(f"signal map has shape {H.shape}, Cholesky factor {R.shape}")
+        _check_controls(0.0, self.max_iter, self.rel_tol)  # the weight is in R
+        object.__setattr__(self, "R", R)
         object.__setattr__(self, "H", H)
-        object.__setattr__(self, "_R", None)
-        object.__setattr__(self, "_own_gram", False)
-
-    @classmethod
-    def _over_own_gram(cls, gram: np.ndarray, terms, lam: float, **controls) -> "NormalEquationsProblem":
-        """A problem over ``gram``, a symmetric array that no caller holds:
-        the first solve factors it in its own memory."""
-        prob = cls(gram, terms, lam, **controls)
-        object.__setattr__(prob, "_own_gram", True)
-        return prob
-
-    def __getattr__(self, name: str):
-        # reached for ``gram`` only once a solve has factored the problem's own Gram in its memory
-        if name == "gram":
-            raise AttributeError("the Gram matrix was factored in its own memory by the first solve")
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-
-    def _factor(self, stacklevel: int = 3) -> np.ndarray:
-        """R, upper triangular with R'R = gram + lam I, computed on the first
-        call (whose warnings go ``stacklevel`` frames up) and kept."""
-        if self._R is None:
-            G = self.gram
-            if self._own_gram:
-                object.__delattr__(self, "gram")  # its memory becomes the factor's, or is spoilt by a failure
-            R = _cholesky(G, self.lam, stacklevel + 1, overwrite_g=self._own_gram)
-            object.__setattr__(self, "_R", R)
-        return self._R
 
     @property
     def dim(self) -> int:
@@ -239,12 +203,8 @@ class NormalEquationsProblem:
     def objective(self, alpha: np.ndarray) -> float:
         """The objective alone, with no gradient formed."""
         c, off, _ = self.terms(self.H @ alpha)
-        if self._R is None:
-            quad = float(alpha @ (self.gram @ alpha + self.lam * alpha))
-        else:
-            R_alpha = self._R @ alpha
-            quad = float(R_alpha @ R_alpha)
-        return quad - 2.0 * float(c @ alpha) + float(off)
+        R_alpha = self.R @ alpha
+        return float(R_alpha @ R_alpha) - 2.0 * float(c @ alpha) + float(off)
 
 
 @dataclass(frozen=True)
@@ -355,16 +315,16 @@ def _gauss_newton(prob: NonlinearResidualProblem, alpha: np.ndarray) -> Nonlinea
     return NonlinearResult(alpha, obj, iterations, converged, initial_obj)
 
 
-def _projected(prob: NormalEquationsProblem, R: np.ndarray, alpha0: np.ndarray):
+def _projected(prob: NormalEquationsProblem, alpha0: np.ndarray):
     """The coordinates eta of the signal v = H alpha, and the objective over them.
 
     For a fixed v the objective is quadratic in alpha on {alpha : H alpha
     = v}, and its minimizer there is alpha = M^-1 (cross(v) + H' mu) with
-    M = R'R = gram + lam I (variable projection; Golub & Pereyra, SIAM J.
-    Numer. Anal., 1973).  Y = R^-T H' takes one ``dtrsm``, and S = Y'Y =
-    H M^-1 H' is factored by pivoted Cholesky (``dpstrf``, at LAPACK's
-    default tolerance m eps max S_ii for the m rows of H) as P'SP = U'U
-    with U of rank r rows.  Then v = T' eta with T = U P' keeps v in the
+    M = R'R from the problem's factor R (variable projection; Golub &
+    Pereyra, SIAM J. Numer. Anal., 1973).  Y = R^-T H' takes one
+    ``dtrsm``, and S = Y'Y = H M^-1 H' is factored by pivoted Cholesky
+    (``dpstrf``, at LAPACK's default tolerance m eps max S_ii for the m
+    rows of H) as P'SP = U'U with U of rank r rows.  Then v = T' eta with T = U P' keeps v in the
     range of H and whitens the part of the objective quadratic in v, and
     Z = Y X, X = P [U_11^-1; 0], has orthonormal columns; Z is formed in
     Y's memory.  An evaluation at eta takes w = R^-T cross(v),
@@ -375,7 +335,7 @@ def _projected(prob: NormalEquationsProblem, R: np.ndarray, alpha0: np.ndarray):
     the start's signal, and the evaluation, which gives the value, the
     gradient and alpha.
     """
-    H = prob.H
+    H, R = prob.H, prob.R
     Y = scipy.linalg.blas.dtrsm(1.0, R, H.T, trans_a=1)
     U, piv, rank, _ = scipy.linalg.lapack.dpstrf(Y.T @ Y)
     U, piv = np.triu(U[:rank]), piv - 1
@@ -403,12 +363,10 @@ def _projected_lbfgs(prob: NormalEquationsProblem, alpha0: np.ndarray) -> Nonlin
     # loaded on the first kernel solve only: explicit mode never needs it
     import scipy.optimize
 
-    # stacklevel 4 names the caller of nonlinear_solve
-    R = prob._factor(stacklevel=4)
     obj0 = prob.objective(alpha0)
     if not np.isfinite(obj0):
         raise DivergenceError("objective is not finite at alpha0")
-    eta, evaluate = _projected(prob, R, alpha0)
+    eta, evaluate = _projected(prob, alpha0)
     start_grad, fell_back, last = None, False, None
 
     def fun(eta: np.ndarray) -> tuple[float, np.ndarray]:
@@ -460,21 +418,23 @@ def nonlinear_solve(
     Pereyra, SIAM J. Numer. Anal., 1973).  For a fixed signal v = H alpha
     the objective is quadratic in alpha, so alpha is eliminated, and one
     L-BFGS-B run (maxiter = max_iter, ftol = rel_tol) searches the signal
-    alone.  Its coordinates eta give v = T'eta, where T'T = H (gram +
-    lam I)^-1 H' on the range of H, so the part of the objective quadratic
-    in v is |eta|^2 (a change of variables; Nocedal & Wright 5.1 and 7.2).
-    For H = I these are the coefficients whitened by the Gram's factor, up
-    to a rotation.  Every Gram problem carries its exact gradient.  An
-    evaluation takes the terms at v, the alpha that minimizes the objective
-    among those with H alpha = v (two triangular solves on the factor, no
-    Gram product), the objective there, and the gradient T (slope(alpha) +
-    2 mu), mu the Lagrange multiplier of H alpha = v.  An ftol stop above
-    sqrt(rel_tol) of the starting gradient in eta resumes from where it
-    stopped, within max_iter iterations in total.  The result is the alpha
-    of the last point, or alpha0 where that is not lower.  It has converged
-    when L-BFGS-B succeeds and no evaluation met a non-finite objective.  A
-    signal map of rank 0 leaves the one signal v = 0, whose minimizer takes
-    one evaluation and no iteration.
+    alone.  Its coordinates eta give v = T'eta, where T'T = H (R'R)^-1 H'
+    on the range of H, so the part of the objective quadratic in v is
+    |eta|^2 (a change of variables; Nocedal & Wright 5.1 and 7.2).  For
+    H = I these are the coefficients whitened by R, up to a rotation.  The
+    problem arrives factored, so this solve neither finds a Gram singular
+    nor warns of its conditioning.  Every Gram problem carries its exact
+    gradient.  An evaluation takes the terms at v, the alpha that
+    minimizes the objective among those with H alpha = v (two triangular
+    solves on the factor, no Gram product), the objective there, and the
+    gradient T (slope(alpha) + 2 mu), mu the Lagrange multiplier of
+    H alpha = v.  An ftol stop above sqrt(rel_tol) of the starting
+    gradient in eta resumes from where it stopped, within max_iter
+    iterations in total.  The result is the alpha of the last point, or
+    alpha0 where that is not lower.  It has converged when L-BFGS-B
+    succeeds and no evaluation met a non-finite objective.  A signal map
+    of rank 0 leaves the one signal v = 0, whose minimizer takes one
+    evaluation and no iteration.
     """
     if not isinstance(prob, (NonlinearResidualProblem, NormalEquationsProblem)):
         raise ConfigError(f"unsupported problem type {type(prob).__name__}")

@@ -31,15 +31,8 @@ from .basis import BasisSet, KernelSpec, kernel_diag, kernel_eval, kernel_grad, 
 from .errors import ConfigError, DataLengthWarning
 from .membership import _warn_if_not_excited, candidate_stack, data_length_check, flat_stack
 from .signals import IoTrajectory, _known_samples, build_hankel
-from .solver import (
-    NonlinearResidualProblem,
-    NonlinearResult,
-    NormalEquationsProblem,
-    RidgeProblem,
-    _check_controls,
-    nonlinear_solve,
-    ridge_solve,
-)
+from .solver import NonlinearResidualProblem, NonlinearResult, NormalEquationsProblem, RidgeProblem
+from .solver import _check_controls, _cholesky, nonlinear_solve, ridge_solve
 
 __all__ = ["WindowProblem", "WindowLayout", "explicit_solve", "kernel_problem"]
 
@@ -211,7 +204,9 @@ def kernel_problem(
     alpha, comes afterwards from the same kernel block.  The starting
     point alpha0 is the ridge fit of the fixed rows B = H_L(y)[:len(b)] to
     b.  The Gram is built in the memory of the data kernel block and
-    belongs to the problem, whose first solve factors it there.
+    factored there (``solver._cholesky``); the problem holds the factor.
+    A singular Gram raises SingularMatrixError here, and a conditioning
+    warning names the caller of ``dd_simulate`` or ``dd_match``.
     """
     # the solve's optimizer, loaded before the data kernel block exists so
     # that its memory does not add to the peak that block sets
@@ -245,5 +240,6 @@ def kernel_problem(
 
         return _band(K, cols).sum(axis=0) + const_cross, float(diag.sum()) + b_sq, slope
 
-    prob = NormalEquationsProblem._over_own_gram(gram, terms, lam, H=layout.H, **controls)
-    return prob, ridge_solve(RidgeProblem(B, b, lam))
+    # stacklevel 5 names the caller of the front end
+    R = _cholesky(gram, lam, 5, overwrite_g=True)
+    return NormalEquationsProblem(R, terms, layout.H, **controls), ridge_solve(RidgeProblem(B, b, lam))

@@ -132,6 +132,15 @@ def test_cli_kernel_mode(files, command, estimate):
     assert (files["out"] / f"{estimate}.csv").read_text().splitlines()[0] == f"k,{estimate}"
 
 
+@pytest.mark.parametrize("command", ["simulate", "match"])
+def test_cli_kernel_singular_gram_is_numerical_failure(files, command):
+    code, _, err = _run(_argv(command, files) + ["--mode", "kernel", "--sigma", "1000", "--lambda", "1e-300"])
+    assert code == 2, err
+    assert err.splitlines() == [
+        "numerical failure: gram matrix plus lam I is numerically singular at lam = 1e-300; increase lam"
+    ]
+
+
 _FILE_FLAGS = {
     "data": "simulate",
     "input": "simulate",

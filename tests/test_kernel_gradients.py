@@ -15,7 +15,7 @@ from flatdd.matching import MatchProblem, dd_match, kernel_match_problem
 from flatdd.plant import collect_trajectory, example1_model, example2_model, simulate
 from flatdd.signals import IoTrajectory
 from flatdd.simulation import SimProblem, dd_simulate, kernel_sim_problem
-from flatdd.solver import _cholesky, _projected, nonlinear_solve
+from flatdd.solver import _projected, nonlinear_solve
 
 L = 20
 
@@ -58,8 +58,8 @@ def _central_differences(f, alpha, h=1e-6):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_fused_gradient_matches_central_differences(case):
     # the solver's evaluation in the coordinates eta of the moved signal
-    prob, _, alpha0 = CASES[case]()
-    eta0, evaluate = _projected(prob, _cholesky(prob.gram, prob.lam), alpha0)
+    prob, alpha0 = CASES[case]()
+    eta0, evaluate = _projected(prob, alpha0)
     rng = np.random.default_rng(11)
     for _ in range(3):
         eta = eta0 + rng.normal(size=eta0.size) * 0.05 * (1.0 + np.abs(eta0).max())
@@ -94,7 +94,7 @@ def test_kernel_solve_keeps_its_last_evaluation(monkeypatch, case):
     # result takes: one kernel block for alpha0 and one per L-BFGS-B evaluation
     import flatdd.solver
 
-    prob, _, alpha0 = CASES[case]()
+    prob, alpha0 = CASES[case]()
     runs, blocks, evaluations = [], [], []
     minimize, kernel_eval, projected = scipy.optimize.minimize, flatdd.window.kernel_eval, flatdd.solver._projected
 
@@ -112,6 +112,19 @@ def test_kernel_solve_keeps_its_last_evaluation(monkeypatch, case):
     value, _, alpha = evaluations[0](runs[-1].x)
     assert value < res.initial_objective
     assert res.objective == value and np.array_equal(res.alpha, alpha)
+
+
+@pytest.mark.parametrize("seed", range(5, 15))
+@pytest.mark.parametrize("task", ["simulation", "matching"])
+def test_objective_does_not_depend_on_a_solve(task, seed):
+    # a problem is built factored: its objective at alpha0 is the same
+    # number before a solve as the one the solve starts from
+    if task == "simulation":
+        prob, alpha0 = kernel_sim_problem(*_sim_data(seed), KernelSpec("gaussian", 1.0), 0.1)
+    else:
+        prob, alpha0 = kernel_match_problem(*_match_data(seed), KernelSpec("gaussian_plus_linear", 1.0), 0.1)
+    before = prob.objective(alpha0)
+    assert nonlinear_solve(prob, alpha0).initial_objective == before
 
 
 @settings(deadline=None, max_examples=20)
@@ -184,9 +197,9 @@ def _explicit_sim_problem(seed, lam):
 )
 def test_converged_solves_are_stationary(seed, task, lam, sigma):
     if task == "kernel-simulation":
-        prob, _, alpha0 = kernel_sim_problem(*_sim_data(seed), KernelSpec("gaussian", sigma), lam)
+        prob, alpha0 = kernel_sim_problem(*_sim_data(seed), KernelSpec("gaussian", sigma), lam)
     elif task == "kernel-matching":
-        prob, _, alpha0 = kernel_match_problem(*_match_data(seed), KernelSpec("gaussian_plus_linear", sigma), lam)
+        prob, alpha0 = kernel_match_problem(*_match_data(seed), KernelSpec("gaussian_plus_linear", sigma), lam)
     else:  # explicit fits are near exact and run at small weights
         prob, alpha0 = _explicit_sim_problem(seed, lam * 1e-4), None
     res = nonlinear_solve(prob, alpha0)

@@ -158,23 +158,27 @@ def test_slice_sum_gram_matches_naive_sum(depth, cols, extra):
 
 
 @pytest.mark.parametrize("task", ["simulation", "matching"])
-def test_kernel_problem_gram_matches_naive_sum(task):
-    # the Gram is summed, moved and topped up with B'B inside the data kernel block's memory
+def test_kernel_problem_gram_matches_naive_sum(task, monkeypatch):
+    # the Gram is summed, moved, topped up with B'B and factored inside the data kernel block's memory
     traj = collect_trajectory(example1_model(), 150, (-0.5, 0.5), seed=12)
     L, n = 20, traj.n
+    blocks = []
+    monkeypatch.setattr(flatdd.window, "kernel_eval", lambda *a: blocks.append(kernel_eval(*a)) or blocks[-1])
     if task == "simulation":
         spec, b = KernelSpec("gaussian", 0.8), np.array([0.1, -0.2])
-        prob, _, _ = kernel_sim_problem(traj, L, np.zeros(L - n), b, spec, 0.1)
+        prob, _ = kernel_sim_problem(traj, L, np.zeros(L - n), b, spec, 0.1)
     else:
         spec, b = KernelSpec("gaussian_plus_linear", 1.0), np.sin(np.arange(L) / 3.0)
-        prob, _, _ = kernel_match_problem(traj, L, b, spec, 0.1)
+        prob, _ = kernel_match_problem(traj, L, b, spec, 0.1)
     Z_data = window_points(traj.u.flat, traj.y.flat, n)
     K = kernel_eval(spec, Z_data, Z_data)
     B = build_hankel(traj.y, L).entries[: b.size]
     cols = B.shape[1]
     naive = sum(K[k : k + cols, k : k + cols] for k in range(L - n)) + B.T @ B
-    assert prob.gram.flags.c_contiguous
-    assert np.abs(prob.gram - naive).max() <= 1e-12 * np.abs(naive).max()
+    (block,) = blocks
+    assert np.shares_memory(prob.R, block)
+    gram = prob.R.T @ prob.R - 0.1 * np.eye(cols)
+    assert np.abs(gram - naive).max() <= 1e-12 * np.abs(naive).max()
 
 
 def test_kernel_with_finite_basis_product_matches_explicit(ex1_basis, monkeypatch):
@@ -205,7 +209,8 @@ def test_kernel_with_finite_basis_product_matches_explicit(ex1_basis, monkeypatc
         lambda spec, Z1, Z2, K, W: np.einsum("krc,kr->kc", dpsi(Z1), W @ psi(Z2)),
     )
     # any spec serves as a token: the kernel functions above ignore it
-    normal, H_L_y, alpha0 = kernel_sim_problem(traj, 20, u, y_true[:2], KernelSpec("gaussian"), lam)
+    normal, alpha0 = kernel_sim_problem(traj, 20, u, y_true[:2], KernelSpec("gaussian"), lam)
+    H_L_y = normal.H
 
     # the Gram-space objective is the explicit residual objective, at any point
     A = np.vstack(
@@ -226,7 +231,7 @@ def test_kernel_with_finite_basis_product_matches_explicit(ex1_basis, monkeypatc
     # one frozen step from a common point agrees as well
     a0 = rng.normal(size=normal.dim) * 0.02
     step_explicit = ridge_solve(RidgeProblem(A, explicit_rhs(a0), lam))
-    step_kernel = np.linalg.solve(normal.gram + lam * np.eye(normal.dim), normal.terms(H_L_y @ a0)[0])
+    step_kernel = np.linalg.solve(normal.R.T @ normal.R, normal.terms(H_L_y @ a0)[0])
     assert_allclose(step_kernel, step_explicit, atol=1e-8 * (1 + np.linalg.norm(step_explicit)))
 
     # endpoints of the two pipelines are optimizer-path dependent (same

@@ -19,7 +19,7 @@ from flatdd.errors import (
 )
 from flatdd.experiments import ExperimentConfig, _collect, example2_defaults, reference_output
 from flatdd.matching import MatchProblem, dd_match, kernel_match_problem
-from flatdd.plant import example1_model, example2_model
+from flatdd.plant import collect_trajectory, example1_model, example2_model
 from flatdd.simulation import SimProblem, dd_simulate, kernel_sim_problem
 from flatdd.solver import (
     NonlinearResidualProblem,
@@ -161,7 +161,7 @@ def test_normal_equations_form_matches_explicit():
     lam = 0.2
     explicit = nonlinear_solve(NonlinearResidualProblem(A, lambda a: b, lam), np.zeros(4))
     viagram = nonlinear_solve(
-        NormalEquationsProblem(A.T @ A, _fixed_terms(A.T @ b, float(b @ b)), lam),
+        NormalEquationsProblem(_cholesky(A.T @ A, lam), _fixed_terms(A.T @ b, float(b @ b)), np.eye(4)),
         np.zeros(4),
     )
     assert_allclose(viagram.alpha, explicit.alpha, rtol=1e-8)
@@ -170,30 +170,26 @@ def test_normal_equations_form_matches_explicit():
 
 def test_normal_equations_signal_map_must_fit_gram():
     with pytest.raises(ConfigError, match="signal map"):
-        NormalEquationsProblem(np.eye(3), _fixed_terms(np.ones(3)), 0.1, H=np.eye(2))
+        NormalEquationsProblem(_cholesky(np.eye(3), 0.1), _fixed_terms(np.ones(3)), np.eye(2))
 
 
 def test_normal_equations_singular_guard():
-    G = np.zeros((3, 3))
-    prob = NormalEquationsProblem(G, _fixed_terms(np.zeros(3)), 0.0)
     with pytest.raises(SingularMatrixError):
-        nonlinear_solve(prob, np.zeros(3))
+        _cholesky(np.zeros((3, 3)), 0.0)
 
 
 def test_normal_equations_conditioning_warning():
     G = np.diag([1.0, 1e-13])
-    prob = NormalEquationsProblem(G, _fixed_terms(np.ones(2)), 0.0)
     with pytest.warns(ConditioningWarning, match=r"condition number 1\.000e\+13"):
-        nonlinear_solve(prob, np.zeros(2))
+        _cholesky(G, 0.0)
 
 
 def test_condition_estimate_warns_on_dense_ill_conditioned_gram():
     n = 20
     Q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(n, n)))
     G = (Q * np.logspace(0, -13, n)) @ Q.T
-    prob = NormalEquationsProblem(G, _fixed_terms(np.ones(n)), 0.0)
     with pytest.warns(ConditioningWarning) as record:
-        nonlinear_solve(prob, np.zeros(n))
+        _cholesky(G, 0.0)
     # the 1-norm estimate is within a small factor of the true condition number 1e13
     estimate = float(str(record[0].message).rsplit(" ", 1)[1])
     assert 1e12 < estimate < 1e15
@@ -202,13 +198,15 @@ def test_condition_estimate_warns_on_dense_ill_conditioned_gram():
 def test_condition_estimate_quiet_on_kernel_sim_gram():
     config = example2_defaults(seed=5)
     traj = _collect(config, example2_model())
-    prob, _, _ = kernel_sim_problem(
-        traj, config.horizon, np.zeros(config.horizon - 2), np.zeros(2),
-        KernelSpec("gaussian", config.sigma), config.lam,
-    )
     with warnings.catch_warnings():
         warnings.simplefilter("error", ConditioningWarning)
-        _cholesky(prob.gram, prob.lam)
+        prob, _ = kernel_sim_problem(
+            traj, config.horizon, np.zeros(config.horizon - 2), np.zeros(2),
+            KernelSpec("gaussian", config.sigma), config.lam,
+        )
+    # LAPACK's estimate on the factor, which the build may skip, is quiet as well
+    M = prob.R.T @ prob.R
+    assert scipy.linalg.lapack.dpocon(prob.R, scipy.linalg.lapack.dlange("1", M))[0] >= 1e-12
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -216,9 +214,8 @@ def test_nonfinite_gram_is_singular(value):
     M = np.random.default_rng(3).normal(size=(4, 4))
     G = M @ M.T
     G[1, 2] = G[2, 1] = value
-    prob = NormalEquationsProblem(G, _fixed_terms(np.ones(4)), 0.1)
     with pytest.raises(SingularMatrixError, match="lam = 0.1"):
-        nonlinear_solve(prob, np.zeros(4))
+        _cholesky(G, 0.1)
 
 
 def _kernel_sim_seed5():
@@ -239,13 +236,11 @@ def test_whitened_evaluation_matches_objective(build):
     # value must be the problem's own objective at the alpha it returns, that
     # alpha must move the signal the terms were taken at, and it must minimize
     # the objective among the alphas that move the same signal
-    prob, H, alpha0 = build()
-    signals = []
-    recording = NormalEquationsProblem(
-        prob.gram, lambda v: signals.append(v) or prob.terms(v), prob.lam, H=H
-    )
-    M = prob.gram + prob.lam * np.eye(prob.dim)
-    eta0, evaluate = _projected(recording, _cholesky(prob.gram, prob.lam), alpha0)
+    prob, alpha0 = build()
+    H, signals = prob.H, []
+    recording = NormalEquationsProblem(prob.R, lambda v: signals.append(v) or prob.terms(v), H)
+    M = prob.R.T @ prob.R
+    eta0, evaluate = _projected(recording, alpha0)
     rng = np.random.default_rng(8)
     for scale in (0.0, 0.1, 1.0):
         value, _, alpha = evaluate(eta0 + scale * rng.normal(size=eta0.size))
@@ -282,7 +277,7 @@ def test_kernel_solve_factors_its_gram_in_the_data_block():
     traj = _collect(config, example2_model())
     tracemalloc.start()
     try:
-        prob, _, alpha0 = kernel_sim_problem(
+        prob, alpha0 = kernel_sim_problem(
             traj, config.horizon, u, np.zeros(2), KernelSpec("gaussian", config.sigma), config.lam
         )
         res = nonlinear_solve(prob, alpha0)
@@ -290,9 +285,6 @@ def test_kernel_solve_factors_its_gram_in_the_data_block():
     finally:
         tracemalloc.stop()
     assert peak <= 1.4 * traj.u.length**2 * 8  # the 748 x 748 block of the data points
-    # the factor has taken the Gram's place: gram no longer reads, the objective still evaluates
-    with pytest.raises(AttributeError, match="factored"):
-        prob.gram
     assert_allclose(prob.objective(res.alpha), res.objective, rtol=1e-10)
 
 
@@ -300,9 +292,9 @@ def test_hand_built_gram_is_not_written():
     M = np.random.default_rng(4).normal(size=(30, 30))
     G = M @ M.T
     before = G.copy()
-    prob = NormalEquationsProblem(G, _fixed_terms(np.ones(30)), 0.1)
-    nonlinear_solve(prob, np.zeros(30))
-    assert prob.gram is G and np.array_equal(G, before)
+    R = _cholesky(G, 0.1)
+    nonlinear_solve(NormalEquationsProblem(R, _fixed_terms(np.ones(30)), np.eye(30)), np.zeros(30))
+    assert not np.shares_memory(R, G) and np.array_equal(G, before)
 
 
 @pytest.mark.parametrize("radius", [0.0, 0.5])
@@ -320,7 +312,7 @@ def test_gram_solve_survives_nonfinite_region(radius):
             return np.full(3, np.nan), np.nan, lambda alpha: np.full(3, np.nan)
         return np.array([10.0, 5.0, -3.0]), 0.0, lambda alpha: np.zeros(3)
 
-    prob = NormalEquationsProblem(M @ M.T, terms, 0.1)
+    prob = NormalEquationsProblem(_cholesky(M @ M.T, 0.1), terms, np.eye(3))
     res = nonlinear_solve(prob, alpha0)
     assert outside
     assert np.isfinite(res.objective) and res.objective <= res.initial_objective
@@ -333,7 +325,7 @@ def test_gram_solve_survives_nonfinite_region(radius):
 def test_gram_solve_started_at_its_minimizer_converges():
     M = np.random.default_rng(3).normal(size=(3, 3))
     c = np.array([10.0, 5.0, -3.0])
-    prob = NormalEquationsProblem(M @ M.T, _fixed_terms(c), 0.1)
+    prob = NormalEquationsProblem(_cholesky(M @ M.T, 0.1), _fixed_terms(c), np.eye(3))
     alpha_star = np.linalg.solve(M @ M.T + 0.1 * np.eye(3), c)
     res = nonlinear_solve(prob, alpha_star)
     assert res.converged
@@ -346,9 +338,8 @@ def test_rank_deficient_gram_is_singular(seed):
     # seed 57 gives a 2-vector whose v v' passes Cholesky with a pivot at rounding level
     rng = np.random.default_rng(seed)
     v = rng.normal(size=rng.integers(2, 12))
-    prob = NormalEquationsProblem(np.outer(v, v), _fixed_terms(v), 0.0)
     with pytest.raises(SingularMatrixError):
-        nonlinear_solve(prob, np.zeros(v.size))
+        _cholesky(np.outer(v, v), 0.0)
 
 
 def test_ridge_nonfinite_block_is_singular():
@@ -431,6 +422,26 @@ def test_regularized_ill_conditioned_block_warns_at_caller():
     prob = NonlinearResidualProblem(A, lambda a: np.ones(2), 1e-14)
     with pytest.warns(ConditioningWarning, match="condition number") as record:
         nonlinear_solve(prob, np.zeros(2))
+    assert record[0].filename == __file__
+
+
+@pytest.mark.parametrize("task", ["simulation", "matching"])
+def test_kernel_conditioning_warning_names_caller(task):
+    # the Gram is factored where the front end builds it, and the warning names the front end's caller
+    L = 20
+    if task == "simulation":
+        traj = collect_trajectory(example2_model(), 150, (-1.0, 1.0), seed=12)
+        u = np.random.default_rng(13).uniform(-1.0, 1.0, L - 2)
+        front_end, prob = dd_simulate, SimProblem(
+            traj, L, u, np.zeros(2), "kernel", kernel=KernelSpec("gaussian", 1000.0), lam=1e-9
+        )
+    else:
+        traj = collect_trajectory(example1_model(), 150, (-0.5, 0.5), seed=12)
+        front_end, prob = dd_match, MatchProblem(
+            traj, L, reference_output(L), "kernel", kernel=KernelSpec("gaussian_plus_linear", 1000.0), lam=1e-9
+        )
+    with pytest.warns(ConditioningWarning, match="condition number") as record:
+        front_end(prob)
     assert record[0].filename == __file__
 
 
