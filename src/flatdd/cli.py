@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -190,18 +191,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        return args.handler(args)
-    except _VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except _NUMERICAL_ERRORS as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 3
+    # a warning names the first caller outside flatdd, here the interpreter: print only what it says
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, category, *_: print(
+            f"warning: {category.__name__}: {message}", file=sys.stderr
+        )
+        try:
+            args = parser.parse_args(argv)
+            return args.handler(args)
+        except _VALIDATION_ERRORS as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except _NUMERICAL_ERRORS as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return 2
+        except OSError as exc:
+            print(f"i/o error: {exc}", file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":

@@ -1,4 +1,9 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and where a warning points."""
+import os
+import sys
+import warnings
+
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 
 class FlatDdError(Exception):
@@ -43,3 +48,12 @@ class DataLengthWarning(UserWarning):
 
 class ConditioningWarning(UserWarning):
     """A linear solve is close to numerically rank-deficient."""
+
+
+def _warn(message: str, category: type[Warning]) -> None:
+    """Issue ``message`` at the first frame outside the flatdd package
+    directory: Python 3.12's ``skip_file_prefixes`` rule, on 3.10 too."""
+    frame, stacklevel = sys._getframe(1), 2
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame, stacklevel = frame.f_back, stacklevel + 1
+    warnings.warn(message, category, stacklevel=stacklevel)

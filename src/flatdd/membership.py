@@ -9,14 +9,13 @@ basis-function sequence.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .basis import BasisSet, eval_psi_hat, psi_hat_signal, window_points
-from .errors import ConfigError, DimensionError, PersistencyWarning, SingularMatrixError
+from .errors import ConfigError, DimensionError, PersistencyWarning, SingularMatrixError, _warn
 from .signals import IoTrajectory, PeResult, Signal, _known_samples, _memo, as_signal, build_hankel, pe_check
 from .signals import _excitation, _hankel_cols, _write_hankel
 
@@ -81,28 +80,24 @@ def _pseudo_inverse(M: np.ndarray) -> np.ndarray:
     return (Vt[keep].T / s[keep]) @ U[:, keep].T
 
 
-def _warn_unless_excited(pe: PeResult, what: str, order: str, full: int, stacklevel: int) -> None:
+def _warn_unless_excited(pe: PeResult, what: str, order: str, full: int) -> None:
     """Warn that ``what`` is not persistently exciting of ``order`` unless
     ``pe`` says it is, with the rank reached of the ``full`` one needed and
-    the check's diagnostic when it gives one.  The warning goes
-    ``stacklevel`` frames up, counted from this function."""
+    the check's diagnostic when it gives one."""
     if not pe.order_satisfied:
-        warnings.warn(
+        _warn(
             f"{what} is not persistently exciting of order {order} (rank {pe.numerical_rank} of {full})"
             + (f": {pe.diagnostic}" if pe.diagnostic else ""),
             PersistencyWarning,
-            stacklevel=stacklevel,
         )
 
 
-def _warn_if_not_excited(traj: IoTrajectory, basis: BasisSet, L: int, stacklevel: int = 3) -> None:
+def _warn_if_not_excited(traj: IoTrajectory, basis: BasisSet, L: int) -> None:
     """Warn unless the basis-function sequence of the data is persistently
     exciting of order L.
 
     The verdict is computed once per (basis, L) and kept on the
-    trajectory; every call that finds it unsatisfied warns.  The warning
-    goes ``stacklevel`` frames up, to the caller of the public function
-    that asked.
+    trajectory; every call that finds it unsatisfied warns.
 
     The depth-L Hankel matrix of the sequence is read from the Psi block
     of ``flat_stack``, whose depth is L - n: its first N-L+1-n columns
@@ -120,7 +115,7 @@ def _warn_if_not_excited(traj: IoTrajectory, basis: BasisSet, L: int, stacklevel
         return _excitation(rows, lambda: build_hankel(psi, L).entries)
 
     pe = _memo(traj, ("pe", basis, L), verdict)
-    _warn_unless_excited(pe, "basis-function sequence", f"L={L}", basis.r * L, stacklevel + 1)
+    _warn_unless_excited(pe, "basis-function sequence", f"L={L}", basis.r * L)
 
 
 def lti_membership(
@@ -146,7 +141,7 @@ def lti_membership(
     y = _known_samples(as_signal(y).flat, "data", "y", u.size, "len(u)")
     u_bar = _known_samples(u_bar, "candidate", "u_bar", L, "L")
     y_bar = _known_samples(y_bar, "candidate", "y_bar", L, "L")
-    _warn_unless_excited(pe_check(u, L + n), "data input", f"L+n={L + n}", L + n, stacklevel=3)
+    _warn_unless_excited(pe_check(u, L + n), "data input", f"L+n={L + n}", L + n)
     M = np.vstack([build_hankel(u, L).entries, build_hankel(y, L).entries])
     rhs = np.concatenate([u_bar, y_bar])
     return _verdict(M, _pseudo_inverse(M) @ rhs, rhs, tol)

@@ -25,7 +25,6 @@ __all__ = [
     "NoiseSpec",
     "add_noise",
     "collect_trajectory",
-    "verify_relative_degree",
     "matching_input_oracle",
 ]
 
@@ -175,50 +174,6 @@ def collect_trajectory(
     if noise is not None:
         y = add_noise(y, noise)
     return IoTrajectory(Signal(u), y, model.n)
-
-
-def verify_relative_degree(
-    model: FlatModel,
-    expected: int | None = None,
-    probe_points: int | list[tuple[np.ndarray, float]] = 10,
-    fd_step: float = 1e-6,
-    seed: int = 0,
-) -> bool:
-    """Check by central finite differences that the first input reaches the
-    output exactly ``expected`` steps later (default: model order n).
-
-    ``probe_points`` is either a count of random (state, input) probes or
-    an explicit list of such pairs.  At every probe, d y_j / d u_0 must
-    vanish for j < d (tolerance 1e-8 * (1 + |y_j|)); at j = d it must be
-    nonzero for at least one probe.  A sampled check, not a proof.
-    """
-    d = model.n if expected is None else expected
-    if isinstance(probe_points, int):
-        rng = np.random.default_rng(seed)
-        probes = [
-            (rng.uniform(-0.5, 0.5, size=model.n), float(rng.uniform(-0.5, 0.5)))
-            for _ in range(probe_points)
-        ]
-    else:
-        probes = [(np.asarray(x, dtype=float), float(u)) for x, u in probe_points]
-
-    def y_at(x: np.ndarray, u0: float, j: int) -> float:
-        for i in range(j):
-            x = np.asarray(model.f(x, u0 if i == 0 else 0.0), dtype=float)
-        return model.h(x)
-
-    saw_nonzero = False
-    for x, u0 in probes:
-        for j in range(1, d + 1):
-            plus = y_at(x, u0 + fd_step, j)
-            minus = y_at(x, u0 - fd_step, j)
-            deriv = (plus - minus) / (2.0 * fd_step)
-            if j < d:
-                if abs(deriv) > 1e-8 * (1.0 + abs(plus)):
-                    return False
-            elif abs(deriv) > 1e-6:
-                saw_nonzero = True
-    return saw_nonzero
 
 
 def matching_input_oracle(model: FlatModel, y_ref: np.ndarray) -> np.ndarray:

@@ -23,15 +23,13 @@ the SVD of the data block.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 import scipy.linalg
 
-from .errors import ConfigError, DivergenceError, SingularMatrixError
-from .errors import ConditioningWarning
+from .errors import ConditioningWarning, ConfigError, DivergenceError, SingularMatrixError, _warn
 
 __all__ = [
     "RidgeProblem",
@@ -65,7 +63,7 @@ class RidgeProblem:
         object.__setattr__(self, "b", b)
 
 
-def _ridge(A: np.ndarray, b: np.ndarray, lam: float, stacklevel: int = 3) -> np.ndarray:
+def _ridge(A: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
     """Minimizer x of |A x - b|^2 + lam |x|^2.
 
     With lam > 0 the Gram matrix of the smaller side of A plus lam I is
@@ -75,15 +73,14 @@ def _ridge(A: np.ndarray, b: np.ndarray, lam: float, stacklevel: int = 3) -> np.
     singular values s_i of A, so the warned condition number is that of
     the normal equations.  With lam = 0 the SVD of A is used: it is the
     only way to tell a rank-deficient block from an ill-conditioned one,
-    which no Gram matrix can once cond(A) passes about 1e8.  Warnings go
-    ``stacklevel`` frames up.
+    which no Gram matrix can once cond(A) passes about 1e8.
     """
     if not np.isfinite(A).all():
         raise SingularMatrixError("ridge solve did not converge: the data block has non-finite entries")
     if lam > 0.0:
         wide = A.shape[0] < A.shape[1]
         # the fresh product is factored in its own memory
-        R = _cholesky(A @ A.T if wide else A.T @ A, lam, stacklevel + 1, overwrite_g=True)
+        R = _cholesky(A @ A.T if wide else A.T @ A, lam, overwrite_g=True)
         if wide:
             return A.T @ scipy.linalg.cho_solve((R, False), b)
         return scipy.linalg.cho_solve((R, False), A.T @ b)
@@ -98,11 +95,7 @@ def _ridge(A: np.ndarray, b: np.ndarray, lam: float, stacklevel: int = 3) -> np.
         )
     cond = s[0] ** 2 / s[-1] ** 2
     if cond > _COND_LIMIT:
-        warnings.warn(
-            f"normal equations have condition number {cond:.3e}",
-            ConditioningWarning,
-            stacklevel=stacklevel,
-        )
+        _warn(f"normal equations have condition number {cond:.3e}", ConditioningWarning)
     return Vt.T @ ((1.0 / s) * (U.T @ b))
 
 
@@ -216,7 +209,7 @@ class NonlinearResult:
     initial_objective: float = float("nan")
 
 
-def _cholesky(G: np.ndarray, lam: float, stacklevel: int = 3, overwrite_g: bool = False) -> np.ndarray:
+def _cholesky(G: np.ndarray, lam: float, overwrite_g: bool = False) -> np.ndarray:
     """R, upper triangular with R'R = G + lam I.
 
     R is computed in place in one Fortran-order copy of G; with
@@ -227,7 +220,7 @@ def _cholesky(G: np.ndarray, lam: float, stacklevel: int = 3, overwrite_g: bool 
     reciprocal condition number below machine epsilon (singular to
     working precision, as in LAPACK's ``?posvx``; a non-finite G ends in
     one of the two), is singular; a condition number above the limit
-    warns, ``stacklevel`` frames up.
+    warns.
 
     The Grams that flatdd builds itself, the ``overwrite_g`` callers, are
     sums of outer products of finite data: positive semidefinite up to
@@ -258,11 +251,7 @@ def _cholesky(G: np.ndarray, lam: float, stacklevel: int = 3, overwrite_g: bool 
     if info != 0 or not rcond >= np.finfo(float).eps:
         raise SingularMatrixError(singular)
     if rcond < 1.0 / _COND_LIMIT:
-        warnings.warn(
-            f"normal equations have condition number {1.0 / rcond:.3e}",
-            ConditioningWarning,
-            stacklevel=stacklevel,
-        )
+        _warn(f"normal equations have condition number {1.0 / rcond:.3e}", ConditioningWarning)
     return R
 
 
@@ -292,8 +281,7 @@ def _gauss_newton(prob: NonlinearResidualProblem, alpha: np.ndarray) -> Nonlinea
         # the residual A a - rhs(a) is linearized as J a - target
         target = rhs - C @ alpha
         J = np.subtract(A, C, out=C)
-        # stacklevel 4 names the caller of nonlinear_solve
-        alpha_star = _ridge(J, target, lam, stacklevel=4)
+        alpha_star = _ridge(J, target, lam)
         r = J @ alpha_star - target
         model = float(r @ r + lam * (alpha_star @ alpha_star))
         step = 1.0

@@ -22,13 +22,12 @@ matrices, and its solve searches v itself, with alpha eliminated.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
 from .basis import BasisSet, KernelSpec, kernel_diag, kernel_eval, kernel_grad, psi_jacobian, window_points
-from .errors import ConfigError, DataLengthWarning
+from .errors import ConfigError, DataLengthWarning, _warn
 from .membership import _warn_if_not_excited, candidate_stack, data_length_check, flat_stack
 from .signals import IoTrajectory, _known_samples, build_hankel
 from .solver import NonlinearResidualProblem, NonlinearResult, NormalEquationsProblem, RidgeProblem
@@ -111,24 +110,20 @@ class WindowLayout:
 def explicit_solve(prob: WindowProblem, layout: WindowLayout) -> NonlinearResult:
     """Solve the window problem with the basis features of ``prob``.
 
-    Warns, at the caller of the public front end, when the recorded data
-    cannot certify completeness (data-length bound or excitation rank);
-    the excitation verdict is kept on ``prob.traj``.  The solve is
-    Gauss-Newton from alpha = 0 (``solver.nonlinear_solve``).  The
-    right-hand side moves with alpha through the basis at the candidate
-    points, so its Jacobian is ``psi_jacobian`` at those points times the
-    rows of the layout's H that move them.  For a basis affine in the
-    moved coordinates the first step is the exact minimizer.
+    Warns when the recorded data cannot certify completeness (data-length
+    bound or excitation rank); the excitation verdict is kept on
+    ``prob.traj``.  The solve is Gauss-Newton from alpha = 0
+    (``solver.nonlinear_solve``).  The right-hand side moves with alpha
+    through the basis at the candidate points, so its Jacobian is
+    ``psi_jacobian`` at those points times the rows of the layout's H
+    that move them.  For a basis affine in the moved coordinates the
+    first step is the exact minimizer.
     """
     traj, basis, L, lam = prob.traj, prob.basis, prob.L, prob.lam
     chk = data_length_check(traj.N, L, traj.n, basis.r)
     if not chk.feasible:
-        warnings.warn(
-            f"data length N={traj.N} is below the excitation bound {chk.required_N}",
-            DataLengthWarning,
-            stacklevel=3,
-        )
-    _warn_if_not_excited(traj, basis, L, stacklevel=4)
+        _warn(f"data length N={traj.N} is below the excitation bound {chk.required_N}", DataLengthWarning)
+    _warn_if_not_excited(traj, basis, L)
 
     psi_rows = basis.r * (L - traj.n)
     A = flat_stack(traj, basis, L)[: psi_rows + layout.b.size]
@@ -205,8 +200,8 @@ def kernel_problem(
     point alpha0 is the ridge fit of the fixed rows B = H_L(y)[:len(b)] to
     b.  The Gram is built in the memory of the data kernel block and
     factored there (``solver._cholesky``); the problem holds the factor.
-    A singular Gram raises SingularMatrixError here, and a conditioning
-    warning names the caller of ``dd_simulate`` or ``dd_match``.
+    A singular Gram raises SingularMatrixError here, and an
+    ill-conditioned one warns here.
     """
     # the solve's optimizer, loaded before the data kernel block exists so
     # that its memory does not add to the peak that block sets
@@ -240,6 +235,5 @@ def kernel_problem(
 
         return _band(K, cols).sum(axis=0) + const_cross, float(diag.sum()) + b_sq, slope
 
-    # stacklevel 5 names the caller of the front end
-    R = _cholesky(gram, lam, 5, overwrite_g=True)
+    R = _cholesky(gram, lam, overwrite_g=True)
     return NormalEquationsProblem(R, terms, layout.H, **controls), ridge_solve(RidgeProblem(B, b, lam))

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from flatdd.basis import KernelSpec, named_basis
 from flatdd.cli import main
 from flatdd.errors import ConfigError
-from flatdd.experiments import ExperimentConfig, save_config
+from flatdd.experiments import ExperimentConfig, reference_output, save_config
 from flatdd.membership import flat_membership
 from flatdd.plant import collect_trajectory, example1_model
 from flatdd.signals import IoTrajectory, write_signal_csv, write_trajectory
@@ -139,6 +139,18 @@ def test_cli_kernel_singular_gram_is_numerical_failure(files, command):
     assert err.splitlines() == [
         "numerical failure: gram matrix plus lam I is numerically singular at lam = 1e-300; increase lam"
     ]
+
+
+def test_cli_prints_warning_as_one_line(tmp_path):
+    code, _, err = _run(["generate", "--seed", "12", "--n-samples", "150", "--out-dir", str(tmp_path)])
+    assert code == 0, err
+    write_signal_csv(tmp_path / "reference.csv", "y", reference_output(L))
+    code, _, err = _run([
+        "match", "--data", str(tmp_path / "example1_data.csv"), "--reference", str(tmp_path / "reference.csv"),
+        "--lambda", "1e-10", "--out", str(tmp_path / "u_est.csv"),
+    ])
+    assert code == 0, err
+    assert err.splitlines() == ["warning: ConditioningWarning: normal equations have condition number 6.539e+12"]
 
 
 _FILE_FLAGS = {

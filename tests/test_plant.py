@@ -13,7 +13,6 @@ from flatdd.plant import (
     generate_excitation,
     matching_input_oracle,
     simulate,
-    verify_relative_degree,
 )
 
 
@@ -174,29 +173,6 @@ def test_example2_inverse_domain():
     m = example2_model()
     with pytest.raises(EvaluationError):
         m.flat_inverse(1.5, np.zeros(2))
-
-
-def test_relative_degree_probe():
-    assert verify_relative_degree(example1_model())
-    assert verify_relative_degree(example2_model())
-    assert not verify_relative_degree(example1_model(), expected=1)
-    assert not verify_relative_degree(example1_model(), expected=3)
-
-
-def test_relative_degree_on_probe_grid(rng):
-    pts = [(p[:2], p[2]) for p in rng.uniform(-1.0, 1.0, size=(25, 3))]
-    assert verify_relative_degree(example1_model(), 2, pts)
-    assert verify_relative_degree(example2_model(), 2, pts)
-
-
-def test_relative_degree_simple_chains():
-    from flatdd.plant import FlatModel
-
-    double_int = FlatModel(2, lambda x, u: np.array([x[1], u]), lambda x: float(x[0]), "chain2")
-    assert verify_relative_degree(double_int, 2)
-    direct = FlatModel(1, lambda x, u: np.array([u]), lambda x: float(x[0]), "chain1")
-    assert verify_relative_degree(direct, 1)
-    assert not verify_relative_degree(direct, 2)
 
 
 def test_excitation_mean_bound():

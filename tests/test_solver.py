@@ -17,7 +17,7 @@ from flatdd.errors import (
     DivergenceError,
     SingularMatrixError,
 )
-from flatdd.experiments import ExperimentConfig, _collect, example2_defaults, reference_output
+from flatdd.experiments import ExperimentConfig, _collect, example2_defaults, reference_output, run_example1
 from flatdd.matching import MatchProblem, dd_match, kernel_match_problem
 from flatdd.plant import collect_trajectory, example1_model, example2_model
 from flatdd.simulation import SimProblem, dd_simulate, kernel_sim_problem
@@ -369,9 +369,9 @@ def example1_match_block():
     match: the one Gauss-Newton step of a basis affine in u."""
     captured = []
 
-    def recording(A, b, lam, stacklevel=3):
+    def recording(A, b, lam):
         captured.append((A, b))
-        return _ridge(A, b, lam, stacklevel)
+        return _ridge(A, b, lam)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(flatdd.solver, "_ridge", recording)
@@ -425,9 +425,11 @@ def test_regularized_ill_conditioned_block_warns_at_caller():
     assert record[0].filename == __file__
 
 
-@pytest.mark.parametrize("task", ["simulation", "matching"])
-def test_kernel_conditioning_warning_names_caller(task):
-    # the Gram is factored where the front end builds it, and the warning names the front end's caller
+@pytest.mark.parametrize("task", ["simulation", "matching", "explicit", "driver"])
+def test_conditioning_warning_names_caller(task, tmp_path):
+    # the warning names the first caller outside flatdd, wherever in it the solve warns: the kernel
+    # Gram is factored where the front end builds it, the explicit normal equations in a Gauss-Newton
+    # step, and the driver reaches that step through dd_match
     L = 20
     if task == "simulation":
         traj = collect_trajectory(example2_model(), 150, (-1.0, 1.0), seed=12)
@@ -435,10 +437,19 @@ def test_kernel_conditioning_warning_names_caller(task):
         front_end, prob = dd_simulate, SimProblem(
             traj, L, u, np.zeros(2), "kernel", kernel=KernelSpec("gaussian", 1000.0), lam=1e-9
         )
-    else:
+    elif task == "matching":
         traj = collect_trajectory(example1_model(), 150, (-0.5, 0.5), seed=12)
         front_end, prob = dd_match, MatchProblem(
             traj, L, reference_output(L), "kernel", kernel=KernelSpec("gaussian_plus_linear", 1000.0), lam=1e-9
+        )
+    elif task == "explicit":
+        traj = collect_trajectory(example1_model(), 150, (-0.5, 0.5), seed=12)
+        front_end, prob = dd_match, MatchProblem(
+            traj, L, reference_output(L), "explicit", basis=named_basis("example1-poly"), lam=1e-10
+        )
+    else:
+        front_end, prob = run_example1, ExperimentConfig(
+            seed=12, n_samples=150, horizon=L, lam=1e-10, out_dir=str(tmp_path)
         )
     with pytest.warns(ConditioningWarning, match="condition number") as record:
         front_end(prob)
