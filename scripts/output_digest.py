@@ -18,6 +18,10 @@ Groups:
   pe                 the pe_verdict results on run_example1's data, data
                      seeds 5-29: the basis at orders L-1, L and L+1, and
                      the raw input at order L+n
+  explicit-simulation  y and solve diagnostics of explicit dd_simulate
+                     on run_example1's data, data seeds 5-29: 48 fresh
+                     inputs in +-0.5, the true plant's first outputs
+                     from rest, basis example1-poly, lam 0.1
 
 The runs write into a temporary directory that is removed afterwards.
 The whole run takes a few seconds with one BLAS thread.  Digests are
@@ -51,9 +55,11 @@ from flatdd.experiments import (  # noqa: E402
     pe_verdict,
     run_example1,
     run_example2,
+    solve_metrics,
 )
 from flatdd.membership import flat_membership  # noqa: E402
-from flatdd.plant import collect_trajectory, example1_model, example2_model  # noqa: E402
+from flatdd.plant import collect_trajectory, example1_model, example2_model, simulate  # noqa: E402
+from flatdd.simulation import SimProblem, dd_simulate  # noqa: E402
 
 SEEDS = range(5, 30)
 
@@ -111,6 +117,18 @@ def _pe_digest() -> str:
     return h.hexdigest()
 
 
+def _simulation_digest() -> str:
+    h = hashlib.sha256()
+    for seed in SEEDS:
+        config = ExperimentConfig(seed=seed)
+        traj, L = _collect(config, example1_model()), config.horizon
+        u = np.random.default_rng(seed).uniform(-0.5, 0.5, size=L - traj.n)
+        y_init = simulate(example1_model(), np.zeros(traj.n), u).flat[: traj.n]
+        res = dd_simulate(SimProblem(traj, L, u, y_init, "explicit", basis=named_basis("example1-poly"), lam=0.1))
+        h.update(res.y.values.tobytes() + json.dumps(solve_metrics(res)).encode())
+    return h.hexdigest()
+
+
 def _solves() -> None:
     """One JSON line per kernel run of run_example1 and run_example2, data seeds 5-29."""
     keys = ("objective", "initial_objective", "iterations", "converged")
@@ -136,6 +154,7 @@ def main() -> None:
     print(f"flat-membership    {_membership_digest()}")
     print(f"data               {_data_digest()}")
     print(f"pe                 {_pe_digest()}")
+    print(f"explicit-simulation  {_simulation_digest()}")
 
 
 if __name__ == "__main__":

@@ -20,9 +20,9 @@ from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
-from .basis import KernelSpec, window_points
+from .basis import window_points
 from .errors import ConfigError
-from .signals import IoTrajectory, Signal, build_hankel
+from .signals import Signal, build_hankel
 from .solver import NonlinearResult, NormalEquationsProblem, nonlinear_solve
 from .window import WindowLayout, WindowProblem, explicit_solve, kernel_problem
 
@@ -67,28 +67,22 @@ class MatchResult(NonlinearResult):
     u: Signal
 
 
-def _layout(traj: IoTrajectory, L: int, y_ref: np.ndarray) -> WindowLayout:
-    n = traj.n
+def _layout(prob: MatchProblem) -> WindowLayout:
+    n, L = prob.traj.n, prob.L
     # candidate point k is ((U alpha)[k], y_ref[k], ..., y_ref[k+n-1]) with U = H_{L-n}(u)
-    Z0 = window_points(np.zeros(L - n), y_ref, n)
-    return WindowLayout(Z0, build_hankel(traj.u, L - n).entries, {0: 0}, y_ref)
+    Z0 = window_points(np.zeros(L - n), prob.y_ref, n)
+    return WindowLayout(Z0, build_hankel(prob.traj.u, L - n).entries, {0: 0}, prob.y_ref)
 
 
-def kernel_match_problem(
-    traj: IoTrajectory,
-    L: int,
-    y_ref: np.ndarray,
-    kernel: KernelSpec,
-    lam: float,
-    **controls,
-) -> tuple[NormalEquationsProblem, np.ndarray]:
-    """Assemble the Gram-space matching objective, with its exact gradient.
+def kernel_match_problem(prob: MatchProblem) -> tuple[NormalEquationsProblem, np.ndarray]:
+    """Assemble the Gram-space matching objective of a kernel-mode
+    ``prob``, with its exact gradient.
 
     Returns the problem, whose signal map H is the depth-(L-n) input
     Hankel matrix (u = H alpha), and the starting point alpha0 fit to the
     reference rows.
     """
-    return kernel_problem(traj, kernel, _layout(traj, L, y_ref), lam, **controls)
+    return kernel_problem(prob, _layout(prob))
 
 
 def dd_match(prob: MatchProblem) -> MatchResult:
@@ -102,11 +96,10 @@ def dd_match(prob: MatchProblem) -> MatchResult:
     one step for a basis affine in u; the kernel solve starts from the
     ridge fit of the output rows to the reference.
     """
-    traj, L = prob.traj, prob.L
     if prob.mode == "kernel":
-        normal, alpha0 = kernel_match_problem(traj, L, prob.y_ref, prob.kernel, prob.lam, **prob.controls)
+        normal, alpha0 = kernel_match_problem(prob)
         U, res = normal.H, nonlinear_solve(normal, alpha0)
     else:
-        layout = _layout(traj, L, prob.y_ref)
+        layout = _layout(prob)
         U, res = layout.H, explicit_solve(prob, layout)
     return MatchResult(**vars(res), u=Signal(U @ res.alpha))

@@ -136,8 +136,7 @@ def generate_excitation(
 ) -> np.ndarray:
     """Uniform i.i.d. excitation over [lo, hi]."""
     lo, hi = bounds
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return rng.uniform(lo, hi, size=length)
+    return np.random.default_rng(seed).uniform(lo, hi, size=length)
 
 
 @dataclass(frozen=True)
@@ -151,8 +150,7 @@ class NoiseSpec:
 
 def add_noise(y: np.ndarray | Signal, spec: NoiseSpec) -> Signal:
     yy = y.flat if isinstance(y, Signal) else np.asarray(y, dtype=float).reshape(-1)
-    rng = spec.seed if isinstance(spec.seed, np.random.Generator) else np.random.default_rng(spec.seed)
-    return Signal(yy + rng.uniform(spec.lo, spec.hi, size=yy.size))
+    return Signal(yy + np.random.default_rng(spec.seed).uniform(spec.lo, spec.hi, size=yy.size))
 
 
 def collect_trajectory(

@@ -20,8 +20,8 @@ from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
-from .basis import KernelSpec, window_points
-from .signals import IoTrajectory, Signal, build_hankel
+from .basis import window_points
+from .signals import Signal, build_hankel
 from .solver import NonlinearResult, NormalEquationsProblem, nonlinear_solve
 from .window import WindowLayout, WindowProblem, explicit_solve, kernel_problem
 
@@ -60,29 +60,22 @@ class SimResult(NonlinearResult):
     y: Signal
 
 
-def _layout(traj: IoTrajectory, L: int, u_new: np.ndarray, y_init: np.ndarray) -> WindowLayout:
-    n = traj.n
+def _layout(prob: SimProblem) -> WindowLayout:
+    n, L = prob.traj.n, prob.L
     # candidate point k is (u_new[k], y[k], ..., y[k+n-1]) with y = H_L(y) alpha
-    Z0 = window_points(u_new, np.zeros(L), n)
-    return WindowLayout(Z0, build_hankel(traj.y, L).entries, {1 + i: i for i in range(n)}, y_init)
+    Z0 = window_points(prob.u_new, np.zeros(L), n)
+    return WindowLayout(Z0, build_hankel(prob.traj.y, L).entries, {1 + i: i for i in range(n)}, prob.y_init)
 
 
-def kernel_sim_problem(
-    traj: IoTrajectory,
-    L: int,
-    u_new: np.ndarray,
-    y_init: np.ndarray,
-    kernel: KernelSpec,
-    lam: float,
-    **controls,
-) -> tuple[NormalEquationsProblem, np.ndarray]:
-    """Assemble the Gram-space simulation objective, with its exact gradient.
+def kernel_sim_problem(prob: SimProblem) -> tuple[NormalEquationsProblem, np.ndarray]:
+    """Assemble the Gram-space simulation objective of a kernel-mode
+    ``prob``, with its exact gradient.
 
     The kernel pairs points z = (u, output window).  Returns the problem,
     whose signal map H is the depth-L output Hankel matrix (y = H alpha),
     and the starting point alpha0 fit to the initial-output rows.
     """
-    return kernel_problem(traj, kernel, _layout(traj, L, u_new, y_init), lam, **controls)
+    return kernel_problem(prob, _layout(prob))
 
 
 def dd_simulate(prob: SimProblem) -> SimResult:
@@ -94,13 +87,10 @@ def dd_simulate(prob: SimProblem) -> SimResult:
     ``prob.traj`` and shared with later explicit solves and membership
     queries on the same data, basis and L.
     """
-    traj, L = prob.traj, prob.L
     if prob.mode == "kernel":
-        normal, alpha0 = kernel_sim_problem(
-            traj, L, prob.u_new, prob.y_init, prob.kernel, prob.lam, **prob.controls
-        )
+        normal, alpha0 = kernel_sim_problem(prob)
         H_L_y, res = normal.H, nonlinear_solve(normal, alpha0)
     else:
-        layout = _layout(traj, L, prob.u_new, prob.y_init)
+        layout = _layout(prob)
         H_L_y, res = layout.H, explicit_solve(prob, layout)
     return SimResult(**vars(res), y=Signal(H_L_y @ res.alpha))

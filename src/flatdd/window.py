@@ -31,11 +31,9 @@ from .errors import ConfigError, DataLengthWarning, _warn
 from .membership import _warn_if_not_excited, candidate_stack, data_length_check, flat_stack
 from .signals import IoTrajectory, _known_samples, build_hankel
 from .solver import NonlinearResidualProblem, NonlinearResult, NormalEquationsProblem, RidgeProblem
-from .solver import _check_controls, _cholesky, nonlinear_solve, ridge_solve
+from .solver import _ROW_BLOCK, _check_controls, _cholesky, nonlinear_solve, ridge_solve
 
 __all__ = ["WindowProblem", "WindowLayout", "explicit_solve", "kernel_problem"]
-
-_ROW_BLOCK = 64  # rows per step where a Gram-sized array is rewritten in place
 
 
 @dataclass(frozen=True)
@@ -182,27 +180,25 @@ def _band(A: np.ndarray, cols: int) -> np.ndarray:
     return np.ndarray((A.shape[0], cols), A.dtype, A, 0, (s0 + s1, s1))
 
 
-def kernel_problem(
-    traj: IoTrajectory,
-    kernel: KernelSpec,
-    layout: WindowLayout,
-    lam: float,
-    **controls,
-) -> tuple[NormalEquationsProblem, np.ndarray]:
+def kernel_problem(prob: WindowProblem, layout: WindowLayout) -> tuple[NormalEquationsProblem, np.ndarray]:
     """Gram-space form of the window problem, and its starting point.
 
-    The feature Hankel matrix stays implicit: its row block k pairs with
-    candidate point k at ``layout.points(v)``.  The problem's signal map is
-    the layout's H, so its terms are taken at the moved signal v: the
-    points, their kernel block against the data points, cross(v) and
-    offset(v) come from v, and the slope, the gradient in v at given
-    alpha, comes afterwards from the same kernel block.  The starting
-    point alpha0 is the ridge fit of the fixed rows B = H_L(y)[:len(b)] to
-    b.  The Gram is built in the memory of the data kernel block and
-    factored there (``solver._cholesky``); the problem holds the factor.
-    A singular Gram raises SingularMatrixError here, and an
-    ill-conditioned one warns here.
+    Takes the arguments of ``explicit_solve``; ``prob`` must be in kernel
+    mode, else ConfigError.  The feature Hankel matrix stays implicit:
+    its row block k pairs with candidate point k at ``layout.points(v)``.
+    The problem's signal map is the layout's H, so its terms are taken at
+    the moved signal v: the points, their kernel block against the data
+    points, cross(v) and offset(v) come from v, and the slope, the
+    gradient in v at given alpha, comes afterwards from the same kernel
+    block.  The starting point alpha0 is the ridge fit of the fixed rows
+    B = H_L(y)[:len(b)] to b.  The Gram is built in the memory of the
+    data kernel block and factored there (``solver._cholesky``); the
+    problem holds the factor.  A singular Gram raises SingularMatrixError
+    here, and an ill-conditioned one warns here.
     """
+    if prob.mode != "kernel":
+        raise ConfigError(f"a Gram-space problem needs kernel mode, got mode {prob.mode!r}")
+    traj, kernel, lam = prob.traj, prob.kernel, prob.lam
     # the solve's optimizer, loaded before the data kernel block exists so
     # that its memory does not add to the peak that block sets
     import scipy.optimize  # noqa: F401
@@ -236,4 +232,4 @@ def kernel_problem(
         return _band(K, cols).sum(axis=0) + const_cross, float(diag.sum()) + b_sq, slope
 
     R = _cholesky(gram, lam, overwrite_g=True)
-    return NormalEquationsProblem(R, terms, layout.H, **controls), ridge_solve(RidgeProblem(B, b, lam))
+    return NormalEquationsProblem(R, terms, layout.H, **prob.controls), ridge_solve(RidgeProblem(B, b, lam))

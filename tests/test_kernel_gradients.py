@@ -36,12 +36,14 @@ def _match_data(seed):
 
 
 CASES = {
-    "gaussian-simulation": lambda: kernel_sim_problem(*_sim_data(5), KernelSpec("gaussian", 1.0), 0.1),
+    "gaussian-simulation": lambda: kernel_sim_problem(
+        SimProblem(*_sim_data(5), "kernel", kernel=KernelSpec("gaussian", 1.0), lam=0.1)
+    ),
     "gaussian_plus_linear-simulation": lambda: kernel_sim_problem(
-        *_sim_data(5), KernelSpec("gaussian_plus_linear", 1.0), 0.1
+        SimProblem(*_sim_data(5), "kernel", kernel=KernelSpec("gaussian_plus_linear", 1.0), lam=0.1)
     ),
     "gaussian_plus_linear-matching": lambda: kernel_match_problem(
-        *_match_data(5), KernelSpec("gaussian_plus_linear", 1.0), 0.1
+        MatchProblem(*_match_data(5), "kernel", kernel=KernelSpec("gaussian_plus_linear", 1.0), lam=0.1)
     ),
 }
 
@@ -120,9 +122,11 @@ def test_objective_does_not_depend_on_a_solve(task, seed):
     # a problem is built factored: its objective at alpha0 is the same
     # number before a solve as the one the solve starts from
     if task == "simulation":
-        prob, alpha0 = kernel_sim_problem(*_sim_data(seed), KernelSpec("gaussian", 1.0), 0.1)
+        prob, alpha0 = kernel_sim_problem(SimProblem(*_sim_data(seed), "kernel", kernel=KernelSpec("gaussian", 1.0)))
     else:
-        prob, alpha0 = kernel_match_problem(*_match_data(seed), KernelSpec("gaussian_plus_linear", 1.0), 0.1)
+        prob, alpha0 = kernel_match_problem(
+            MatchProblem(*_match_data(seed), "kernel", kernel=KernelSpec("gaussian_plus_linear", 1.0))
+        )
     before = prob.objective(alpha0)
     assert nonlinear_solve(prob, alpha0).initial_objective == before
 
@@ -197,9 +201,13 @@ def _explicit_sim_problem(seed, lam):
 )
 def test_converged_solves_are_stationary(seed, task, lam, sigma):
     if task == "kernel-simulation":
-        prob, alpha0 = kernel_sim_problem(*_sim_data(seed), KernelSpec("gaussian", sigma), lam)
+        prob, alpha0 = kernel_sim_problem(
+            SimProblem(*_sim_data(seed), "kernel", kernel=KernelSpec("gaussian", sigma), lam=lam)
+        )
     elif task == "kernel-matching":
-        prob, alpha0 = kernel_match_problem(*_match_data(seed), KernelSpec("gaussian_plus_linear", sigma), lam)
+        prob, alpha0 = kernel_match_problem(
+            MatchProblem(*_match_data(seed), "kernel", kernel=KernelSpec("gaussian_plus_linear", sigma), lam=lam)
+        )
     else:  # explicit fits are near exact and run at small weights
         prob, alpha0 = _explicit_sim_problem(seed, lam * 1e-4), None
     res = nonlinear_solve(prob, alpha0)

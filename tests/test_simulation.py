@@ -166,10 +166,10 @@ def test_kernel_problem_gram_matches_naive_sum(task, monkeypatch):
     monkeypatch.setattr(flatdd.window, "kernel_eval", lambda *a: blocks.append(kernel_eval(*a)) or blocks[-1])
     if task == "simulation":
         spec, b = KernelSpec("gaussian", 0.8), np.array([0.1, -0.2])
-        prob, _ = kernel_sim_problem(traj, L, np.zeros(L - n), b, spec, 0.1)
+        prob, _ = kernel_sim_problem(SimProblem(traj, L, np.zeros(L - n), b, "kernel", kernel=spec, lam=0.1))
     else:
         spec, b = KernelSpec("gaussian_plus_linear", 1.0), np.sin(np.arange(L) / 3.0)
-        prob, _ = kernel_match_problem(traj, L, b, spec, 0.1)
+        prob, _ = kernel_match_problem(MatchProblem(traj, L, b, "kernel", kernel=spec, lam=0.1))
     Z_data = window_points(traj.u.flat, traj.y.flat, n)
     K = kernel_eval(spec, Z_data, Z_data)
     B = build_hankel(traj.y, L).entries[: b.size]
@@ -179,6 +179,15 @@ def test_kernel_problem_gram_matches_naive_sum(task, monkeypatch):
     assert np.shares_memory(prob.R, block)
     gram = prob.R.T @ prob.R - 0.1 * np.eye(cols)
     assert np.abs(gram - naive).max() <= 1e-12 * np.abs(naive).max()
+
+
+def test_kernel_builders_reject_explicit_problems(ex1_traj, ex1_basis):
+    sim = SimProblem(ex1_traj, 50, np.zeros(48), np.zeros(2), "explicit", basis=ex1_basis)
+    with pytest.raises(ConfigError, match="mode 'explicit'"):
+        kernel_sim_problem(sim)
+    match = MatchProblem(ex1_traj, 50, np.zeros(50), "explicit", basis=ex1_basis)
+    with pytest.raises(ConfigError, match="mode 'explicit'"):
+        kernel_match_problem(match)
 
 
 def test_kernel_with_finite_basis_product_matches_explicit(ex1_basis, monkeypatch):
@@ -209,7 +218,9 @@ def test_kernel_with_finite_basis_product_matches_explicit(ex1_basis, monkeypatc
         lambda spec, Z1, Z2, K, W: np.einsum("krc,kr->kc", dpsi(Z1), W @ psi(Z2)),
     )
     # any spec serves as a token: the kernel functions above ignore it
-    normal, alpha0 = kernel_sim_problem(traj, 20, u, y_true[:2], KernelSpec("gaussian"), lam)
+    normal, alpha0 = kernel_sim_problem(
+        SimProblem(traj, 20, u, y_true[:2], "kernel", kernel=KernelSpec("gaussian"), lam=lam)
+    )
     H_L_y = normal.H
 
     # the Gram-space objective is the explicit residual objective, at any point

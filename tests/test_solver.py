@@ -201,8 +201,10 @@ def test_condition_estimate_quiet_on_kernel_sim_gram():
     with warnings.catch_warnings():
         warnings.simplefilter("error", ConditioningWarning)
         prob, _ = kernel_sim_problem(
-            traj, config.horizon, np.zeros(config.horizon - 2), np.zeros(2),
-            KernelSpec("gaussian", config.sigma), config.lam,
+            SimProblem(
+                traj, config.horizon, np.zeros(config.horizon - 2), np.zeros(2), "kernel",
+                kernel=KernelSpec("gaussian", config.sigma), lam=config.lam,
+            )
         )
     # LAPACK's estimate on the factor, which the build may skip, is quiet as well
     M = prob.R.T @ prob.R
@@ -222,12 +224,15 @@ def _kernel_sim_seed5():
     config = example2_defaults(seed=5)
     u = np.random.default_rng(6).uniform(-1.0, 1.0, config.horizon - 2)
     traj = _collect(config, example2_model())
-    return kernel_sim_problem(traj, config.horizon, u, np.zeros(2), KernelSpec("gaussian", config.sigma), config.lam)
+    spec = KernelSpec("gaussian", config.sigma)
+    return kernel_sim_problem(SimProblem(traj, config.horizon, u, np.zeros(2), "kernel", kernel=spec, lam=config.lam))
 
 
 def _kernel_match_seed5():
     traj = _collect(ExperimentConfig(seed=5), example1_model())
-    return kernel_match_problem(traj, 50, reference_output(50), KernelSpec("gaussian_plus_linear", 1.0), 0.1)
+    return kernel_match_problem(
+        MatchProblem(traj, 50, reference_output(50), "kernel", kernel=KernelSpec("gaussian_plus_linear", 1.0), lam=0.1)
+    )
 
 
 @pytest.mark.parametrize("build", [_kernel_sim_seed5, _kernel_match_seed5])
@@ -275,11 +280,11 @@ def test_kernel_solve_factors_its_gram_in_the_data_block():
     config = example2_defaults(seed=5)
     u = np.random.default_rng(6).uniform(-1.0, 1.0, config.horizon - 2)
     traj = _collect(config, example2_model())
+    spec = KernelSpec("gaussian", config.sigma)
+    sim = SimProblem(traj, config.horizon, u, np.zeros(2), "kernel", kernel=spec, lam=config.lam)
     tracemalloc.start()
     try:
-        prob, alpha0 = kernel_sim_problem(
-            traj, config.horizon, u, np.zeros(2), KernelSpec("gaussian", config.sigma), config.lam
-        )
+        prob, alpha0 = kernel_sim_problem(sim)
         res = nonlinear_solve(prob, alpha0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
