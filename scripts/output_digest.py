@@ -22,6 +22,11 @@ Groups:
                      on run_example1's data, data seeds 5-29: 48 fresh
                      inputs in +-0.5, the true plant's first outputs
                      from rest, basis example1-poly, lam 0.1
+  warnings           category and message of every warning that explicit
+                     dd_match, dd_simulate and flat_membership issue on
+                     short (120-sample) example1 data, that explicit
+                     dd_match issues on constant-input data and at
+                     lam 1e-10, and the diagnostic of a too-short pe_check
 
 The runs write into a temporary directory that is removed afterwards.
 The whole run takes a few seconds with one BLAS thread.  Digests are
@@ -38,6 +43,7 @@ import hashlib
 import json
 import os
 import tempfile
+import warnings
 from pathlib import Path
 
 # One BLAS thread unless the environment already sets one: threaded BLAS
@@ -57,8 +63,10 @@ from flatdd.experiments import (  # noqa: E402
     run_example2,
     solve_metrics,
 )
+from flatdd.matching import MatchProblem, dd_match  # noqa: E402
 from flatdd.membership import flat_membership  # noqa: E402
 from flatdd.plant import collect_trajectory, example1_model, example2_model, simulate  # noqa: E402
+from flatdd.signals import IoTrajectory, pe_check  # noqa: E402
 from flatdd.simulation import SimProblem, dd_simulate  # noqa: E402
 
 SEEDS = range(5, 30)
@@ -129,6 +137,25 @@ def _simulation_digest() -> str:
     return h.hexdigest()
 
 
+def _warnings_digest() -> str:
+    model, basis = example1_model(), named_basis("example1-poly")
+    short = collect_trajectory(model, 120, (-0.5, 0.5), seed=2)
+    u_const = np.full(248, 0.1)
+    constant = IoTrajectory.from_arrays(u_const, simulate(model, np.zeros(2), u_const).flat, 2)
+    ill = collect_trajectory(model, 150, (-0.5, 0.5), seed=12)
+    u = np.random.default_rng(2).uniform(-0.5, 0.5, size=48)
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        dd_match(MatchProblem(short, 50, short.y.flat[10:60], "explicit", basis=basis, lam=0.1))
+        dd_simulate(SimProblem(short, 50, u, np.zeros(2), "explicit", basis=basis, lam=0.1))
+        flat_membership(short, basis, 50, short.u.flat[:48], short.y.flat[:50])
+        dd_match(MatchProblem(constant, 50, constant.y.flat[20:70], "explicit", basis=basis, lam=0.1))
+        dd_match(MatchProblem(ill, 50, ill.y.flat[20:70], "explicit", basis=basis, lam=1e-10))
+    lines = [f"{w.category.__name__}: {w.message}" for w in record]
+    lines.append(f"pe_check: {pe_check(np.arange(30.0), 20).diagnostic}")
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
 def _solves() -> None:
     """One JSON line per kernel run of run_example1 and run_example2, data seeds 5-29."""
     keys = ("objective", "initial_objective", "iterations", "converged")
@@ -155,6 +182,7 @@ def main() -> None:
     print(f"data               {_data_digest()}")
     print(f"pe                 {_pe_digest()}")
     print(f"explicit-simulation  {_simulation_digest()}")
+    print(f"warnings           {_warnings_digest()}")
 
 
 if __name__ == "__main__":

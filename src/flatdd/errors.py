@@ -42,10 +42,6 @@ class PersistencyWarning(UserWarning):
     """A persistency-of-excitation hypothesis could not be verified."""
 
 
-class DataLengthWarning(UserWarning):
-    """The data-length bound for the requested horizon is violated."""
-
-
 class ConditioningWarning(UserWarning):
     """A linear solve is close to numerically rank-deficient."""
 

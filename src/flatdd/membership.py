@@ -102,17 +102,16 @@ def _warn_if_not_excited(traj: IoTrajectory, basis: BasisSet, L: int) -> None:
     The depth-L Hankel matrix of the sequence is read from the Psi block
     of ``flat_stack``, whose depth is L - n: its first N-L+1-n columns
     are the top rows, and its last block row shifted right by 1 ... n
-    columns gives the n block rows below them.  The Hankel matrix itself
-    is built only where the excitation check falls back to an SVD.
+    columns gives the n block rows below them.  This verdict is the one
+    data-sufficiency check of the window problems: too short a record
+    warns here, with the samples missing.
     """
 
     def verdict() -> PeResult:
-        psi = psi_hat_signal(traj, basis)
-        cols = _hankel_cols(psi, L)  # raises as pe_check does for a depth outside 1..N-n
+        cols = _hankel_cols(psi_hat_signal(traj, basis), L)  # raises as pe_check does for a depth outside 1..N-n
         top = flat_stack(traj, basis, L)[: basis.r * (L - traj.n)]
         last = top[-basis.r :]
-        rows = [top[:, :cols], *(last[:, k : k + cols] for k in range(1, traj.n + 1))]
-        return _excitation(rows, lambda: build_hankel(psi, L).entries)
+        return _excitation([top[:, :cols], *(last[:, k : k + cols] for k in range(1, traj.n + 1))])
 
     pe = _memo(traj, ("pe", basis, L), verdict)
     _warn_unless_excited(pe, "basis-function sequence", f"L={L}", basis.r * L)

@@ -158,17 +158,12 @@ def collect_trajectory(
     N: int,
     input_bounds: tuple[float, float],
     seed: int | np.random.Generator,
-    x0: np.ndarray | None = None,
     noise: NoiseSpec | None = None,
 ) -> IoTrajectory:
-    """Excite the plant with uniform random input and record N outputs.
-
-    The input has N - n samples; the origin is the default initial state.
-    """
-    if x0 is None:
-        x0 = np.zeros(model.n)
+    """Excite the plant from the origin with uniform random input and
+    record N outputs; the input has N - n samples."""
     u = generate_excitation(N - model.n, input_bounds, seed)
-    y = simulate(model, x0, u)
+    y = simulate(model, np.zeros(model.n), u)
     if noise is not None:
         y = add_noise(y, noise)
     return IoTrajectory(Signal(u), y, model.n)

@@ -232,16 +232,15 @@ def pe_check(z: Signal | np.ndarray, L: int) -> PeResult:
     from the rows of their stored data matrix (``_excitation``), with no
     second Hankel matrix.
     """
-    z = as_signal(z)
-    H = build_hankel(z, L).entries
-    return _excitation([H], lambda: H)
+    return _excitation([build_hankel(z, L).entries])
 
 
-def _excitation(rows: Sequence[np.ndarray], hankel: Callable[[], np.ndarray]) -> PeResult:
+def _excitation(rows: Sequence[np.ndarray]) -> PeResult:
     """The ``pe_check`` verdict on the Hankel matrix H that the row blocks
     ``rows`` stack to, in order; they may be views into a larger array.
-    ``hankel()`` returns H itself and is called only for the SVD, where
-    the Cholesky certificate fails.
+    H itself is stacked only for the SVD, where the Cholesky certificate
+    fails.  Too few columns is the verdict on data length: its diagnostic
+    names the samples missing, sigma*L minus the columns.
 
     G = H H' is assembled block by block in one array, its 1-norm taken
     by ``dlange`` and the array factored in place by ``dpotrf`` on its
@@ -264,17 +263,18 @@ def _excitation(rows: Sequence[np.ndarray], hankel: Callable[[], np.ndarray]) ->
             R, info = scipy.linalg.lapack.dpotrf(G.T, lower=0, clean=0, overwrite_a=1)
             if info == 0 and scipy.linalg.lapack.dpocon(R, anorm)[0] >= _PE_CERTIFY_RCOND:
                 return PeResult(True, full)
-    H = hankel()
+    H = np.concatenate(rows)
     try:
-        s = np.linalg.svd(H, compute_uv=False)
-        if not np.isfinite(s).all():  # an infinite entry leaves NaN where a NaN raises
+        if not np.isfinite(H).all():  # LAPACK would print a parameter error before raising
             raise np.linalg.LinAlgError
+        s = np.linalg.svd(H, compute_uv=False)
     except np.linalg.LinAlgError:
         raise SingularMatrixError("SVD of the Hankel matrix did not converge; is the sequence finite?") from None
     rank_tol = max(H.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
     rank = int(np.count_nonzero(s > rank_tol))
     if cols < full:
-        return PeResult(False, rank, diagnostic=f"sequence too short: {cols} columns < sigma*L = {full}")
+        short = f"sequence too short: {cols} columns < sigma*L = {full}, {full - cols} more samples needed"
+        return PeResult(False, rank, diagnostic=short)
     return PeResult(rank == full, rank)
 
 

@@ -240,16 +240,12 @@ def _cholesky(G: np.ndarray, lam: float, overwrite_g: bool = False) -> np.ndarra
     bound = len(M) * (trace + 2.0 * delta)  # times 1 / (lam - delta)
     certified = overwrite_g and 0.0 <= trace < math.inf and bound < _COND_LIMIT * (lam - delta)
     anorm = None if certified else scipy.linalg.lapack.dlange("1", M)  # before dpotrf overwrites M
-    if lam == 0.0:
-        singular = "gram matrix is numerically singular and lam = 0; set lam > 0 to regularize"
-    else:
-        singular = f"gram matrix plus lam I is numerically singular at lam = {lam:g}; increase lam"
     R, info = scipy.linalg.lapack.dpotrf(M, lower=0, clean=1, overwrite_a=1)
     if info == 0 and certified:
         return R
     rcond, info = scipy.linalg.lapack.dpocon(R, anorm) if info == 0 else (0.0, info)
     if info != 0 or not rcond >= np.finfo(float).eps:
-        raise SingularMatrixError(singular)
+        raise SingularMatrixError(f"gram matrix plus lam I is numerically singular at lam = {lam:g}; increase lam")
     if rcond < 1.0 / _COND_LIMIT:
         _warn(f"normal equations have condition number {1.0 / rcond:.3e}", ConditioningWarning)
     return R

@@ -27,8 +27,8 @@ from dataclasses import KW_ONLY, dataclass
 import numpy as np
 
 from .basis import BasisSet, KernelSpec, kernel_diag, kernel_eval, kernel_grad, psi_jacobian, window_points
-from .errors import ConfigError, DataLengthWarning, _warn
-from .membership import _warn_if_not_excited, candidate_stack, data_length_check, flat_stack
+from .errors import ConfigError
+from .membership import _warn_if_not_excited, candidate_stack, flat_stack
 from .signals import IoTrajectory, _known_samples, build_hankel
 from .solver import NonlinearResidualProblem, NonlinearResult, NormalEquationsProblem, RidgeProblem
 from .solver import _ROW_BLOCK, _check_controls, _cholesky, nonlinear_solve, ridge_solve
@@ -108,9 +108,9 @@ class WindowLayout:
 def explicit_solve(prob: WindowProblem, layout: WindowLayout) -> NonlinearResult:
     """Solve the window problem with the basis features of ``prob``.
 
-    Warns when the recorded data cannot certify completeness (data-length
-    bound or excitation rank); the excitation verdict is kept on
-    ``prob.traj``.  The solve is Gauss-Newton from alpha = 0
+    Warns when the recorded data cannot certify completeness: too short
+    or not exciting (``membership._warn_if_not_excited``, whose verdict
+    is kept on ``prob.traj``).  The solve is Gauss-Newton from alpha = 0
     (``solver.nonlinear_solve``).  The right-hand side moves with alpha
     through the basis at the candidate points, so its Jacobian is
     ``psi_jacobian`` at those points times the rows of the layout's H
@@ -118,9 +118,6 @@ def explicit_solve(prob: WindowProblem, layout: WindowLayout) -> NonlinearResult
     first step is the exact minimizer.
     """
     traj, basis, L, lam = prob.traj, prob.basis, prob.L, prob.lam
-    chk = data_length_check(traj.N, L, traj.n, basis.r)
-    if not chk.feasible:
-        _warn(f"data length N={traj.N} is below the excitation bound {chk.required_N}", DataLengthWarning)
     _warn_if_not_excited(traj, basis, L)
 
     psi_rows = basis.r * (L - traj.n)

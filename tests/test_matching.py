@@ -9,7 +9,7 @@ from flatdd.basis import (
     named_basis,
     window_points,
 )
-from flatdd.errors import ConfigError, DataLengthWarning, DimensionError, PersistencyWarning
+from flatdd.errors import ConfigError, DimensionError, PersistencyWarning
 from flatdd.matching import MatchProblem, dd_match
 from flatdd.membership import flat_membership
 from flatdd.plant import collect_trajectory, example1_model, matching_input_oracle, simulate
@@ -190,10 +190,11 @@ def test_validation_errors(clean_traj, basis, sin_ref):
 def test_short_data_warns(model, basis):
     traj = collect_trajectory(model, 120, (-0.5, 0.5), seed=2)
     y_ref = traj.y.flat[10:60]
-    with pytest.warns(DataLengthWarning, match="below the excitation bound 351") as record:
+    with pytest.warns(PersistencyWarning) as record:
         dd_match(MatchProblem(traj, 50, y_ref, "explicit", basis=basis, lam=0.1))
-    # both data warnings (length and excitation) point at the caller
-    assert len(record) == 2 and {w.filename for w in record} == {__file__}
+    # one data-sufficiency warning, pointing at the caller, names the samples missing: 351 - 120
+    assert len(record) == 1 and record[0].filename == __file__
+    assert "too short" in str(record[0].message) and "231 more samples needed" in str(record[0].message)
 
 
 def test_unexciting_data_warns(model, basis):

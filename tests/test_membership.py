@@ -191,6 +191,26 @@ def test_data_length_bound():
         data_length_check(100, 2, 2, 1)
 
 
+@pytest.mark.parametrize("name", ["example1-poly", "identity-only"])
+def test_stored_verdict_is_too_short_exactly_below_the_data_length_bound(name):
+    from flatdd import membership
+
+    record = collect_trajectory(example1_model(), 400, (-0.5, 0.5), seed=5)
+    basis, n = named_basis(name), record.n
+    for L in (3, 5, 10, 20, 50):
+        required = data_length_check(L + n, L, n, basis.r).required_N
+        for N in sorted({L + n, required - 1, required, required + 1, required + 40}):
+            traj = IoTrajectory.from_arrays(record.u.flat[: N - n], record.y.flat[:N], n)
+            chk = data_length_check(N, L, n, basis.r)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", PersistencyWarning)
+                membership._warn_if_not_excited(traj, basis, L)
+            diagnostic = traj.__dict__["_memo"][("pe", basis, L)].diagnostic or ""
+            assert ("too short" in diagnostic) == (not chk.feasible), (name, N, L)
+            if not chk.feasible:
+                assert diagnostic.endswith(f", {chk.required_N - N} more samples needed"), (name, N, L)
+
+
 def _example1_windows(seed):
     """Member windows of an example1 record on another seed, and copies of
     them perturbed off the trajectory set."""

@@ -103,7 +103,7 @@ def test_pe_alternating_sequence():
 def test_pe_too_short_diagnostic():
     res = pe_check(np.arange(4.0), 3)
     assert not res.order_satisfied
-    assert "too short" in res.diagnostic
+    assert res.diagnostic == "sequence too short: 2 columns < sigma*L = 3, 1 more samples needed"
 
 
 def test_pe_random_input_high_order():
@@ -219,12 +219,15 @@ def test_pe_check_nonfinite_sequence_is_singular():
 
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf])
-def test_pe_check_infinite_sequence_is_singular(value):
-    # the values-only SVD returns NaN singular values here instead of raising
-    z = np.random.default_rng(4).uniform(-1.0, 1.0, size=40)
-    z[7] = value
-    with pytest.raises(SingularMatrixError, match="did not converge"):
-        pe_check(z, 5)
+def test_pe_check_infinite_sequence_is_singular(capfd, value):
+    # raised before the SVD: OpenBLAS's LAPACK would first print a DLASCL parameter error to stdout
+    for index, L in [(7, 3), (7, 5), (7, 10), (20, 3), (20, 5), (20, 10)]:
+        z = np.random.default_rng(4).uniform(-1.0, 1.0, size=40)
+        z[index] = value
+        with pytest.raises(SingularMatrixError, match="did not converge"):
+            pe_check(z, L)
+    out, err = capfd.readouterr()
+    assert "DLASCL" not in out + err
 
 
 @given(st.integers(2, 30), st.integers(0, 1000), st.integers(1, 3))

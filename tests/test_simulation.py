@@ -12,7 +12,7 @@ from flatdd.basis import (
     psi_jacobian,
     window_points,
 )
-from flatdd.errors import ConfigError, DataLengthWarning, DimensionError
+from flatdd.errors import ConfigError, DimensionError, PersistencyWarning
 from flatdd.experiments import ExperimentConfig, _collect
 from flatdd.matching import MatchProblem, dd_match, kernel_match_problem
 from flatdd.membership import flat_membership
@@ -296,7 +296,7 @@ def test_problem_validation(ex1_traj, ex1_basis):
 def test_short_data_warns(ex1_basis):
     traj = collect_trajectory(example1_model(), 120, (-0.5, 0.5), seed=14)
     u, y_true = fresh_case(15, length=18)
-    with pytest.warns(DataLengthWarning) as record:
+    with pytest.warns(PersistencyWarning) as record:
         dd_simulate(SimProblem(traj, 20, u, y_true[:2], "explicit", basis=ex1_basis, lam=1e-6))
-    # both data warnings (length and excitation) point at the caller
-    assert len(record) == 2 and {w.filename for w in record} == {__file__}
+    # one data-sufficiency warning, pointing at the caller
+    assert len(record) == 1 and record[0].filename == __file__ and "too short" in str(record[0].message)
