@@ -27,6 +27,10 @@ Groups:
                      short (120-sample) example1 data, that explicit
                      dd_match issues on constant-input data and at
                      lam 1e-10, and the diagnostic of a too-short pe_check
+  unexciting         category and message of every warning that explicit
+                     dd_match, dd_simulate and flat_membership issue on
+                     example1 data driven by the constant input 0.1, 500
+                     samples: long enough for L = 50, but not exciting
 
 The runs write into a temporary directory that is removed afterwards.
 The whole run takes a few seconds with one BLAS thread.  Digests are
@@ -156,6 +160,19 @@ def _warnings_digest() -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+def _unexciting_digest() -> str:
+    model, basis = example1_model(), named_basis("example1-poly")
+    u = np.full(498, 0.1)
+    traj = IoTrajectory.from_arrays(u, simulate(model, np.zeros(2), u).flat, 2)
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        dd_match(MatchProblem(traj, 50, traj.y.flat[20:70], "explicit", basis=basis, lam=0.1))
+        dd_simulate(SimProblem(traj, 50, np.full(48, 0.1), np.zeros(2), "explicit", basis=basis, lam=0.1))
+        flat_membership(traj, basis, 50, traj.u.flat[:48], traj.y.flat[:50])
+    lines = [f"{w.category.__name__}: {w.message}" for w in record]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
 def _solves() -> None:
     """One JSON line per kernel run of run_example1 and run_example2, data seeds 5-29."""
     keys = ("objective", "initial_objective", "iterations", "converged")
@@ -183,6 +200,7 @@ def main() -> None:
     print(f"pe                 {_pe_digest()}")
     print(f"explicit-simulation  {_simulation_digest()}")
     print(f"warnings           {_warnings_digest()}")
+    print(f"unexciting         {_unexciting_digest()}")
 
 
 if __name__ == "__main__":

@@ -95,8 +95,8 @@ def _cmd_config(args) -> int:
 
 
 def _cmd_check_pe(args) -> int:
-    basis = named_basis(args.basis) if args.basis else None
-    _print_json(pe_verdict(read_trajectory(args.data), args.order, basis))
+    traj = read_trajectory(args.data)
+    _print_json(pe_verdict(traj, args.order, named_basis(args.basis, traj.n) if args.basis else None))
     return 0
 
 
@@ -104,7 +104,7 @@ def _cmd_check_membership(args) -> int:
     data = read_trajectory(args.data)
     cand = read_trajectory(args.candidate)
     verdict = flat_membership(
-        data, named_basis(args.basis), cand.N, cand.u.flat, cand.y.flat, tol=args.tol
+        data, named_basis(args.basis, data.n), cand.N, cand.u.flat, cand.y.flat, tol=args.tol
     )
     _print_json(
         {
@@ -119,7 +119,7 @@ def _cmd_check_membership(args) -> int:
 def _cmd_simulate_or_match(args) -> int:
     traj = read_trajectory(args.data)
     problem = SimProblem if args.command == "simulate" else MatchProblem
-    settings = _features(problem, args.mode, args.basis or "example1-poly", args.sigma)
+    settings = _features(problem, args.mode, args.basis or "example1-poly", args.sigma, traj.n)
     settings.update(lam=args.lam, max_iter=args.max_iter, rel_tol=args.rel_tol)
     if problem is SimProblem:
         u_new = read_signal_csv(args.input)

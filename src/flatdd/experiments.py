@@ -89,6 +89,8 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.model not in ("example1", "example2"):
             raise ConfigError(f"model must be example1 or example2, got {self.model!r}")
+        if self.horizon <= (n := _named_model(self.model).n):
+            raise ConfigError(f"horizon={self.horizon} must exceed the order n={n} of model {self.model}")
         if self.mode not in ("explicit", "kernel"):
             raise ConfigError(f"mode must be explicit or kernel, got {self.mode!r}")
         if self.n_samples <= self.horizon:
@@ -195,11 +197,11 @@ def _write_outputs(config: ExperimentConfig, json_name: str, obj: dict, **csvs) 
     return obj
 
 
-def _features(problem: type, mode: str, basis: str, sigma: float) -> dict:
-    """The named basis (explicit mode) or the kernel that ``problem`` takes:
-    matching needs the gaussian_plus_linear kernel, simulation the gaussian."""
+def _features(problem: type, mode: str, basis: str, sigma: float, n: int) -> dict:
+    """The named basis of window width n (explicit mode) or the kernel that ``problem``
+    takes: matching needs the gaussian_plus_linear kernel, simulation the gaussian."""
     if mode == "explicit":
-        return dict(basis=named_basis(basis))
+        return dict(basis=named_basis(basis, n))
     kind = "gaussian_plus_linear" if problem is MatchProblem else "gaussian"
     return dict(kernel=KernelSpec(kind, sigma=sigma))
 
@@ -255,7 +257,7 @@ def run_generate(config: ExperimentConfig | None = None, **overrides) -> dict:
     model = _named_model(config.model)
     traj = _collect(config, model)
     if config.mode == "explicit":
-        verdict = pe_verdict(traj, config.horizon, named_basis(config.basis))
+        verdict = pe_verdict(traj, config.horizon, named_basis(config.basis, model.n))
     else:
         verdict = pe_verdict(traj, config.horizon + model.n)
     del verdict["diagnostic"]  # the manifest records the verdict only
@@ -285,7 +287,7 @@ def run_example1(config: ExperimentConfig | None = None, **overrides) -> dict:
     traj = _collect(config, model)
     L = config.horizon
     y_ref = reference_output(L)
-    features = _features(MatchProblem, config.mode, config.basis, config.sigma)
+    features = _features(MatchProblem, config.mode, config.basis, config.sigma, model.n)
     res = dd_match(MatchProblem(traj, L, y_ref, config.mode, lam=config.lam, **features))
 
     u_model = matching_input_oracle(model, y_ref)
@@ -319,7 +321,7 @@ def run_example2(config: ExperimentConfig | None = None, **overrides) -> dict:
         seed=_derived_seed(config.seed, _TEST_INPUT_ROLE),
     )
     y_true = simulate(model, np.zeros(n), u_test).flat
-    features = _features(SimProblem, config.mode, config.basis, config.sigma)
+    features = _features(SimProblem, config.mode, config.basis, config.sigma, n)
     res = dd_simulate(SimProblem(traj, L, u_test, y_true[:n], config.mode, lam=config.lam, **features))
 
     metrics = _metrics(config, res, y_err_2=float(np.linalg.norm(res.y.flat - y_true)))

@@ -24,7 +24,7 @@ from .basis import window_points
 from .errors import ConfigError
 from .signals import Signal, build_hankel
 from .solver import NonlinearResult, NormalEquationsProblem, nonlinear_solve
-from .window import WindowLayout, WindowProblem, explicit_solve, kernel_problem
+from .window import WindowProblem, explicit_solve, kernel_problem
 
 __all__ = ["MatchProblem", "MatchResult", "dd_match", "kernel_match_problem"]
 
@@ -55,6 +55,10 @@ class MatchProblem(WindowProblem):
                 "matching requires the gaussian_plus_linear kernel; a plain "
                 "gaussian leaves the input unrecoverable"
             )
+        n, L = self.traj.n, self.L
+        # candidate point k is ((U alpha)[k], y_ref[k], ..., y_ref[k+n-1]) with U = H_{L-n}(u)
+        Z0 = window_points(np.zeros(L - n), self.y_ref, n)
+        self._alpha_enters(Z0, build_hankel(self.traj.u, L - n).entries, {0: 0}, self.y_ref)
 
 
 @dataclass(frozen=True)
@@ -67,13 +71,6 @@ class MatchResult(NonlinearResult):
     u: Signal
 
 
-def _layout(prob: MatchProblem) -> WindowLayout:
-    n, L = prob.traj.n, prob.L
-    # candidate point k is ((U alpha)[k], y_ref[k], ..., y_ref[k+n-1]) with U = H_{L-n}(u)
-    Z0 = window_points(np.zeros(L - n), prob.y_ref, n)
-    return WindowLayout(Z0, build_hankel(prob.traj.u, L - n).entries, {0: 0}, prob.y_ref)
-
-
 def kernel_match_problem(prob: MatchProblem) -> tuple[NormalEquationsProblem, np.ndarray]:
     """Assemble the Gram-space matching objective of a kernel-mode
     ``prob``, with its exact gradient.
@@ -82,24 +79,19 @@ def kernel_match_problem(prob: MatchProblem) -> tuple[NormalEquationsProblem, np
     Hankel matrix (u = H alpha), and the starting point alpha0 fit to the
     reference rows.
     """
-    return kernel_problem(prob, _layout(prob))
+    return kernel_problem(prob)
 
 
 def dd_match(prob: MatchProblem) -> MatchResult:
     """Compute the input that tracks ``y_ref`` using recorded data only.
 
-    Warns when excitation rank or the data-length bound cannot be
-    certified; both checks need explicit features and are skipped in
-    kernel mode.  The excitation verdict is kept on ``prob.traj`` and
-    shared with later explicit solves and membership queries on the same
-    data, basis and L.  The explicit solve starts from alpha = 0 and takes
-    one step for a basis affine in u; the kernel solve starts from the
-    ridge fit of the output rows to the reference.
+    Warns when the stored excitation verdict cannot certify the data (a
+    record below the data-length bound is its "too short" diagnostic);
+    the check needs explicit features and is skipped in kernel mode.  The
+    verdict is kept on ``prob.traj`` and shared with later explicit
+    solves and membership queries on the same data, basis and L.  The
+    explicit solve starts from alpha = 0 and takes one step for a basis
+    affine in u; the kernel solve from the ridge fit to the reference.
     """
-    if prob.mode == "kernel":
-        normal, alpha0 = kernel_match_problem(prob)
-        U, res = normal.H, nonlinear_solve(normal, alpha0)
-    else:
-        layout = _layout(prob)
-        U, res = layout.H, explicit_solve(prob, layout)
-    return MatchResult(**vars(res), u=Signal(U @ res.alpha))
+    res = nonlinear_solve(*kernel_match_problem(prob)) if prob.mode == "kernel" else explicit_solve(prob)
+    return MatchResult(**vars(res), u=Signal(prob.H @ res.alpha))

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DivergenceError, EvaluationError
+from .errors import DimensionError, DivergenceError, EvaluationError
 from .signals import IoTrajectory, Signal
 
 __all__ = [
@@ -162,6 +162,8 @@ def collect_trajectory(
 ) -> IoTrajectory:
     """Excite the plant from the origin with uniform random input and
     record N outputs; the input has N - n samples."""
+    if N <= model.n:
+        raise DimensionError(f"record length N={N} must exceed model order n={model.n}")
     u = generate_excitation(N - model.n, input_bounds, seed)
     y = simulate(model, np.zeros(model.n), u)
     if noise is not None:

@@ -23,7 +23,7 @@ import numpy as np
 from .basis import window_points
 from .signals import Signal, build_hankel
 from .solver import NonlinearResult, NormalEquationsProblem, nonlinear_solve
-from .window import WindowLayout, WindowProblem, explicit_solve, kernel_problem
+from .window import WindowProblem, explicit_solve, kernel_problem
 
 __all__ = ["SimProblem", "SimResult", "dd_simulate", "kernel_sim_problem"]
 
@@ -45,6 +45,10 @@ class SimProblem(WindowProblem):
         super().__post_init__()
         self._known_signal("u_new", "new input", self.L - self.traj.n, "L-n")
         self._known_signal("y_init", "initial output", self.traj.n, "n")
+        n, L = self.traj.n, self.L
+        # candidate point k is (u_new[k], y[k], ..., y[k+n-1]) with y = H_L(y) alpha
+        Z0 = window_points(self.u_new, np.zeros(L), n)
+        self._alpha_enters(Z0, build_hankel(self.traj.y, L).entries, {1 + i: i for i in range(n)}, self.y_init)
 
 
 @dataclass(frozen=True)
@@ -60,13 +64,6 @@ class SimResult(NonlinearResult):
     y: Signal
 
 
-def _layout(prob: SimProblem) -> WindowLayout:
-    n, L = prob.traj.n, prob.L
-    # candidate point k is (u_new[k], y[k], ..., y[k+n-1]) with y = H_L(y) alpha
-    Z0 = window_points(prob.u_new, np.zeros(L), n)
-    return WindowLayout(Z0, build_hankel(prob.traj.y, L).entries, {1 + i: i for i in range(n)}, prob.y_init)
-
-
 def kernel_sim_problem(prob: SimProblem) -> tuple[NormalEquationsProblem, np.ndarray]:
     """Assemble the Gram-space simulation objective of a kernel-mode
     ``prob``, with its exact gradient.
@@ -75,22 +72,17 @@ def kernel_sim_problem(prob: SimProblem) -> tuple[NormalEquationsProblem, np.nda
     whose signal map H is the depth-L output Hankel matrix (y = H alpha),
     and the starting point alpha0 fit to the initial-output rows.
     """
-    return kernel_problem(prob, _layout(prob))
+    return kernel_problem(prob)
 
 
 def dd_simulate(prob: SimProblem) -> SimResult:
     """Simulate the response to ``u_new`` from ``y_init`` using data only.
 
-    Warns when the recorded data cannot certify completeness (excitation
-    rank or data-length bound); these checks need explicit features and
-    are skipped in kernel mode.  The excitation verdict is kept on
-    ``prob.traj`` and shared with later explicit solves and membership
-    queries on the same data, basis and L.
+    Warns when the stored excitation verdict cannot certify the data (a
+    record below the data-length bound is its "too short" diagnostic);
+    the check needs explicit features and is skipped in kernel mode.  The
+    verdict is kept on ``prob.traj`` and shared with later explicit
+    solves and membership queries on the same data, basis and L.
     """
-    if prob.mode == "kernel":
-        normal, alpha0 = kernel_sim_problem(prob)
-        H_L_y, res = normal.H, nonlinear_solve(normal, alpha0)
-    else:
-        layout = _layout(prob)
-        H_L_y, res = layout.H, explicit_solve(prob, layout)
-    return SimResult(**vars(res), y=Signal(H_L_y @ res.alpha))
+    res = nonlinear_solve(*kernel_sim_problem(prob)) if prob.mode == "kernel" else explicit_solve(prob)
+    return SimResult(**vars(res), y=Signal(prob.H @ res.alpha))

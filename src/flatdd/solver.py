@@ -206,7 +206,7 @@ class NonlinearResult:
     objective: float
     iterations: int
     converged: bool
-    initial_objective: float = float("nan")
+    initial_objective: float
 
 
 def _cholesky(G: np.ndarray, lam: float, overwrite_g: bool = False) -> np.ndarray:

@@ -10,15 +10,15 @@ Hankel matrix of the recorded data and b the l fixed first outputs of
 the window.  The data block is a row prefix of membership's
 ``flat_stack`` and the right-hand side is its ``candidate_stack`` at
 Z(alpha): membership is the same equation with every entry fixed.  A
-front end describes its problem as a :class:`WindowLayout`: the data
-Hankel matrix through which alpha moves the points, which point
-coordinates it moves, and b.  Simulation moves the output window
-through H_L(y) and fixes the first n outputs; matching moves the input
-through H_{L-n}(u) and fixes the whole reference.  The points depend
-on alpha only through that moved signal v = H alpha, a few dozen entries
-against hundreds of coefficients.  Explicit mode evaluates a basis at
-the points; kernel mode carries the same objective through Gram
-matrices, and its solve searches v itself, with alpha eliminated.
+front end's problem says where alpha enters: the data Hankel matrix
+through which alpha moves the points, which point coordinates it moves,
+and b.  Simulation moves the output window through H_L(y) and fixes the
+first n outputs; matching moves the input through H_{L-n}(u) and fixes
+the whole reference.  The points depend on alpha only through that
+moved signal v = H alpha, a few dozen entries against hundreds of
+coefficients.  Explicit mode evaluates a basis at the points; kernel
+mode carries the same objective through Gram matrices, and its solve
+searches v itself, with alpha eliminated.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ from .signals import IoTrajectory, _known_samples, build_hankel
 from .solver import NonlinearResidualProblem, NonlinearResult, NormalEquationsProblem, RidgeProblem
 from .solver import _ROW_BLOCK, _check_controls, _cholesky, nonlinear_solve, ridge_solve
 
-__all__ = ["WindowProblem", "WindowLayout", "explicit_solve", "kernel_problem"]
+__all__ = ["WindowProblem", "explicit_solve", "kernel_problem"]
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,8 @@ class WindowProblem:
     """Recorded data, horizon and solver settings shared by the front ends.
 
     Subclasses add the known signals and a positional ``mode``:
-    "explicit" requires ``basis``, "kernel" requires ``kernel``.
+    "explicit" requires ``basis``, "kernel" requires ``kernel``.  Each
+    ends its checks by setting where alpha enters (``_alpha_enters``).
     """
 
     traj: IoTrajectory
@@ -79,33 +80,27 @@ class WindowProblem:
         """Store field ``name`` as checked by ``signals._known_samples``."""
         object.__setattr__(self, name, _known_samples(getattr(self, name), what, name, size, expected))
 
-
-@dataclass(frozen=True)
-class WindowLayout:
-    """Where alpha enters one horizon's window problem.
-
-    Row k of the candidate points is Z0[k] with coordinate c replaced by
-    v[k + moved[c]] for each c in ``moved`` (0 is the input, 1..n the
-    output window), where v = H @ alpha is the moved signal; Z0 holds
-    zeros there.  v is also the signal the front end returns.  The first
-    len(b) outputs of the window are fixed to b: the rows
-    H_L(y)[:len(b)] alpha must match it.
-    """
-
-    Z0: np.ndarray
-    H: np.ndarray
-    moved: dict[int, int]
-    b: np.ndarray
+    def _alpha_enters(self, Z0: np.ndarray, H: np.ndarray, moved: dict[int, int], b: np.ndarray) -> None:
+        """Set where alpha enters (see ``points``), as attributes that are not fields."""
+        for name, value in (("Z0", Z0), ("H", H), ("moved", moved), ("b", b)):
+            object.__setattr__(self, name, value)
 
     def points(self, v: np.ndarray) -> np.ndarray:
-        """The candidate points of the moved signal v."""
+        """The candidate points of the moved signal v = H @ alpha.
+
+        Row k is Z0[k] with coordinate c replaced by v[k + moved[c]] for
+        each c in ``moved`` (0 is the input, 1..n the output window); Z0
+        holds zeros there.  v is also the signal the front end returns.
+        The first len(b) outputs of the window are fixed to b: the rows
+        H_L(y)[:len(b)] alpha must match it.
+        """
         Z = self.Z0.copy()
         for c, first in self.moved.items():
             Z[:, c] = v[first : first + Z.shape[0]]
         return Z
 
 
-def explicit_solve(prob: WindowProblem, layout: WindowLayout) -> NonlinearResult:
+def explicit_solve(prob: WindowProblem) -> NonlinearResult:
     """Solve the window problem with the basis features of ``prob``.
 
     Warns when the recorded data cannot certify completeness: too short
@@ -113,7 +108,7 @@ def explicit_solve(prob: WindowProblem, layout: WindowLayout) -> NonlinearResult
     is kept on ``prob.traj``).  The solve is Gauss-Newton from alpha = 0
     (``solver.nonlinear_solve``).  The right-hand side moves with alpha
     through the basis at the candidate points, so its Jacobian is
-    ``psi_jacobian`` at those points times the rows of the layout's H
+    ``psi_jacobian`` at those points times the rows of the problem's H
     that move them.  For a basis affine in the moved coordinates the
     first step is the exact minimizer.
     """
@@ -121,19 +116,19 @@ def explicit_solve(prob: WindowProblem, layout: WindowLayout) -> NonlinearResult
     _warn_if_not_excited(traj, basis, L)
 
     psi_rows = basis.r * (L - traj.n)
-    A = flat_stack(traj, basis, L)[: psi_rows + layout.b.size]
-    coords = tuple(layout.moved)
-    moving = np.stack([layout.H[first : first + len(layout.Z0)] for first in layout.moved.values()])
+    A = flat_stack(traj, basis, L)[: psi_rows + prob.b.size]
+    coords = tuple(prob.moved)
+    moving = np.stack([prob.H[first : first + len(prob.Z0)] for first in prob.moved.values()])
 
     def rhs(alpha: np.ndarray) -> np.ndarray:
-        return candidate_stack(basis, layout.points(layout.H @ alpha), layout.b)
+        return candidate_stack(basis, prob.points(prob.H @ alpha), prob.b)
 
     C = np.empty(A.shape)  # one buffer for every step: the solver overwrites it with J = A - C
 
     def jacobian(alpha: np.ndarray) -> np.ndarray:
         # row k*r + i of the psi rows: sum over moved c of dpsi_i/dz_c at point k times its moving row
         C[psi_rows:] = 0.0
-        slope = psi_jacobian(basis, layout.points(layout.H @ alpha), coords)
+        slope = psi_jacobian(basis, prob.points(prob.H @ alpha), coords)
         np.einsum("kic,ckp->kip", slope, moving, out=C[:psi_rows].reshape(-1, basis.r, A.shape[1]))
         return C
 
@@ -177,17 +172,16 @@ def _band(A: np.ndarray, cols: int) -> np.ndarray:
     return np.ndarray((A.shape[0], cols), A.dtype, A, 0, (s0 + s1, s1))
 
 
-def kernel_problem(prob: WindowProblem, layout: WindowLayout) -> tuple[NormalEquationsProblem, np.ndarray]:
+def kernel_problem(prob: WindowProblem) -> tuple[NormalEquationsProblem, np.ndarray]:
     """Gram-space form of the window problem, and its starting point.
 
-    Takes the arguments of ``explicit_solve``; ``prob`` must be in kernel
-    mode, else ConfigError.  The feature Hankel matrix stays implicit:
-    its row block k pairs with candidate point k at ``layout.points(v)``.
-    The problem's signal map is the layout's H, so its terms are taken at
-    the moved signal v: the points, their kernel block against the data
-    points, cross(v) and offset(v) come from v, and the slope, the
-    gradient in v at given alpha, comes afterwards from the same kernel
-    block.  The starting point alpha0 is the ridge fit of the fixed rows
+    ``prob`` must be in kernel mode, else ConfigError.  The feature Hankel
+    matrix stays implicit: its row block k pairs with candidate point k at
+    ``prob.points(v)``.  The Gram-space problem's signal map is ``prob.H``,
+    so its terms are taken at the moved signal v: the points, their kernel
+    block against the data points, cross(v) and offset(v) come from v, and
+    the slope, the gradient in v at given alpha, comes afterwards from the
+    same kernel block.  The starting point alpha0 is the ridge fit of the fixed rows
     B = H_L(y)[:len(b)] to b.  The Gram is built in the memory of the
     data kernel block and factored there (``solver._cholesky``); the
     problem holds the factor.  A singular Gram raises SingularMatrixError
@@ -200,7 +194,7 @@ def kernel_problem(prob: WindowProblem, layout: WindowLayout) -> tuple[NormalEqu
     # that its memory does not add to the peak that block sets
     import scipy.optimize  # noqa: F401
 
-    m, b = layout.Z0.shape[0], layout.b
+    m, b = prob.Z0.shape[0], prob.b
     B = build_hankel(traj.y, m + traj.n).entries[: b.size]
     cols = B.shape[1]
     Z_data = window_points(traj.u.flat, traj.y.flat, traj.n)
@@ -213,7 +207,7 @@ def kernel_problem(prob: WindowProblem, layout: WindowLayout) -> tuple[NormalEqu
     W = np.zeros((m, len(Z_data)))  # the band weights; only the band is ever written
 
     def terms(v: np.ndarray):
-        Z_bar = layout.points(v)
+        Z_bar = prob.points(v)
         K = kernel_eval(kernel, Z_bar, Z_data)
         diag, diag_grad = kernel_diag(kernel, Z_bar)
 
@@ -222,11 +216,11 @@ def kernel_problem(prob: WindowProblem, layout: WindowLayout) -> tuple[NormalEqu
             _band(W, cols)[:] = alpha
             point_grad = diag_grad - 2.0 * kernel_grad(kernel, Z_bar, Z_data, K, W)
             g = np.zeros(v.size)  # point gradients, on the entries of v that moved them
-            for c, first in layout.moved.items():
+            for c, first in prob.moved.items():
                 g[first : first + m] += point_grad[:, c]
             return g
 
         return _band(K, cols).sum(axis=0) + const_cross, float(diag.sum()) + b_sq, slope
 
     R = _cholesky(gram, lam, overwrite_g=True)
-    return NormalEquationsProblem(R, terms, layout.H, **prob.controls), ridge_solve(RidgeProblem(B, b, lam))
+    return NormalEquationsProblem(R, terms, prob.H, **prob.controls), ridge_solve(RidgeProblem(B, b, lam))

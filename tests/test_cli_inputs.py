@@ -80,6 +80,10 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
         ("sweep", ["--seed", "-1", "--count", "1"]),
         ("generate", ["--model", "bogus"]),
         ("example1", ["--mode", "nope"]),
+        ("example2", ["--horizon", "1", "--n-samples", "10"]),
+        ("example2", ["--horizon", "0", "--n-samples", "10"]),
+        ("sweep", ["--model", "example2", "--horizon", "1", "--n-samples", "10", "--count", "1"]),
+        ("generate", ["--n-samples", "1", "--horizon", "0"]),
     ],
 )
 def test_cli_rejects_bad_settings(files, command, extra):
@@ -107,18 +111,56 @@ def _traj():
         lambda: ExperimentConfig(input_lo=np.nan),
         lambda: ExperimentConfig(lam=np.inf),
         lambda: ExperimentConfig(seed=-1),
+        lambda: ExperimentConfig(model="example2", n_samples=10, horizon=1),
+        lambda: ExperimentConfig(n_samples=-5, horizon=-10),
         lambda: SimProblem(_traj(), L, np.zeros(L - 2), np.zeros(2), basis=named_basis("example1-poly"), lam=np.inf),
         lambda: SimProblem(_traj(), L, np.zeros(L - 2), np.zeros(2), basis=named_basis("example1-poly"), rel_tol=-1.0),
         lambda: flat_membership(_traj(), named_basis("example1-poly"), L, np.zeros(L - 2), np.zeros(L), tol=np.nan),
     ],
     ids=[
         "ridge-lam-inf", "ridge-lam-nan", "sigma-nan", "sigma-tiny", "sigma-huge", "config-input-lo-nan",
-        "config-lam-inf", "config-seed-negative", "sim-lam-inf", "sim-rel-tol-negative", "membership-tol-nan",
+        "config-lam-inf", "config-seed-negative", "config-horizon-below-order", "config-negative-sizes", "sim-lam-inf", "sim-rel-tol-negative", "membership-tol-nan",
     ],
 )
 def test_settings_rejected_where_they_enter(build):
     with pytest.raises(ConfigError):
         build()
+
+
+def test_cli_rejects_config_file_with_horizon_below_order(files):
+    config = files["out"] / "negative.cfg"
+    config.write_text("n_samples = -5\nhorizon = -10\n", encoding="utf-8")
+    code, _, err = _run(["generate", "--config", str(config), "--out-dir", str(files["out"])])
+    assert code == 1, err
+    assert err.splitlines() == ["error: horizon=-10 must exceed the order n=2 of model example1"]
+
+
+@pytest.fixture(scope="module")
+def order1_files(tmp_path_factory):
+    """An order-1 record of y[k+1] = 0.5 u[k], and a window of it as candidate."""
+    d = tmp_path_factory.mktemp("order1")
+    u = np.random.default_rng(3).uniform(-1.0, 1.0, 80)
+    y = np.concatenate([[0.0], 0.5 * u])
+    paths = {"data": d / "data.csv", "candidate": d / "candidate.csv"}
+    write_trajectory(paths["data"], IoTrajectory.from_arrays(u, y, 1))
+    write_trajectory(paths["candidate"], IoTrajectory.from_arrays(u[30:39], y[30:40], 1))
+    return {k: str(v) for k, v in paths.items()}
+
+
+@pytest.mark.parametrize("command", ["check-pe", "check-membership"])
+def test_cli_bases_take_the_order_of_the_data(order1_files, command):
+    f = order1_files
+    argv = {
+        "check-pe": ["check-pe", "--data", f["data"], "--order", "5"],
+        "check-membership": ["check-membership", "--data", f["data"], "--candidate", f["candidate"]],
+    }[command]
+    code, out, err = _run(argv + ["--basis", "identity-only"])
+    assert code == 0, err
+    if command == "check-membership":
+        assert json.loads(out)["is_member"]
+    code, _, err = _run(argv + ["--basis", "example1-poly"])
+    assert code == 1
+    assert err.splitlines() == ["error: basis 'example1-poly' is defined for n=2, got n=1"]
 
 
 @pytest.mark.parametrize("command, estimate", [("simulate", "y_est"), ("match", "u_est")])

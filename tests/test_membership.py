@@ -20,6 +20,7 @@ from flatdd.membership import (
 )
 from flatdd.plant import FlatModel, collect_trajectory, example1_model, simulate
 from flatdd.signals import IoTrajectory, pe_check
+from flatdd.simulation import SimProblem, dd_simulate
 
 
 def lti_response(u, x0=0.0):
@@ -338,19 +339,41 @@ def _example1_basis():
        for seed in range(5, 30) for L in (40, 50)),
      (lambda: collect_trajectory(example1_model(), 120, (-0.5, 0.5), seed=2), _example1_basis, 50, 1),
      (lambda: _constant_input_data(example1_model(), 250), _example1_basis, 50, 1),
+     (lambda: _constant_input_data(example1_model(), 500), _example1_basis, 50, 1),
      # other window widths and basis sizes; the last two leave too few columns
      (lambda: _random_data(1, 60, 0), lambda: named_basis("identity-only", n=1), 20, 0),
      (lambda: _random_data(3, 90, 1), lambda: _product_basis(3), 20, 0),
      (lambda: _random_data(3, 60, 2), lambda: _product_basis(3), 20, 1),
      (lambda: _random_data(3, 60, 3), lambda: _product_basis(3), 57, 1)],
     ids=[*(f"seed{seed}-L{L}" for seed in range(5, 30) for L in (40, 50)), "too-short", "constant-input",
-         "n1-r1", "n3-r3", "n3-r3-too-short", "n3-r3-one-column"],
+         "constant-input-long", "n1-r1", "n3-r3", "n3-r3-too-short", "n3-r3-one-column"],
 )
 def test_verdict_from_flat_stack_equals_pe_check(monkeypatch, data, basis, L, svd_calls):
     traj, basis = data(), basis()
     verdict, svds = _verdict_from_stack(monkeypatch, traj, basis, L)
     assert verdict == pe_check(psi_hat_signal(traj, basis), L)
     assert svds == svd_calls  # the SVD runs only where the Cholesky certificate fails
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda traj, basis: dd_match(MatchProblem(traj, 50, traj.y.flat[20:70], "explicit", basis=basis)),
+        lambda traj, basis: dd_simulate(SimProblem(traj, 50, np.full(48, 0.1), np.zeros(2), "explicit", basis=basis)),
+        lambda traj, basis: flat_membership(traj, basis, 50, traj.u.flat[:48], traj.y.flat[:50]),
+    ],
+    ids=["match", "simulate", "membership"],
+)
+def test_long_unexciting_data_warns_once_with_its_rank(solve):
+    # 500 samples clear the data-length bound of 351, but a constant input excites rank 7 only
+    traj, basis = _constant_input_data(example1_model(), 500), named_basis("example1-poly")
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        solve(traj, basis)
+    (w,) = record
+    assert w.category is PersistencyWarning
+    assert "(rank 7 of 300)" in str(w.message) and "too short" not in str(w.message)
+    assert w.filename == __file__
 
 
 def test_explicit_match_builds_no_second_psi_hankel(monkeypatch):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from flatdd.errors import DivergenceError, EvaluationError
+from flatdd.errors import DimensionError, DivergenceError, EvaluationError
 from flatdd.plant import (
     FlatModel,
     NoiseSpec,
@@ -201,3 +201,9 @@ def test_collect_trajectory_shapes():
     assert t.N == 50 and t.u.length == 48 and t.n == 2
     resim = simulate(m, np.zeros(2), t.u.flat)
     assert_allclose(t.y.flat, resim.flat)
+
+
+@pytest.mark.parametrize("N", [-5, 1, 2])
+def test_collect_trajectory_rejects_record_no_longer_than_order(N):
+    with pytest.raises(DimensionError, match=f"N={N} must exceed model order n=2"):
+        collect_trajectory(example1_model(), N, (-0.5, 0.5), seed=3)
