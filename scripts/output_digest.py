@@ -31,6 +31,11 @@ Groups:
                      dd_match, dd_simulate and flat_membership issue on
                      example1 data driven by the constant input 0.1, 500
                      samples: long enough for L = 50, but not exciting
+  short-records      category and message of every warning, or type and
+                     message of the error, of explicit dd_match,
+                     dd_simulate and flat_membership on example1 records
+                     of 49-52 samples at L = 50, and the pe_verdict of a
+                     record's input at an order above its length
 
 The runs write into a temporary directory that is removed afterwards.
 The whole run takes a few seconds with one BLAS thread.  Digests are
@@ -58,6 +63,7 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 
 from flatdd.basis import named_basis  # noqa: E402
+from flatdd.errors import FlatDdError  # noqa: E402
 from flatdd.experiments import (  # noqa: E402
     ExperimentConfig,
     _collect,
@@ -173,6 +179,38 @@ def _unexciting_digest() -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+def _warnings_and_error(request) -> list[str]:
+    """Category and message of every warning ``request()`` issues, then the
+    type and message of the flatdd error it raises, or "" for none."""
+    error = ""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            request()
+        except FlatDdError as exc:
+            error = f"{type(exc).__name__}: {exc}"
+    return [f"{w.category.__name__}: {w.message}" for w in caught] + [error]
+
+
+def _short_records_digest() -> str:
+    basis = named_basis("example1-poly")
+    data = collect_trajectory(example1_model(), 200, (-0.5, 0.5), seed=5)
+    u, y = data.u.flat[100:148], data.y.flat[100:150]
+    lines = []
+    for N in (49, 50, 51, 52):
+        traj = IoTrajectory.from_arrays(data.u.flat[: N - 2], data.y.flat[:N], 2)
+        for request in (
+            lambda: dd_match(MatchProblem(traj, 50, y, "explicit", basis=basis, lam=0.1)),
+            lambda: dd_simulate(SimProblem(traj, 50, u, y[:2], "explicit", basis=basis, lam=0.1)),
+            lambda: flat_membership(traj, basis, 50, u, y),
+        ):
+            lines += _warnings_and_error(request)
+    verdicts = []
+    lines += _warnings_and_error(lambda: verdicts.append(pe_verdict(traj, traj.u.length + 1)))
+    lines += [json.dumps(v) for v in verdicts]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
 def _solves() -> None:
     """One JSON line per kernel run of run_example1 and run_example2, data seeds 5-29."""
     keys = ("objective", "initial_objective", "iterations", "converged")
@@ -201,6 +239,7 @@ def main() -> None:
     print(f"explicit-simulation  {_simulation_digest()}")
     print(f"warnings           {_warnings_digest()}")
     print(f"unexciting         {_unexciting_digest()}")
+    print(f"short-records      {_short_records_digest()}")
 
 
 if __name__ == "__main__":

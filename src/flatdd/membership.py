@@ -15,9 +15,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .basis import BasisSet, eval_psi_hat, psi_hat_signal, window_points
-from .errors import ConfigError, DimensionError, PersistencyWarning, SingularMatrixError, _warn
+from .errors import ConfigError, DimensionError, PersistencyWarning, _warn
 from .signals import IoTrajectory, PeResult, Signal, _known_samples, _memo, as_signal, build_hankel, pe_check
-from .signals import _excitation, _hankel_cols, _write_hankel
+from .signals import _excitation, _hankel_cols, _too_short, _write_hankel
+from .solver import _svd
 
 __all__ = [
     "MembershipVerdict",
@@ -69,15 +70,10 @@ def _verdict(M: np.ndarray, alpha: np.ndarray, rhs: np.ndarray, tol: float | Non
 
 
 def _pseudo_inverse(M: np.ndarray) -> np.ndarray:
-    """Pseudo-inverse of M with lstsq's own cutoff: singular values at
-    most eps * max(M.shape) * s_max count as zero, so P @ rhs is the
-    minimum-norm least-squares solution lstsq returns."""
-    try:
-        U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    except np.linalg.LinAlgError:
-        raise SingularMatrixError("SVD of the membership data matrix did not converge; is the data finite?") from None
-    keep = s > np.finfo(float).eps * max(M.shape) * s[0]
-    return (Vt[keep].T / s[keep]) @ U[:, keep].T
+    """Pseudo-inverse of M at lstsq's own cutoff (``solver._svd``), so
+    P @ rhs is the minimum-norm least-squares solution lstsq returns."""
+    (U, s, Vt), rank = _svd(M, "the membership data matrix")
+    return (Vt[:rank].T / s[:rank]) @ U[:, :rank].T
 
 
 def _warn_unless_excited(pe: PeResult, what: str, order: str, full: int) -> None:
@@ -104,13 +100,15 @@ def _warn_if_not_excited(traj: IoTrajectory, basis: BasisSet, L: int) -> None:
     are the top rows, and its last block row shifted right by 1 ... n
     columns gives the n block rows below them.  This verdict is the one
     data-sufficiency check of the window problems: too short a record
-    warns here, with the samples missing.
+    warns here, with the samples missing; one with no such column
+    (N < L + n) has rank 0.
     """
 
     def verdict() -> PeResult:
-        cols = _hankel_cols(psi_hat_signal(traj, basis), L)  # raises as pe_check does for a depth outside 1..N-n
-        top = flat_stack(traj, basis, L)[: basis.r * (L - traj.n)]
-        last = top[-basis.r :]
+        top = flat_stack(traj, basis, L)[: basis.r * (L - traj.n)]  # a horizon above the record raises
+        cols, last = top.shape[1] - traj.n, top[-basis.r :]
+        if cols < 1:
+            return _too_short(basis.r * L, cols)
         return _excitation([top[:, :cols], *(last[:, k : k + cols] for k in range(1, traj.n + 1))])
 
     pe = _memo(traj, ("pe", basis, L), verdict)
@@ -140,8 +138,8 @@ def lti_membership(
     y = _known_samples(as_signal(y).flat, "data", "y", u.size, "len(u)")
     u_bar = _known_samples(u_bar, "candidate", "u_bar", L, "L")
     y_bar = _known_samples(y_bar, "candidate", "y_bar", L, "L")
-    _warn_unless_excited(pe_check(u, L + n), "data input", f"L+n={L + n}", L + n)
     M = np.vstack([build_hankel(u, L).entries, build_hankel(y, L).entries])
+    _warn_unless_excited(pe_check(u, L + n), "data input", f"L+n={L + n}", L + n)
     rhs = np.concatenate([u_bar, y_bar])
     return _verdict(M, _pseudo_inverse(M) @ rhs, rhs, tol)
 
@@ -201,8 +199,8 @@ def flat_membership(
     n = traj.n
     u_bar = _known_samples(u_bar, "candidate", "u_bar", L - n, "L-n")
     y_bar = _known_samples(y_bar, "candidate", "y_bar", L, "L")
-    _warn_if_not_excited(traj, basis, L)
     M = flat_stack(traj, basis, L)
+    _warn_if_not_excited(traj, basis, L)
     P = _memo(traj, ("flat_pinv", basis, L), lambda: _pseudo_inverse(M))
     rhs = candidate_stack(basis, window_points(u_bar, y_bar, n), y_bar)
     return _verdict(M, P @ rhs, rhs, tol)

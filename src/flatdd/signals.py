@@ -11,7 +11,8 @@ from typing import Callable, Sequence, TypeVar
 import numpy as np
 import scipy.linalg.lapack
 
-from .errors import ConfigError, DimensionError, FormatError, ParseError, SingularMatrixError
+from .errors import ConfigError, DimensionError, FormatError, ParseError
+from .solver import _svd
 
 __all__ = [
     "Signal",
@@ -227,20 +228,31 @@ def pe_check(z: Signal | np.ndarray, L: int) -> PeResult:
     of magnitude inside the SVD cutoff.  Otherwise (a failed
     factorization, a lower estimate, a G within 1/eps of underflow or
     overflowing, too few columns, non-finite data) the numerical rank is
-    the exact count of singular values above max(rows, cols) * eps * s_max.
+    the exact count of singular values above max(rows, cols) * eps * s_max
+    (``solver._svd``).  A depth above the sequence length is too short
+    at rank 0; a depth below 1 raises DimensionError.
     The window problems over a recorded trajectory reach the same verdict
     from the rows of their stored data matrix (``_excitation``), with no
     second Hankel matrix.
     """
+    z = as_signal(z)
+    if L > z.length:  # H has no column
+        return _too_short(z.sigma * L, z.length - L + 1)
     return _excitation([build_hankel(z, L).entries])
+
+
+def _too_short(full: int, cols: int, rank: int = 0) -> PeResult:
+    """The verdict on a Hankel matrix of ``cols`` < ``full`` columns, N - L + 1
+    for depth L, below 1 where L passes N: ``full - cols`` more samples needed."""
+    short = f"sequence too short: {max(cols, 0)} columns < sigma*L = {full}, {full - cols} more samples needed"
+    return PeResult(False, rank, diagnostic=short)
 
 
 def _excitation(rows: Sequence[np.ndarray]) -> PeResult:
     """The ``pe_check`` verdict on the Hankel matrix H that the row blocks
     ``rows`` stack to, in order; they may be views into a larger array.
     H itself is stacked only for the SVD, where the Cholesky certificate
-    fails.  Too few columns is the verdict on data length: its diagnostic
-    names the samples missing, sigma*L minus the columns.
+    fails.  Too few columns is the verdict on data length (``_too_short``).
 
     G = H H' is assembled block by block in one array, its 1-norm taken
     by ``dlange`` and the array factored in place by ``dpotrf`` on its
@@ -263,19 +275,8 @@ def _excitation(rows: Sequence[np.ndarray]) -> PeResult:
             R, info = scipy.linalg.lapack.dpotrf(G.T, lower=0, clean=0, overwrite_a=1)
             if info == 0 and scipy.linalg.lapack.dpocon(R, anorm)[0] >= _PE_CERTIFY_RCOND:
                 return PeResult(True, full)
-    H = np.concatenate(rows)
-    try:
-        if not np.isfinite(H).all():  # LAPACK would print a parameter error before raising
-            raise np.linalg.LinAlgError
-        s = np.linalg.svd(H, compute_uv=False)
-    except np.linalg.LinAlgError:
-        raise SingularMatrixError("SVD of the Hankel matrix did not converge; is the sequence finite?") from None
-    rank_tol = max(H.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-    rank = int(np.count_nonzero(s > rank_tol))
-    if cols < full:
-        short = f"sequence too short: {cols} columns < sigma*L = {full}, {full - cols} more samples needed"
-        return PeResult(False, rank, diagnostic=short)
-    return PeResult(rank == full, rank)
+    _, rank = _svd(np.concatenate(rows), "the Hankel matrix", vectors=False)
+    return _too_short(full, cols, rank) if cols < full else PeResult(rank == full, rank)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ the factor), of the Gram matrix of the smaller side of the data block in
 explicit mode.  A Gram that flatdd builds skips the condition estimate
 where its trace already bounds the condition number below the warning
 limit.  Only an unregularized ridge solve (lam = 0) goes through
-the SVD of the data block.
+the SVD of the data block: ``_svd``, the one SVD of flatdd, which also
+gives membership's pseudo-inverse and the excitation rank its cutoff.
 """
 from __future__ import annotations
 
@@ -63,18 +64,20 @@ class RidgeProblem:
         object.__setattr__(self, "b", b)
 
 
-def _ridge(A: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
-    """Minimizer x of |A x - b|^2 + lam |x|^2.
+def ridge_solve(prob: RidgeProblem) -> np.ndarray:
+    """Minimizer alpha of |A alpha - b|^2 + lam |alpha|^2.
 
     With lam > 0 the Gram matrix of the smaller side of A plus lam I is
-    factored by Cholesky (``_cholesky``): x = A' (A A' + lam I)^-1 b
-    when A has fewer rows than columns, x = (A'A + lam I)^-1 A'b
+    factored by Cholesky (``_cholesky``): alpha = A' (A A' + lam I)^-1 b
+    when A has fewer rows than columns, alpha = (A'A + lam I)^-1 A'b
     otherwise.  Its eigenvalues are s_i^2 + lam for the min(m, p)
     singular values s_i of A, so the warned condition number is that of
-    the normal equations.  With lam = 0 the SVD of A is used: it is the
-    only way to tell a rank-deficient block from an ill-conditioned one,
-    which no Gram matrix can once cond(A) passes about 1e8.
+    the normal equations.  With lam = 0 the SVD of A (``_svd``) tells a
+    rank-deficient block, which raises with advice to regularize, from
+    an ill-conditioned one, as no Gram matrix can once cond(A) passes
+    about 1e8.  A block with non-finite entries raises SingularMatrixError.
     """
+    A, b, lam = prob.A, prob.b, prob.lam
     if not np.isfinite(A).all():
         raise SingularMatrixError("ridge solve did not converge: the data block has non-finite entries")
     if lam > 0.0:
@@ -84,32 +87,28 @@ def _ridge(A: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
         if wide:
             return A.T @ scipy.linalg.cho_solve((R, False), b)
         return scipy.linalg.cho_solve((R, False), A.T @ b)
-    try:
-        U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    except np.linalg.LinAlgError:
-        raise SingularMatrixError("SVD of the data block did not converge") from None
-    cutoff = max(A.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-    if s.size == 0 or s[-1] <= cutoff:
-        raise SingularMatrixError(
-            "data block is rank-deficient and lam = 0; set lam > 0 to regularize"
-        )
+    (U, s, Vt), rank = _svd(A, "the data block")
+    if not 0 < rank == s.size:
+        raise SingularMatrixError("data block is rank-deficient and lam = 0; set lam > 0 to regularize")
     cond = s[0] ** 2 / s[-1] ** 2
     if cond > _COND_LIMIT:
         _warn(f"normal equations have condition number {cond:.3e}", ConditioningWarning)
     return Vt.T @ ((1.0 / s) * (U.T @ b))
 
 
-def ridge_solve(prob: RidgeProblem) -> np.ndarray:
-    """Minimizer of |A alpha - b|^2 + lam |alpha|^2.
-
-    With lam > 0, solved by Cholesky on the Gram matrix of the smaller
-    side of A plus lam I, whose size is min(rows, cols) of A.  With
-    lam = 0, solved through the SVD of A; the data block must then have
-    full column rank, and a near-singular solve raises with advice to
-    regularize.  A data block with non-finite entries raises
-    SingularMatrixError.
-    """
-    return _ridge(prob.A, prob.b, prob.lam)
+def _svd(M: np.ndarray, what: str, vectors: bool = True):
+    """The thin SVD of M (its singular values alone unless ``vectors``)
+    and its numerical rank at lstsq's cutoff, max(M.shape) * eps * s_max.
+    Non-finite entries, on which OpenBLAS's LAPACK may print a parameter
+    error or never return, and a failed SVD raise SingularMatrixError."""
+    try:
+        if not np.isfinite(M).all():
+            raise np.linalg.LinAlgError
+        out = np.linalg.svd(M, full_matrices=False, compute_uv=vectors)
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError(f"SVD of {what} did not converge; is the data finite?") from None
+    s = out[1] if vectors else out
+    return out, int(np.count_nonzero(s > max(M.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)))
 
 
 def _check_lam(lam: float) -> None:
@@ -277,7 +276,7 @@ def _gauss_newton(prob: NonlinearResidualProblem, alpha: np.ndarray) -> Nonlinea
         # the residual A a - rhs(a) is linearized as J a - target
         target = rhs - C @ alpha
         J = np.subtract(A, C, out=C)
-        alpha_star = _ridge(J, target, lam)
+        alpha_star = ridge_solve(RidgeProblem(J, target, lam))
         r = J @ alpha_star - target
         model = float(r @ r + lam * (alpha_star @ alpha_star))
         step = 1.0

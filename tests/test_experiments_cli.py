@@ -324,6 +324,14 @@ def test_cli_check_pe_prints_the_generate_verdict(tmp_path, capsys, mode, pe_fla
     assert "too short" in printed["diagnostic"]
 
 
+def test_cli_generate_records_a_verdict_on_too_few_samples(tmp_path):
+    # order L + n = 5 on N - n = 2 input samples: no Hankel column, a failed verdict
+    assert main(["generate", "--mode", "kernel", "--horizon", "3", "--n-samples", "4", "--out-dir", str(tmp_path)]) == 0
+    verdict = json.loads((tmp_path / "example1_manifest.json").read_text())["persistency"]
+    assert verdict["order_satisfied"] is False and verdict["numerical_rank"] == 0
+    assert len(read_trajectory(tmp_path / "example1_data.csv").u.flat) == 2
+
+
 @pytest.mark.parametrize(
     "signals", [["simulate", "--input", "u.csv", "--init", "y.csv"], ["match", "--reference", "y.csv"]]
 )

@@ -200,7 +200,7 @@ def test_stored_verdict_is_too_short_exactly_below_the_data_length_bound(name):
     basis, n = named_basis(name), record.n
     for L in (3, 5, 10, 20, 50):
         required = data_length_check(L + n, L, n, basis.r).required_N
-        for N in sorted({L + n, required - 1, required, required + 1, required + 40}):
+        for N in sorted({L, L + 1, L + n, required - 1, required, required + 1, required + 40}):
             traj = IoTrajectory.from_arrays(record.u.flat[: N - n], record.y.flat[:N], n)
             chk = data_length_check(N, L, n, basis.r)
             with warnings.catch_warnings():
@@ -210,6 +210,40 @@ def test_stored_verdict_is_too_short_exactly_below_the_data_length_bound(name):
             assert ("too short" in diagnostic) == (not chk.feasible), (name, N, L)
             if not chk.feasible:
                 assert diagnostic.endswith(f", {chk.required_N - N} more samples needed"), (name, N, L)
+
+
+def _short_example1_requests(N):
+    """Explicit dd_match, dd_simulate and flat_membership at L = 50 on the
+    first N samples of an example1 record."""
+    record, basis = collect_trajectory(example1_model(), 200, (-0.5, 0.5), seed=5), named_basis("example1-poly")
+    traj = IoTrajectory.from_arrays(record.u.flat[: N - 2], record.y.flat[:N], 2)
+    u, y = record.u.flat[100:148], record.y.flat[100:150]
+    return [
+        lambda: dd_match(MatchProblem(traj, 50, y, "explicit", basis=basis, lam=0.1)),
+        lambda: dd_simulate(SimProblem(traj, 50, u, y[:2], "explicit", basis=basis, lam=0.1)),
+        lambda: flat_membership(traj, basis, 50, u, y),
+    ]
+
+
+@pytest.mark.parametrize("N", [50, 51])
+def test_record_without_a_psi_column_is_too_short(N):
+    # L <= N < L + n: the data matrix has columns, the depth-L Psi Hankel matrix none
+    required = data_length_check(N, 50, 2, 6).required_N
+    for request in _short_example1_requests(N):
+        with pytest.warns(PersistencyWarning) as record:
+            request()
+        assert len(record) == 1 and record[0].filename == __file__
+        message = str(record[0].message)
+        assert "(rank 0 of 300): sequence too short: 0 columns" in message
+        assert message.endswith(f", {required - N} more samples needed")
+
+
+def test_horizon_above_the_record_raises_before_any_warning():
+    for request in _short_example1_requests(49):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DimensionError, match="out of range"):
+                request()
 
 
 def _example1_windows(seed):

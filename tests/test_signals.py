@@ -106,6 +106,15 @@ def test_pe_too_short_diagnostic():
     assert res.diagnostic == "sequence too short: 2 columns < sigma*L = 3, 1 more samples needed"
 
 
+def test_pe_depth_above_the_sequence_is_too_short():
+    # no column at all: rank 0, and a depth-12 Hankel matrix needs 12 columns, 23 samples
+    res = pe_check(np.arange(10.0), 12)
+    assert (res.order_satisfied, res.numerical_rank) == (False, 0)
+    assert res.diagnostic == "sequence too short: 0 columns < sigma*L = 12, 13 more samples needed"
+    with pytest.raises(DimensionError):
+        pe_check(np.arange(10.0), 0)
+
+
 def test_pe_random_input_high_order():
     rng = np.random.default_rng(0)
     u = rng.uniform(-0.5, 0.5, size=500)

@@ -26,8 +26,8 @@ from flatdd.solver import (
     NormalEquationsProblem,
     RidgeProblem,
     _cholesky,
-    _ridge,
     _projected,
+    _svd,
     nonlinear_solve,
     ridge_solve,
 )
@@ -363,6 +363,28 @@ def test_ridge_nonfinite_block_raises_for_any_lam():
                 ridge_solve(RidgeProblem(A, np.ones(3), lam))
 
 
+@pytest.mark.parametrize("shape", [(12, 30), (30, 12)])
+@pytest.mark.parametrize("seed", range(6))
+def test_svd_rank_is_matrix_rank(shape, seed):
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(0, min(shape)))
+    M = rng.normal(size=(shape[0], k)) @ rng.normal(size=(k, shape[1]))
+    for vectors in (True, False):
+        out, rank = _svd(M, "M", vectors)
+        assert rank == np.linalg.matrix_rank(M)
+        s = np.linalg.svd(M, compute_uv=False)
+        assert_allclose(out[1] if vectors else out, s, rtol=0, atol=1e-12 * s[0])
+
+
+def test_svd_of_infinite_entry_raises_before_lapack(capfd):
+    # with inf at [2, 3], OpenBLAS's LAPACK would print a DLASCL parameter error
+    M = np.random.default_rng(3).normal(size=(20, 40))
+    M[2, 3] = np.inf
+    with pytest.raises(SingularMatrixError, match="did not converge"):
+        _svd(M, "the test matrix")
+    assert capfd.readouterr() == ("", "")
+
+
 def _svd_filter_solution(A, b, lam):
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     return Vt.T @ (s / (s**2 + lam) * (U.T @ b))
@@ -374,12 +396,12 @@ def example1_match_block():
     match: the one Gauss-Newton step of a basis affine in u."""
     captured = []
 
-    def recording(A, b, lam):
-        captured.append((A, b))
-        return _ridge(A, b, lam)
+    def recording(prob):
+        captured.append((prob.A, prob.b))
+        return ridge_solve(prob)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(flatdd.solver, "_ridge", recording)
+        mp.setattr(flatdd.solver, "ridge_solve", recording)
         dd_match(MatchProblem(
             _collect(ExperimentConfig(seed=5), example1_model()), 50, reference_output(50),
             "explicit", basis=named_basis("example1-poly"), lam=0.1,
