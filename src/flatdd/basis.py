@@ -75,27 +75,33 @@ class BasisSet:
                 raise ConfigError(f"function {self.identity_index} of {self.name!r} is not the identity in u")
 
 
+# one tuple per bundled basis, so that equal names give equal bases, which
+# share the results stored on a trajectory
+_IDENTITY_ONLY: tuple[BasisFn, ...] = (lambda u, xi: u,)
+_EXAMPLE1_POLY: tuple[BasisFn, ...] = (
+    *_IDENTITY_ONLY,
+    lambda u, xi: u * xi[:, 0],
+    lambda u, xi: u * xi[:, 1],
+    lambda u, xi: xi[:, 0] * xi[:, 1],
+    lambda u, xi: u * xi[:, 0] ** 2,
+    lambda u, xi: u * xi[:, 1] ** 2,
+)
+
+
 def named_basis(name: str, n: int = 2) -> BasisSet:
     """Bundled bases by name.
 
     ``example1-poly``: [u, u xi1, u xi2, xi1 xi2, u xi1^2, u xi2^2] with
     n = 2; spans the example-1 recursion u (xi1^2 + 2) with coefficients
     (2, 0, 0, 0, 1, 0).  ``identity-only``: the single function u.
+    Bases of one name and n are equal.
     """
     if name == "example1-poly":
         if n != 2:
             raise ConfigError(f"basis {name!r} is defined for n=2, got n={n}")
-        fns = (
-            lambda u, xi: u,
-            lambda u, xi: u * xi[:, 0],
-            lambda u, xi: u * xi[:, 1],
-            lambda u, xi: xi[:, 0] * xi[:, 1],
-            lambda u, xi: u * xi[:, 0] ** 2,
-            lambda u, xi: u * xi[:, 1] ** 2,
-        )
-        return BasisSet(fns, 2, name, identity_index=0)
+        return BasisSet(_EXAMPLE1_POLY, 2, name, identity_index=0)
     if name == "identity-only":
-        return BasisSet((lambda u, xi: u,), n, name, identity_index=0)
+        return BasisSet(_IDENTITY_ONLY, n, name, identity_index=0)
     raise ConfigError(f"unknown basis {name!r}")
 
 

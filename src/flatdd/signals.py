@@ -88,12 +88,6 @@ class Signal:
             raise DimensionError(f"flat view requires sigma=1, got sigma={self.sigma}")
         return self.values[:, 0]
 
-    def window(self, l: int, j: int) -> "Signal":
-        """Samples z_l ... z_j (inclusive), requiring 0 <= l < j <= N-1."""
-        if not (0 <= l < j <= self.length - 1):
-            raise DimensionError(f"window [{l},{j}] out of range for length {self.length}")
-        return Signal(self.values[l : j + 1])
-
 
 def as_signal(z: "Signal | np.ndarray | list") -> Signal:
     return z if isinstance(z, Signal) else Signal(np.asarray(z, dtype=float))
@@ -153,37 +147,25 @@ def _memo(traj: IoTrajectory, key: tuple, build: Callable[[], _T]) -> _T:
 
 @dataclass(frozen=True)
 class HankelMatrix:
-    """Depth-``depth`` block-Hankel arrangement of a length-``source_length``
-    sequence with ``sigma``-dimensional samples.
-
-    ``entries`` has shape (sigma*depth) x (source_length - depth + 1);
-    column j stacks z_j ... z_{j+depth-1}.
+    """Block-Hankel matrix of a sequence with ``sigma``-dimensional samples:
+    at depth L, ``entries`` has shape (sigma*L) x (N - L + 1) and column j
+    stacks z_j ... z_{j+L-1}.  The entries are read-only: the constructor
+    freezes a copy of the array it is given.
     """
 
     entries: np.ndarray
-    depth: int
-    sigma: int
-    source_length: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", _freeze(self.entries))
 
     @classmethod
-    def _over(cls, entries: np.ndarray, depth: int, sigma: int, source_length: int) -> "HankelMatrix":
+    def _over(cls, entries: np.ndarray) -> "HankelMatrix":
         """The matrix over ``entries``, a float array that no caller holds:
         frozen in place instead of copied."""
         entries.setflags(write=False)
         out = cls.__new__(cls)
-        out.__dict__.update(entries=entries, depth=depth, sigma=sigma, source_length=source_length)
+        out.__dict__["entries"] = entries
         return out
-
-    @property
-    def cols(self) -> int:
-        return self.entries.shape[1]
-
-    def block(self, i: int, j: int) -> np.ndarray:
-        """Block entry (i, j), i.e. the sample z_{i+j}."""
-        return self.entries[i * self.sigma : (i + 1) * self.sigma, j]
 
 
 def _hankel_cols(z: Signal, L: int) -> int:
@@ -205,7 +187,7 @@ def build_hankel(z: Signal | np.ndarray, L: int) -> HankelMatrix:
     z = as_signal(z)
     H = np.empty((z.sigma * L, _hankel_cols(z, L)))
     _write_hankel(H, z, L)
-    return HankelMatrix._over(H, depth=L, sigma=z.sigma, source_length=z.length)
+    return HankelMatrix._over(H)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ import numpy as np
 from .basis import BasisSet, KernelSpec, kernel_diag, kernel_eval, kernel_grad, psi_jacobian, window_points
 from .errors import ConfigError
 from .membership import _warn_if_not_excited, candidate_stack, flat_stack
-from .signals import IoTrajectory, _known_samples, build_hankel
+from .signals import IoTrajectory, _hankel_cols, _known_samples, build_hankel
 from .solver import NonlinearResidualProblem, NonlinearResult, NormalEquationsProblem, RidgeProblem
 from .solver import _ROW_BLOCK, _check_controls, _cholesky, nonlinear_solve, ridge_solve
 
@@ -41,7 +41,8 @@ class WindowProblem:
     """Recorded data, horizon and solver settings shared by the front ends.
 
     Subclasses add the known signals and a positional ``mode``:
-    "explicit" requires ``basis``, "kernel" requires ``kernel``.  Each
+    "explicit" requires ``basis``, "kernel" requires ``kernel``.  A
+    horizon above the record raises DimensionError naming L and N.  Each
     ends its checks by setting where alpha enters (``_alpha_enters``).
     """
 
@@ -71,6 +72,7 @@ class WindowProblem:
                 raise ConfigError("kernel mode requires a kernel spec")
         else:
             raise ConfigError(f"unknown mode {self.mode!r}")
+        _hankel_cols(self.traj.y, self.L)
 
     @property
     def controls(self) -> dict:
@@ -103,6 +105,7 @@ class WindowProblem:
 def explicit_solve(prob: WindowProblem) -> NonlinearResult:
     """Solve the window problem with the basis features of ``prob``.
 
+    ``prob`` must be in explicit mode, else ConfigError.
     Warns when the recorded data cannot certify completeness: too short
     or not exciting (``membership._warn_if_not_excited``, whose verdict
     is kept on ``prob.traj``).  The solve is Gauss-Newton from alpha = 0
@@ -112,6 +115,8 @@ def explicit_solve(prob: WindowProblem) -> NonlinearResult:
     that move them.  For a basis affine in the moved coordinates the
     first step is the exact minimizer.
     """
+    if prob.mode != "explicit":
+        raise ConfigError(f"a basis-feature solve needs explicit mode, got mode {prob.mode!r}")
     traj, basis, L, lam = prob.traj, prob.basis, prob.L, prob.lam
     _warn_if_not_excited(traj, basis, L)
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from flatdd.basis import BasisSet, named_basis, psi_hat_signal, window_points
+from flatdd.basis import BasisSet, KernelSpec, named_basis, psi_hat_signal, window_points
 from flatdd.errors import ConfigError, DimensionError, PersistencyWarning
 from flatdd.experiments import ExperimentConfig, _collect
 from flatdd.matching import MatchProblem, dd_match
@@ -242,8 +242,20 @@ def test_horizon_above_the_record_raises_before_any_warning():
     for request in _short_example1_requests(49):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DimensionError, match="out of range"):
+            with pytest.raises(DimensionError, match="L=50 out of range for sequence length N=49"):
                 request()
+
+
+def test_horizon_above_the_record_names_the_record():
+    record = collect_trajectory(example1_model(), 200, (-0.5, 0.5), seed=5)
+    traj = IoTrajectory.from_arrays(record.u.flat[:47], record.y.flat[:49], 2)
+    y = record.y.flat[100:150]
+    for settings in (
+        dict(mode="explicit", basis=named_basis("example1-poly")),
+        dict(mode="kernel", kernel=KernelSpec("gaussian_plus_linear")),
+    ):
+        with pytest.raises(DimensionError, match=r"^Hankel depth L=50 out of range for sequence length N=49$"):
+            MatchProblem(traj, 50, y, **settings)
 
 
 def _example1_windows(seed):
@@ -307,8 +319,13 @@ def test_repeated_queries_reuse_stored_factorizations(monkeypatch):
     flat_membership(traj, basis, 40, u[:38], y[:40])
     assert counts == {"_excitation": 1, "svd": 1}
     counts.clear()
-    flat_membership(traj, named_basis("example1-poly"), 50, u, y)
+    flat_membership(traj, BasisSet(basis.functions, 2, "copy", identity_index=0), 50, u, y)
     assert counts == {"_excitation": 1, "svd": 1}
+    # a basis named again is the same basis: no new entry, no new factorization
+    counts.clear()
+    entries = len(traj.__dict__["_memo"])
+    flat_membership(traj, named_basis("example1-poly"), 50, u, y)
+    assert counts == {} and len(traj.__dict__["_memo"]) == entries
 
 
 def test_explicit_match_reads_the_stored_pe_verdict(monkeypatch):

@@ -1,0 +1,48 @@
+"""Smoke test of scripts/output_digest.py, the byte-identity check of outputs."""
+import importlib.util
+import json
+import os
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "output_digest.py"
+
+
+@pytest.fixture
+def digest_script(monkeypatch):
+    """The script as a module, run on one data seed instead of 25."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):  # the import sets them if unset
+        monkeypatch.setenv(var, os.environ.get(var, "1"))
+    spec = importlib.util.spec_from_file_location("output_digest", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(module, "SEEDS", range(5, 6))
+    return module
+
+
+def _documented_groups(doc: str) -> list[str]:
+    section = doc.split("Groups:\n", 1)[1].split("\n\n", 1)[0]
+    return re.findall(r"^  (\S+)", section, flags=re.MULTILINE)
+
+
+def test_output_digest_prints_each_documented_group(digest_script, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", [str(SCRIPT)])
+    digest_script.main()
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    groups = _documented_groups(digest_script.__doc__)
+    assert groups and [label for label, _ in lines] == groups
+    for _, digest in lines:
+        assert re.fullmatch(r"[0-9a-f]{64}", digest)
+
+
+def test_output_digest_solves_prints_one_json_line_per_kernel_run(digest_script, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", [str(SCRIPT), "--solves"])
+    digest_script.main()
+    runs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(r["group"], r["seed"]) for r in runs] == [("example1-kernel", 5), ("example2", 5)]
+    for r in runs:
+        assert set(r) == {"group", "seed", "objective", "initial_objective", "iterations", "converged"}
+        assert r["objective"] <= r["initial_objective"]

@@ -26,7 +26,7 @@ from flatdd.plant import (
 from flatdd.signals import build_hankel
 from flatdd.simulation import SimProblem, dd_simulate, kernel_sim_problem
 from flatdd.solver import RidgeProblem, nonlinear_solve, ridge_solve
-from flatdd.window import _slice_sum_gram
+from flatdd.window import _slice_sum_gram, explicit_solve
 
 
 @pytest.fixture(scope="module")
@@ -190,6 +190,15 @@ def test_kernel_builders_reject_explicit_problems(ex1_traj, ex1_basis):
         kernel_match_problem(match)
 
 
+def test_explicit_solve_rejects_kernel_problems(ex1_traj):
+    for prob in (
+        SimProblem(ex1_traj, 50, np.zeros(48), np.zeros(2), "kernel", kernel=KernelSpec("gaussian")),
+        MatchProblem(ex1_traj, 50, np.zeros(50), "kernel", kernel=KernelSpec("gaussian_plus_linear")),
+    ):
+        with pytest.raises(ConfigError, match="mode 'kernel'"):
+            explicit_solve(prob)
+
+
 def test_kernel_with_finite_basis_product_matches_explicit(ex1_basis, monkeypatch):
     lam = 1e-3
     traj = collect_trajectory(example1_model(), 150, (-0.5, 0.5), seed=12)
@@ -225,7 +234,7 @@ def test_kernel_with_finite_basis_product_matches_explicit(ex1_basis, monkeypatc
 
     # the Gram-space objective is the explicit residual objective, at any point
     A = np.vstack(
-        [build_psi_hankel(traj, ex1_basis, 20).entries, build_hankel(traj.y.window(0, traj.N - 19), 2).entries]
+        [build_psi_hankel(traj, ex1_basis, 20).entries, build_hankel(traj.y.flat[: traj.N - 18], 2).entries]
     )
 
     def explicit_rhs(alpha):
