@@ -29,7 +29,7 @@ from .window import WindowProblem, explicit_solve, kernel_problem
 __all__ = ["MatchProblem", "MatchResult", "dd_match", "kernel_match_problem"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatchProblem(WindowProblem):
     """Inputs of a data-based output-matching solve.
 
@@ -61,7 +61,7 @@ class MatchProblem(WindowProblem):
         self._alpha_enters(Z0, build_hankel(self.traj.u, L - n).entries, {0: 0}, self.y_ref)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatchResult(NonlinearResult):
     """Matching input u = H_{L-n}(u_data) alpha and solve diagnostics;
     ``initial_objective`` (never below ``objective``) is the objective at

@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MembershipVerdict:
     """Minimum-norm combination coefficients together with the fit residual."""
 

@@ -12,7 +12,7 @@ import numpy as np
 import scipy.linalg.lapack
 
 from .errors import ConfigError, DimensionError, FormatError, ParseError
-from .solver import _svd
+from .solver import _svd, _workspace
 
 __all__ = [
     "Signal",
@@ -53,7 +53,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Signal:
     """Finite sequence of real samples, each of fixed width ``sigma``.
 
@@ -93,7 +93,7 @@ def as_signal(z: "Signal | np.ndarray | list") -> Signal:
     return z if isinstance(z, Signal) else Signal(np.asarray(z, dtype=float))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IoTrajectory:
     """Paired input/output record of a system of order ``n``.
 
@@ -145,7 +145,7 @@ def _memo(traj: IoTrajectory, key: tuple, build: Callable[[], _T]) -> _T:
     return store[key]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HankelMatrix:
     """Block-Hankel matrix of a sequence with ``sigma``-dimensional samples:
     at depth L, ``entries`` has shape (sigma*L) x (N - L + 1) and column j
@@ -236,27 +236,28 @@ def _excitation(rows: Sequence[np.ndarray]) -> PeResult:
     H itself is stacked only for the SVD, where the Cholesky certificate
     fails.  Too few columns is the verdict on data length (``_too_short``).
 
-    G = H H' is assembled block by block in one array, its 1-norm taken
-    by ``dlange`` and the array factored in place by ``dpotrf`` on its
-    Fortran-ordered transpose (G is symmetric), so the certificate
-    allocates nothing of G's size beyond G.
+    G = H H' is assembled block by block in this thread's ``"gram"``
+    scratch (``solver._workspace``), its 1-norm taken by ``dlange`` and
+    the array factored in place by ``dpotrf`` on its Fortran-ordered
+    transpose (G is symmetric), so the certificate allocates nothing of
+    G's size once that scratch has grown to it.
     """
     edges = np.cumsum([0, *(len(b) for b in rows)])
     full, cols = int(edges[-1]), rows[0].shape[1]
     if cols >= full:
-        G = np.empty((full, full))
-        blocks = list(zip(rows, edges, edges[1:]))
-        with np.errstate(over="ignore", invalid="ignore"):  # such a G is not certified
-            for i, (a, lo, hi) in enumerate(blocks):
-                np.matmul(a, a.T, out=G[lo:hi, lo:hi])
-                for b, b_lo, b_hi in blocks[:i]:  # the block above the diagonal is this one's transpose
-                    np.matmul(a, b.T, out=G[lo:hi, b_lo:b_hi])
-                    G[b_lo:b_hi, lo:hi] = G[lo:hi, b_lo:b_hi].T
-        anorm = scipy.linalg.lapack.dlange("1", G.T)
-        if np.finfo(float).tiny / np.finfo(float).eps <= anorm < math.inf:
-            R, info = scipy.linalg.lapack.dpotrf(G.T, lower=0, clean=0, overwrite_a=1)
-            if info == 0 and scipy.linalg.lapack.dpocon(R, anorm)[0] >= _PE_CERTIFY_RCOND:
-                return PeResult(True, full)
+        with _workspace("gram", (full, full)) as G:
+            blocks = list(zip(rows, edges, edges[1:]))
+            with np.errstate(over="ignore", invalid="ignore"):  # such a G is not certified
+                for i, (a, lo, hi) in enumerate(blocks):
+                    np.matmul(a, a.T, out=G[lo:hi, lo:hi])
+                    for b, b_lo, b_hi in blocks[:i]:  # the block above the diagonal is this one's transpose
+                        np.matmul(a, b.T, out=G[lo:hi, b_lo:b_hi])
+                        G[b_lo:b_hi, lo:hi] = G[lo:hi, b_lo:b_hi].T
+            anorm = scipy.linalg.lapack.dlange("1", G.T)
+            if np.finfo(float).tiny / np.finfo(float).eps <= anorm < math.inf:
+                R, info = scipy.linalg.lapack.dpotrf(G.T, lower=0, clean=0, overwrite_a=1)
+                if info == 0 and scipy.linalg.lapack.dpocon(R, anorm)[0] >= _PE_CERTIFY_RCOND:
+                    return PeResult(True, full)
     _, rank = _svd(np.concatenate(rows), "the Hankel matrix", vectors=False)
     return _too_short(full, cols, rank) if cols < full else PeResult(rank == full, rank)
 

@@ -28,7 +28,7 @@ from .window import WindowProblem, explicit_solve, kernel_problem
 __all__ = ["SimProblem", "SimResult", "dd_simulate", "kernel_sim_problem"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimProblem(WindowProblem):
     """Inputs of a data-based simulation over one horizon.
 
@@ -51,7 +51,7 @@ class SimProblem(WindowProblem):
         self._alpha_enters(Z0, build_hankel(self.traj.y, L).entries, {1 + i: i for i in range(n)}, self.y_init)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimResult(NonlinearResult):
     """Simulated response y = H_L(y_data) alpha and solve diagnostics.
 

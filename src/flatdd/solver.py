@@ -17,15 +17,18 @@ kernel mode, factored once where it is built (a Gram problem holds only
 the factor), of the Gram matrix of the smaller side of the data block in
 explicit mode.  A Gram that flatdd builds skips the condition estimate
 where its trace already bounds the condition number below the warning
-limit.  Only an unregularized ridge solve (lam = 0) goes through
+limit.  The explicit Gauss-Newton Jacobian and Gram are written into
+scratch buffers that each thread keeps between requests (``_workspace``).  Only an unregularized ridge solve (lam = 0) goes through
 the SVD of the data block: ``_svd``, the one SVD of flatdd, which also
 gives membership's pseudo-inverse and the excitation rank its cutoff.
 """
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 import scipy.linalg
@@ -44,9 +47,30 @@ __all__ = [
 _COND_LIMIT = 1e12
 _ROW_BLOCK = 64  # rows per step where an array is rewritten in place
 _GRAM_ROUNDING = 1e-8  # delta / trace(G + lam I): the rounding margin of a Gram flatdd builds
+_scratch = threading.local()  # role -> this thread's scratch buffer, absent while checked out
 
 
-@dataclass(frozen=True)
+@contextmanager
+def _workspace(role: str, shape: tuple[int, ...]) -> Iterator[np.ndarray]:
+    """An uninitialized C-contiguous float array of ``shape`` for the body
+    of the ``with`` block: a prefix of this thread's scratch buffer for
+    ``role``, grown to the largest size requested and kept, so that a
+    request on fresh data writes pages the last one already faulted in.
+    The buffer is checked out while in use; a nested request for the same
+    role on this thread gets an array of its own."""
+    size = math.prod(shape)
+    buf = vars(_scratch).pop(role, None)
+    if buf is None or buf.size < size:
+        buf = np.empty(size)
+    try:
+        yield buf[:size].reshape(shape)
+    finally:
+        held = vars(_scratch).get(role)
+        if held is None or held.size < buf.size:
+            setattr(_scratch, role, buf)
+
+
+@dataclass(frozen=True, eq=False)
 class RidgeProblem:
     """minimize over alpha:  |A alpha - b|^2 + lam |alpha|^2"""
 
@@ -70,7 +94,8 @@ def ridge_solve(prob: RidgeProblem) -> np.ndarray:
     With lam > 0 the Gram matrix of the smaller side of A plus lam I is
     factored by Cholesky (``_cholesky``): alpha = A' (A A' + lam I)^-1 b
     when A has fewer rows than columns, alpha = (A'A + lam I)^-1 A'b
-    otherwise.  Its eigenvalues are s_i^2 + lam for the min(m, p)
+    otherwise, formed and factored in this thread's ``"gram"`` scratch
+    (``_workspace``).  Its eigenvalues are s_i^2 + lam for the min(m, p)
     singular values s_i of A, so the warned condition number is that of
     the normal equations.  With lam = 0 the SVD of A (``_svd``) tells a
     rank-deficient block, which raises with advice to regularize, from
@@ -82,11 +107,13 @@ def ridge_solve(prob: RidgeProblem) -> np.ndarray:
         raise SingularMatrixError("ridge solve did not converge: the data block has non-finite entries")
     if lam > 0.0:
         wide = A.shape[0] < A.shape[1]
-        # the fresh product is factored in its own memory
-        R = _cholesky(A @ A.T if wide else A.T @ A, lam, overwrite_g=True)
-        if wide:
-            return A.T @ scipy.linalg.cho_solve((R, False), b)
-        return scipy.linalg.cho_solve((R, False), A.T @ b)
+        F = A if wide else A.T  # the Gram F F' of the smaller side
+        with _workspace("gram", (len(F), len(F))) as G:
+            # the product is factored in the memory it is written to
+            R = _cholesky(np.matmul(F, F.T, out=G), lam, overwrite_g=True)
+            if wide:
+                return A.T @ scipy.linalg.cho_solve((R, False), b)
+            return scipy.linalg.cho_solve((R, False), A.T @ b)
     (U, s, Vt), rank = _svd(A, "the data block")
     if not 0 < rank == s.size:
         raise SingularMatrixError("data block is rank-deficient and lam = 0; set lam > 0 to regularize")
@@ -124,7 +151,7 @@ def _check_controls(lam: float, max_iter: int, rel_tol: float) -> None:
         raise ConfigError(f"rel_tol must be positive and finite, got {rel_tol}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NonlinearResidualProblem:
     """minimize over alpha:  |A alpha - rhs(alpha)|^2 + lam |alpha|^2
 
@@ -155,7 +182,7 @@ class NonlinearResidualProblem:
         return float(r @ r + self.lam * (alpha @ alpha))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormalEquationsProblem:
     """Same objective as NonlinearResidualProblem, expressed through inner
     products so that kernelized (implicit-basis) residuals fit.
@@ -199,7 +226,7 @@ class NormalEquationsProblem:
         return float(R_alpha @ R_alpha) - 2.0 * float(c @ alpha) + float(off)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NonlinearResult:
     alpha: np.ndarray
     objective: float

@@ -31,12 +31,12 @@ from .errors import ConfigError
 from .membership import _warn_if_not_excited, candidate_stack, flat_stack
 from .signals import IoTrajectory, _hankel_cols, _known_samples, build_hankel
 from .solver import NonlinearResidualProblem, NonlinearResult, NormalEquationsProblem, RidgeProblem
-from .solver import _ROW_BLOCK, _check_controls, _cholesky, nonlinear_solve, ridge_solve
+from .solver import _ROW_BLOCK, _check_controls, _cholesky, _workspace, nonlinear_solve, ridge_solve
 
 __all__ = ["WindowProblem", "explicit_solve", "kernel_problem"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WindowProblem:
     """Recorded data, horizon and solver settings shared by the front ends.
 
@@ -128,8 +128,6 @@ def explicit_solve(prob: WindowProblem) -> NonlinearResult:
     def rhs(alpha: np.ndarray) -> np.ndarray:
         return candidate_stack(basis, prob.points(prob.H @ alpha), prob.b)
 
-    C = np.empty(A.shape)  # one buffer for every step: the solver overwrites it with J = A - C
-
     def jacobian(alpha: np.ndarray) -> np.ndarray:
         # row k*r + i of the psi rows: sum over moved c of dpsi_i/dz_c at point k times its moving row
         C[psi_rows:] = 0.0
@@ -137,7 +135,8 @@ def explicit_solve(prob: WindowProblem) -> NonlinearResult:
         np.einsum("kic,ckp->kip", slope, moving, out=C[:psi_rows].reshape(-1, basis.r, A.shape[1]))
         return C
 
-    return nonlinear_solve(NonlinearResidualProblem(A, rhs, lam, jacobian=jacobian, **prob.controls))
+    with _workspace("jacobian", A.shape) as C:  # one buffer for every step: the solver overwrites it with J = A - C
+        return nonlinear_solve(NonlinearResidualProblem(A, rhs, lam, jacobian=jacobian, **prob.controls))
 
 
 def _slice_sum_gram(K: np.ndarray, depth: int, cols: int) -> np.ndarray:

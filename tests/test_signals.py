@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,10 @@ from numpy.testing import assert_allclose, assert_array_equal
 from flatdd.basis import named_basis, psi_hat_signal
 from flatdd.errors import ConfigError, DimensionError, FormatError, ParseError, SingularMatrixError
 from flatdd.experiments import ExperimentConfig, _collect
+from flatdd.matching import MatchProblem, MatchResult
+from flatdd.membership import MembershipVerdict
 from flatdd.plant import example1_model
+from flatdd.simulation import SimProblem, SimResult
 from flatdd.signals import (
     HankelMatrix,
     IoTrajectory,
@@ -19,6 +24,7 @@ from flatdd.signals import (
     write_signal_csv,
     write_trajectory,
 )
+from flatdd.solver import NonlinearResidualProblem, NonlinearResult, NormalEquationsProblem, RidgeProblem
 
 
 def test_hankel_small_example():
@@ -326,3 +332,32 @@ def test_pe_check_takes_the_svd_only_without_a_certificate(monkeypatch, sequence
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
     pe_check(z, L)
     assert len(calls) == svd_calls
+
+
+def _values_holding_arrays() -> dict:
+    """One instance of each type that holds arrays; WindowProblem through its two subclasses."""
+    traj = IoTrajectory.from_arrays(np.linspace(-0.5, 0.5, 12), np.linspace(0.0, 1.0, 14), 2)
+    basis, solve = named_basis("example1-poly"), (np.zeros(3), 1.0, 2, True, 3.0)
+    values = [
+        Signal(np.arange(5.0)),
+        build_hankel(np.arange(5.0), 2),
+        traj,
+        RidgeProblem(np.eye(2), np.ones(2), 0.1),
+        NonlinearResidualProblem(np.eye(2), np.sin, 0.1),
+        NormalEquationsProblem(np.eye(2), None, np.eye(2)),
+        NonlinearResult(*solve),
+        SimResult(*solve, y=Signal(np.ones(4))),
+        MatchResult(*solve, u=Signal(np.ones(4))),
+        MembershipVerdict(np.zeros(3), 0.0, True),
+        SimProblem(traj, 4, np.zeros(2), np.zeros(2), basis=basis),
+        MatchProblem(traj, 4, np.zeros(4), basis=basis),
+    ]
+    return {type(x).__name__: x for x in values}
+
+
+@pytest.mark.parametrize("name", list(_values_holding_arrays()))
+def test_values_holding_arrays_compare_and_hash_by_identity(name):
+    x = _values_holding_arrays()[name]
+    assert x == x
+    assert (x == copy.copy(x)) is False
+    assert hash(x) == hash(x) and x in {x}

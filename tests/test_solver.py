@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 import warnings
 from collections import Counter
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import flatdd.solver
-from flatdd.basis import KernelSpec, named_basis
+from flatdd.basis import BasisSet, KernelSpec, named_basis
 from flatdd.errors import (
     ConditioningWarning,
     ConfigError,
@@ -397,7 +399,7 @@ def example1_match_block():
     captured = []
 
     def recording(prob):
-        captured.append((prob.A, prob.b))
+        captured.append((prob.A.copy(), prob.b))  # A is the solve's Jacobian scratch
         return ridge_solve(prob)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -563,3 +565,72 @@ def test_caller_gram_keeps_condition_estimate(monkeypatch):
     assert calls == [1]
     _cholesky(np.eye(5), 0.1, overwrite_g=True)
     assert calls == [1]
+
+
+def _fresh_match(seed: int, y_ref: np.ndarray, basis: BasisSet | None = None):
+    """An explicit example1 match at L = 50 on a record made for this call alone."""
+    traj = collect_trajectory(example1_model(), 500, (-0.5, 0.5), seed=seed)
+    return dd_match(MatchProblem(traj, 50, y_ref, "explicit", basis=basis or named_basis("example1-poly"), lam=0.1))
+
+
+def _bits(res) -> dict:
+    return {k: (v.values if k == "u" else np.asarray(v)).tobytes() for k, v in vars(res).items()}
+
+
+def test_explicit_requests_on_fresh_data_keep_the_thread_workspace():
+    _fresh_match(11, reference_output(50))
+    held = {role: getattr(flatdd.solver._scratch, role) for role in ("jacobian", "gram")}
+    _fresh_match(12, reference_output(50))
+    assert all(getattr(flatdd.solver._scratch, role) is buf for role, buf in held.items())
+
+
+def test_repeated_explicit_request_is_bit_identical_after_another():
+    first = _fresh_match(11, reference_output(50))
+    _fresh_match(12, 0.6 * reference_output(50))
+    assert _bits(_fresh_match(11, reference_output(50))) == _bits(first)
+
+
+def test_basis_running_its_own_explicit_match_nests_on_one_thread():
+    # the inner match runs while the outer solve holds the Jacobian workspace
+    basis = named_basis("example1-poly")
+    inner = MatchProblem(collect_trajectory(example1_model(), 500, (-0.5, 0.5), seed=14), 50,
+                         reference_output(50), "explicit", basis=basis, lam=0.1)
+    expected = dd_match(inner).u.values
+    inner_inputs, checked_out = [], []
+
+    def u_xi1(u, xi):
+        checked_out.append(not hasattr(flatdd.solver._scratch, "jacobian"))
+        inner_inputs.append(dd_match(inner).u.values)
+        return u * xi[:, 0]
+
+    nesting = BasisSet((basis.functions[0], u_xi1, *basis.functions[2:]), 2, "nesting", identity_index=0)
+    y_ref = 0.6 * reference_output(50)
+    assert _bits(_fresh_match(13, y_ref, nesting)) == _bits(_fresh_match(13, y_ref))
+    assert any(checked_out)
+    assert all(np.array_equal(u, expected) for u in inner_inputs)
+
+
+def test_explicit_solves_on_four_threads_equal_sequential_ones():
+    seeds = (21, 22, 23, 24)
+    sequential = [_bits(_fresh_match(s, reference_output(50))) for s in seeds]
+    threaded = [[None] * len(seeds) for _ in seeds]
+    barrier = threading.Barrier(len(seeds))
+
+    def run(t: int) -> None:
+        barrier.wait(timeout=60)
+        for k in range(len(seeds)):  # each thread takes the seeds in its own order
+            i = (t + k) % len(seeds)
+            threaded[t][i] = _bits(_fresh_match(seeds[i], reference_output(50)))
+
+    threads = [threading.Thread(target=run, args=(t,)) for t in range(len(seeds))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside the solves too
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert threaded == [sequential] * len(seeds)
