@@ -42,9 +42,10 @@ The whole run takes a few seconds with one BLAS thread.  Digests are
 only comparable between runs with the same BLAS build and thread count.
 
 With ``--solves`` the script prints, instead of digests, one JSON line
-per kernel run (group, data seed, objective, initial_objective,
-iterations, converged), so that kernel outputs that move in their last
-bits can still be compared number by number between two checkouts.
+per run of the example1-explicit, example1-kernel and example2 groups
+(group, data seed, objective, initial_objective, iterations, converged),
+so that solves that move in their last bits can still be compared
+number by number between two checkouts.
 """
 
 import argparse
@@ -212,10 +213,11 @@ def _short_records_digest() -> str:
 
 
 def _solves() -> None:
-    """One JSON line per kernel run of run_example1 and run_example2, data seeds 5-29."""
+    """One JSON line per explicit and kernel run of run_example1 and run of run_example2, data seeds 5-29."""
     keys = ("objective", "initial_objective", "iterations", "converged")
     with tempfile.TemporaryDirectory() as tmp:
         for group, runner, options in (
+            ("example1-explicit", run_example1, {}),
             ("example1-kernel", run_example1, {"mode": "kernel"}),
             ("example2", run_example2, {}),
         ):
@@ -226,7 +228,7 @@ def _solves() -> None:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--solves", action="store_true", help="print one JSON line per kernel run instead")
+    parser.add_argument("--solves", action="store_true", help="print one JSON line per solve instead")
     if parser.parse_args().solves:
         _solves()
         return

@@ -191,8 +191,7 @@ class KernelSpec:
     """Positive-definite kernel over points z = (u, xi) in R^{1+n}.
 
     ``gaussian``: exp(-|z - z'|^2 / (2 sigma^2)).
-    ``gaussian_plus_linear``: the same plus u u', whose linear-in-input
-    part lets matching problems retrieve the input explicitly.
+    ``gaussian_plus_linear``: the same plus u u', the kernel of matching.
     """
 
     kind: Literal["gaussian", "gaussian_plus_linear"]

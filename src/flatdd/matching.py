@@ -10,9 +10,13 @@ in the regularized least-squares sense, and the input is H_{L-n}(u) alpha.
 This is the window problem of ``window`` with the input moved by
 H_{L-n}(u) and every output fixed.  The unknown input appears inside Psi;
 for a basis affine in u the explicit Gauss-Newton solve takes one step,
-the ridge solve of the affine problem.  Kernel mode needs the
-gaussian_plus_linear kernel, whose linear term is what makes the input
-recoverable at all.
+the ridge solve of the affine problem.  The identity function's rows
+read (H_{L-n}(u) alpha)_k = (H_{L-n}(u) alpha)_k for every alpha, so the
+explicit solve leaves them out.  Kernel mode takes the
+gaussian_plus_linear kernel.  Its linear term does not make the input
+recoverable, which is H_{L-n}(u) alpha in any kernel: on the set
+{H_{L-n}(u) alpha = v} of a solve's signal v, that term adds
+|H_{L-n}(u) alpha - v|^2 = 0 to the objective.
 """
 from __future__ import annotations
 
@@ -35,8 +39,9 @@ class MatchProblem(WindowProblem):
 
     ``y_ref`` has length L; its first n samples play the role of initial
     conditions, and a non-finite sample raises ConfigError.  Explicit mode
-    requires a basis containing the identity function; kernel mode
-    requires the gaussian_plus_linear kernel.
+    requires a basis containing the identity function; its equations are
+    the rows of the other functions and the L reference outputs
+    (``equations``).  Kernel mode requires the gaussian_plus_linear kernel.
     """
 
     y_ref: np.ndarray
@@ -51,14 +56,17 @@ class MatchProblem(WindowProblem):
                 "(identity_index) to retrieve it from the solution"
             )
         if self.mode == "kernel" and self.kernel.kind != "gaussian_plus_linear":
-            raise ConfigError(
-                "matching requires the gaussian_plus_linear kernel; a plain "
-                "gaussian leaves the input unrecoverable"
-            )
+            raise ConfigError(f"kernel matching takes the gaussian_plus_linear kernel only, got {self.kernel.kind!r}")
         n, L = self.traj.n, self.L
         # candidate point k is ((U alpha)[k], y_ref[k], ..., y_ref[k+n-1]) with U = H_{L-n}(u)
         Z0 = window_points(np.zeros(L - n), self.y_ref, n)
         self._alpha_enters(Z0, build_hankel(self.traj.u, L - n).entries, {0: 0}, self.y_ref)
+
+    @property
+    def equations(self) -> np.ndarray:
+        """Every basis function but the identity: at candidate point k it is
+        the moved input (H_u alpha)_k itself, so its rows hold for any alpha."""
+        return np.delete(np.arange(self.basis.r), self.basis.identity_index)
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,8 +98,10 @@ def dd_match(prob: MatchProblem) -> MatchResult:
     the check needs explicit features and is skipped in kernel mode.  The
     verdict is kept on ``prob.traj`` and shared with later explicit
     solves and membership queries on the same data, basis and L.  The
-    explicit solve starts from alpha = 0 and takes one step for a basis
-    affine in u; the kernel solve from the ridge fit to the reference.
+    explicit solve's equations leave out the identity function's rows,
+    which hold for any alpha; it starts from alpha = 0 and takes one step
+    for a basis affine in u.  The kernel solve starts from the ridge fit
+    to the reference.
     """
     res = nonlinear_solve(*kernel_match_problem(prob)) if prob.mode == "kernel" else explicit_solve(prob)
     return MatchResult(**vars(res), u=Signal(prob.H @ res.alpha))

@@ -164,11 +164,12 @@ def flat_stack(traj: IoTrajectory, basis: BasisSet, L: int) -> np.ndarray:
     return _memo(traj, ("flat_stack", basis, L), build)
 
 
-def candidate_stack(basis: BasisSet, Z: np.ndarray, b: np.ndarray) -> np.ndarray:
+def candidate_stack(basis: BasisSet, Z: np.ndarray, b: np.ndarray, functions=slice(None)) -> np.ndarray:
     """Right-hand side [Psi(z_0); ...; Psi(z_{m-1}); b] of every window
     problem: membership fixes the points Z, simulation and matching move
-    them with alpha.  b holds the fixed first outputs of the window."""
-    return np.concatenate([eval_psi_hat(basis, Z).reshape(-1), b])
+    them with alpha.  b holds the fixed first outputs of the window.
+    Each Psi(z_k) keeps the entries of ``functions`` (default all)."""
+    return np.concatenate([eval_psi_hat(basis, Z)[:, functions].reshape(-1), b])
 
 
 def flat_membership(

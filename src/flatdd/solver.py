@@ -17,8 +17,9 @@ kernel mode, factored once where it is built (a Gram problem holds only
 the factor), of the Gram matrix of the smaller side of the data block in
 explicit mode.  A Gram that flatdd builds skips the condition estimate
 where its trace already bounds the condition number below the warning
-limit.  The explicit Gauss-Newton Jacobian and Gram are written into
-scratch buffers that each thread keeps between requests (``_workspace``).  Only an unregularized ridge solve (lam = 0) goes through
+limit.  The explicit Gauss-Newton data block, Jacobian and Gram are
+written into scratch buffers that each thread keeps between requests
+(``_workspace``).  Only an unregularized ridge solve (lam = 0) goes through
 the SVD of the data block: ``_svd``, the one SVD of flatdd, which also
 gives membership's pseudo-inverse and the excitation rank its cutoff.
 """

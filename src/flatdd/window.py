@@ -7,18 +7,20 @@ Both find alpha minimizing
 where row k of Z(alpha) is the candidate point z_k = (u_k, y_k, ...,
 y_{k+n-1}) of one horizon, k = 0 ... L-n-1, H_{L-n}(Psi) is the feature
 Hankel matrix of the recorded data and b the l fixed first outputs of
-the window.  The data block is a row prefix of membership's
-``flat_stack`` and the right-hand side is its ``candidate_stack`` at
-Z(alpha): membership is the same equation with every entry fixed.  A
-front end's problem says where alpha enters: the data Hankel matrix
-through which alpha moves the points, which point coordinates it moves,
-and b.  Simulation moves the output window through H_L(y) and fixes the
-first n outputs; matching moves the input through H_{L-n}(u) and fixes
-the whole reference.  The points depend on alpha only through that
-moved signal v = H alpha, a few dozen entries against hundreds of
-coefficients.  Explicit mode evaluates a basis at the points; kernel
-mode carries the same objective through Gram matrices, and its solve
-searches v itself, with alpha eliminated.
+the window.  The data block holds rows of membership's ``flat_stack``
+and the right-hand side is its ``candidate_stack`` at Z(alpha):
+membership is the same equation with every entry fixed.  A front end's
+problem says where alpha enters: the data Hankel matrix through which
+alpha moves the points, which point coordinates it moves, and b; and
+which basis functions give equations.  Simulation moves the output
+window through H_L(y), fixes the first n outputs and keeps every
+function; matching moves the input through H_{L-n}(u), fixes the whole
+reference and leaves out the identity, whose value is the moved input.
+The points depend on alpha only through that moved signal v = H alpha,
+a few dozen entries against hundreds of coefficients.  Explicit mode
+evaluates a basis at the points; kernel mode carries the same objective
+through Gram matrices, and its solve searches v itself, with alpha
+eliminated.
 """
 from __future__ import annotations
 
@@ -87,6 +89,11 @@ class WindowProblem:
         for name, value in (("Z0", Z0), ("H", H), ("moved", moved), ("b", b)):
             object.__setattr__(self, name, value)
 
+    @property
+    def equations(self) -> np.ndarray:
+        """The basis functions whose rows are equations in explicit mode: all of them."""
+        return np.arange(self.basis.r)
+
     def points(self, v: np.ndarray) -> np.ndarray:
         """The candidate points of the moved signal v = H @ alpha.
 
@@ -108,34 +115,43 @@ def explicit_solve(prob: WindowProblem) -> NonlinearResult:
     ``prob`` must be in explicit mode, else ConfigError.
     Warns when the recorded data cannot certify completeness: too short
     or not exciting (``membership._warn_if_not_excited``, whose verdict
-    is kept on ``prob.traj``).  The solve is Gauss-Newton from alpha = 0
-    (``solver.nonlinear_solve``).  The right-hand side moves with alpha
-    through the basis at the candidate points, so its Jacobian is
-    ``psi_jacobian`` at those points times the rows of the problem's H
-    that move them.  For a basis affine in the moved coordinates the
-    first step is the exact minimizer.
+    is kept on ``prob.traj`` and covers the whole basis).  The equations
+    are the rows of the problem's basis functions (``equations``) at each
+    candidate point, then the fixed outputs b: matching leaves out the
+    identity function, whose rows (H_u alpha)_k = (H_u alpha)_k hold for
+    every alpha.  The data block is those rows of ``flat_stack``, copied
+    into this thread's ``"block"`` scratch.  The solve is Gauss-Newton
+    from alpha = 0 (``solver.nonlinear_solve``).  The right-hand side
+    moves with alpha through the basis at the candidate points, so its
+    Jacobian is ``psi_jacobian`` at those points times the rows of the
+    problem's H that move them.  For a basis affine in the moved
+    coordinates the first step is the exact minimizer.
     """
     if prob.mode != "explicit":
         raise ConfigError(f"a basis-feature solve needs explicit mode, got mode {prob.mode!r}")
     traj, basis, L, lam = prob.traj, prob.basis, prob.L, prob.lam
     _warn_if_not_excited(traj, basis, L)
 
-    psi_rows = basis.r * (L - traj.n)
-    A = flat_stack(traj, basis, L)[: psi_rows + prob.b.size]
+    M, m, eqs = flat_stack(traj, basis, L), len(prob.Z0), prob.equations
+    # row k*r + i of the Psi block for each point k and function i in eqs, then the b rows
+    rows = np.concatenate([(basis.r * np.arange(m)[:, None] + eqs).reshape(-1), basis.r * m + np.arange(prob.b.size)])
+    psi_rows = m * eqs.size
     coords = tuple(prob.moved)
-    moving = np.stack([prob.H[first : first + len(prob.Z0)] for first in prob.moved.values()])
+    moving = np.stack([prob.H[first : first + m] for first in prob.moved.values()])
 
     def rhs(alpha: np.ndarray) -> np.ndarray:
-        return candidate_stack(basis, prob.points(prob.H @ alpha), prob.b)
+        return candidate_stack(basis, prob.points(prob.H @ alpha), prob.b, eqs)
 
     def jacobian(alpha: np.ndarray) -> np.ndarray:
-        # row k*r + i of the psi rows: sum over moved c of dpsi_i/dz_c at point k times its moving row
+        # row k*q + j of the psi rows: sum over moved c of dpsi_eqs[j]/dz_c at point k times its moving row
         C[psi_rows:] = 0.0
-        slope = psi_jacobian(basis, prob.points(prob.H @ alpha), coords)
-        np.einsum("kic,ckp->kip", slope, moving, out=C[:psi_rows].reshape(-1, basis.r, A.shape[1]))
+        slope = psi_jacobian(basis, prob.points(prob.H @ alpha), coords)[:, eqs]
+        np.einsum("kic,ckp->kip", slope, moving, out=C[:psi_rows].reshape(m, eqs.size, M.shape[1]))
         return C
 
-    with _workspace("jacobian", A.shape) as C:  # one buffer for every step: the solver overwrites it with J = A - C
+    # one buffer each for every step: the solver overwrites C with J = A - C
+    with _workspace("block", (rows.size, M.shape[1])) as A, _workspace("jacobian", A.shape) as C:
+        np.take(M, rows, axis=0, out=A, mode="clip")  # "raise" would copy through a temporary of A's size
         return nonlinear_solve(NonlinearResidualProblem(A, rhs, lam, jacobian=jacobian, **prob.controls))
 
 

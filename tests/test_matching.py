@@ -7,11 +7,12 @@ from flatdd.basis import (
     build_psi_hankel,
     eval_psi_hat,
     named_basis,
+    psi_jacobian,
     window_points,
 )
 from flatdd.errors import ConfigError, DimensionError, PersistencyWarning
 from flatdd.matching import MatchProblem, dd_match
-from flatdd.membership import flat_membership
+from flatdd.membership import candidate_stack, flat_membership, flat_stack
 from flatdd.plant import collect_trajectory, example1_model, matching_input_oracle, simulate
 from flatdd.signals import build_hankel
 from flatdd.solver import (
@@ -125,6 +126,33 @@ def test_qp_agrees_with_generic_solver(clean_traj, basis, sin_ref):
     assert np.abs(res.alpha - direct).max() <= 1e-8
 
 
+@pytest.mark.parametrize("lam", [0.1, 1e-8])
+@pytest.mark.parametrize("functions", [(0,), (0, 4), (0, 1, 2), (3, 0, 5), (0, 1, 2, 3, 4, 5)])
+def test_explicit_match_equals_full_system_with_identity_rows(model, basis, sin_ref, functions, lam):
+    # the one Gauss-Newton step of a basis affine in u, on every row of flat_stack: the identity's
+    # rows are zero rows of A - C with a zero right-hand side at alpha = 0, so they change nothing
+    traj = collect_trajectory(model, 500, (-0.5, 0.5), seed=5)
+    subset = BasisSet(tuple(basis.functions[i] for i in functions), 2, f"subset{functions}", functions.index(0))
+    A = flat_stack(traj, subset, 50)
+    U = build_hankel(traj.u, 48).entries
+    Z = window_points(np.zeros(48), sin_ref, 2)
+    C = np.zeros_like(A)
+    C[: 48 * subset.r] = (psi_jacobian(subset, Z, (0,))[:, :, 0, None] * U[:, None, :]).reshape(-1, A.shape[1])
+    alpha = ridge_solve(RidgeProblem(A - C, candidate_stack(subset, Z, sin_ref), lam))
+    res = dd_match(MatchProblem(traj, 50, sin_ref, "explicit", basis=subset, lam=lam))
+    assert res.iterations == 1 and res.converged
+    assert np.linalg.norm(res.alpha - alpha) <= 1e-10 * np.linalg.norm(alpha)
+    assert np.linalg.norm(res.u.flat - U @ alpha) <= 1e-10 * np.linalg.norm(U @ alpha)
+
+
+def test_identity_only_match_solves_the_output_rows_alone(model, sin_ref):
+    # no Psi row is an equation: the block is H_L(y) alone
+    traj = collect_trajectory(model, 500, (-0.5, 0.5), seed=5)
+    res = dd_match(MatchProblem(traj, 50, sin_ref, "explicit", basis=named_basis("identity-only"), lam=0.1))
+    assert res.iterations == 1 and res.converged
+    assert res.objective == pytest.approx(0.0017837994314230839, rel=1e-10)
+
+
 def test_kernel_mode_recovers_data_window(model):
     traj = collect_trajectory(model, 200, (-0.5, 0.5), seed=3)
     y_ref = traj.y.flat[60:80]
@@ -168,7 +196,7 @@ def test_explicit_mode_needs_identity_function(clean_traj, sin_ref):
 
 
 def test_plain_gaussian_kernel_rejected(clean_traj, sin_ref):
-    with pytest.raises(ConfigError, match="unrecoverable"):
+    with pytest.raises(ConfigError, match="gaussian_plus_linear kernel only, got 'gaussian'"):
         MatchProblem(
             clean_traj, 50, sin_ref, "kernel", kernel=KernelSpec("gaussian", sigma=1.0), lam=0.1
         )

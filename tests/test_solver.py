@@ -17,6 +17,7 @@ from flatdd.errors import (
     ConditioningWarning,
     ConfigError,
     DivergenceError,
+    PersistencyWarning,
     SingularMatrixError,
 )
 from flatdd.experiments import ExperimentConfig, _collect, example2_defaults, reference_output, run_example1
@@ -412,6 +413,14 @@ def example1_match_block():
     return A, b
 
 
+def test_explicit_match_block_holds_equations_only(example1_match_block):
+    # 48 points times the 5 functions besides the identity, then the 50 reference outputs; the
+    # identity's rows would be zero rows of A - C, as the moved input is the identity's value
+    A, b = example1_match_block
+    assert A.shape == (5 * 48 + 50, 451) and b.size == A.shape[0]
+    assert np.abs(A).max(axis=1).min() > 0.0
+
+
 @pytest.mark.parametrize("lam", [1e-8, 1e-3, 0.1])
 @pytest.mark.parametrize("block", ["wide", "tall", "example1"])
 def test_regularized_ridge_matches_svd_filter(block, lam, example1_match_block):
@@ -472,17 +481,23 @@ def test_conditioning_warning_names_caller(task, tmp_path):
             traj, L, reference_output(L), "kernel", kernel=KernelSpec("gaussian_plus_linear", 1000.0), lam=1e-9
         )
     elif task == "explicit":
-        traj = collect_trajectory(example1_model(), 150, (-0.5, 0.5), seed=12)
+        # a constant input: the data also warn that they excite nothing
+        traj = collect_trajectory(example1_model(), 150, (0.1, 0.1), seed=12)
         front_end, prob = dd_match, MatchProblem(
             traj, L, reference_output(L), "explicit", basis=named_basis("example1-poly"), lam=1e-10
         )
     else:
         front_end, prob = run_example1, ExperimentConfig(
-            seed=12, n_samples=150, horizon=L, lam=1e-10, out_dir=str(tmp_path)
+            seed=12, n_samples=150, horizon=L, lam=1e-10, input_lo=0.1, input_hi=0.1, out_dir=str(tmp_path)
         )
-    with pytest.warns(ConditioningWarning, match="condition number") as record:
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
         front_end(prob)
-    assert record[0].filename == __file__
+    assert [w.category for w in record] == [PersistencyWarning] * (task in ("explicit", "driver")) + [
+        ConditioningWarning
+    ]
+    assert "condition number" in str(record[-1].message)
+    assert [w.filename for w in record] == [__file__] * len(record)
 
 
 def test_regularized_singular_gram_names_lam():
@@ -499,6 +514,18 @@ def test_explicit_match_quiet_at_small_lam():
         for seed in range(5, 30):
             traj = _collect(ExperimentConfig(seed=seed), example1_model())
             dd_match(MatchProblem(traj, 50, reference_output(50), "explicit", basis=basis, lam=1e-8))
+
+
+def test_explicit_match_without_identity_rows_is_quiet_on_seed12_data(tmp_path):
+    # the identity function's rows were zero rows of the Gauss-Newton matrix J, whose eigenvalue
+    # lam = 1e-10 set the condition number of JJ' + lam I (6.5e12); the rows that are equations read 1e5
+    traj = collect_trajectory(example1_model(), 150, (-0.5, 0.5), seed=12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ConditioningWarning)
+        dd_match(MatchProblem(
+            traj, 20, reference_output(20), "explicit", basis=named_basis("example1-poly"), lam=1e-10
+        ))
+        run_example1(ExperimentConfig(seed=12, n_samples=150, horizon=20, lam=1e-10, out_dir=str(tmp_path)))
 
 
 def test_objective_and_minimize_calls_by_mode(monkeypatch):
@@ -579,7 +606,7 @@ def _bits(res) -> dict:
 
 def test_explicit_requests_on_fresh_data_keep_the_thread_workspace():
     _fresh_match(11, reference_output(50))
-    held = {role: getattr(flatdd.solver._scratch, role) for role in ("jacobian", "gram")}
+    held = {role: getattr(flatdd.solver._scratch, role) for role in ("block", "jacobian", "gram")}
     _fresh_match(12, reference_output(50))
     assert all(getattr(flatdd.solver._scratch, role) is buf for role, buf in held.items())
 
