@@ -45,12 +45,21 @@ With ``--solves`` the script prints, instead of digests, one JSON line
 per run of the example1-explicit, example1-kernel and example2 groups
 (group, data seed, objective, initial_objective, iterations, converged),
 so that solves that move in their last bits can still be compared
-number by number between two checkouts.
+number by number between two checkouts.  With ``--against OLD`` as well,
+OLD being such lines saved from another checkout, it compares this
+run's solves with them instead: per group, the largest relative change
+of objective and of initial_objective, then every run whose iterations
+or converged changed or that OLD lacks; the exit code is 1 if there is
+such a run, else 0:
+
+    PYTHONPATH=<old checkout>/src python scripts/output_digest.py --solves > old.jsonl
+    PYTHONPATH=<new checkout>/src python scripts/output_digest.py --solves --against old.jsonl
 """
 
 import argparse
 import hashlib
 import json
+import math
 import os
 import tempfile
 import warnings
@@ -212,8 +221,8 @@ def _short_records_digest() -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def _solves() -> None:
-    """One JSON line per explicit and kernel run of run_example1 and run of run_example2, data seeds 5-29."""
+def _solves():
+    """One record per explicit and kernel run of run_example1 and run of run_example2, data seeds 5-29."""
     keys = ("objective", "initial_objective", "iterations", "converged")
     with tempfile.TemporaryDirectory() as tmp:
         for group, runner, options in (
@@ -223,15 +232,49 @@ def _solves() -> None:
         ):
             for seed in SEEDS:
                 metrics = runner(seed=seed, out_dir=str(Path(tmp) / group / f"seed_{seed:03d}"), **options)
-                print(json.dumps({"group": group, "seed": seed, **{k: metrics[k] for k in keys}}))
+                yield {"group": group, "seed": seed, **{k: metrics[k] for k in keys}}
 
 
-def main() -> None:
+def _relative_change(new: float, old: float) -> float:
+    return 0.0 if new == old else abs(new - old) / abs(old) if old else math.inf
+
+
+def _compare_solves(runs, old_path: str) -> int:
+    """Print how ``runs`` differ from the ``--solves`` lines in ``old_path``;
+    1 if a run's iterations or converged changed or the file lacks it, else 0."""
+    old = {(r["group"], r["seed"]): r for r in map(json.loads, Path(old_path).read_text().splitlines())}
+    largest, changed = {}, []
+    for run in runs:
+        before = old.get((run["group"], run["seed"]))
+        if before is None:
+            changed.append(f"{run['group']} seed {run['seed']}: not in {old_path}")
+            continue
+        group = largest.setdefault(run["group"], {"objective": 0.0, "initial_objective": 0.0})
+        for key in group:
+            group[key] = max(group[key], _relative_change(run[key], before[key]))
+        for key in ("iterations", "converged"):
+            if run[key] != before[key]:
+                changed.append(f"{run['group']} seed {run['seed']}: {key} {before[key]} -> {run[key]}")
+    for group, change in largest.items():
+        print(f"{group:18} largest relative change: " + ", ".join(f"{k} {v:.2g}" for k, v in change.items()))
+    for line in changed:
+        print(f"changed  {line}")
+    return 1 if changed else 0
+
+
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--solves", action="store_true", help="print one JSON line per solve instead")
-    if parser.parse_args().solves:
-        _solves()
-        return
+    parser.add_argument("--against", metavar="OLD", help="with --solves: compare with the lines saved in OLD")
+    args = parser.parse_args()
+    if args.against and not args.solves:
+        parser.error("--against needs --solves")
+    if args.solves:
+        if args.against:
+            return _compare_solves(_solves(), args.against)
+        for run in _solves():
+            print(json.dumps(run))
+        return 0
     print(f"example1-explicit  {_experiment_digest(run_example1)}")
     print(f"example1-kernel    {_experiment_digest(run_example1, mode='kernel')}")
     print(f"example2           {_experiment_digest(run_example2)}")
@@ -242,7 +285,8 @@ def main() -> None:
     print(f"warnings           {_warnings_digest()}")
     print(f"unexciting         {_unexciting_digest()}")
     print(f"short-records      {_short_records_digest()}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -39,9 +39,12 @@ class MatchProblem(WindowProblem):
 
     ``y_ref`` has length L; its first n samples play the role of initial
     conditions, and a non-finite sample raises ConfigError.  Explicit mode
-    requires a basis containing the identity function; its equations are
-    the rows of the other functions and the L reference outputs
-    (``equations``).  Kernel mode requires the gaussian_plus_linear kernel.
+    requires a basis containing the identity function: the input is read
+    as H_{L-n}(u) alpha, which is the input of the trajectory alpha
+    parameterizes only when the input itself is a basis function, whose
+    rows then hold by construction.  Its equations are the rows of the
+    other functions and the L reference outputs (``equations``).  Kernel
+    mode requires the gaussian_plus_linear kernel.
     """
 
     y_ref: np.ndarray
@@ -52,8 +55,9 @@ class MatchProblem(WindowProblem):
         self._known_signal("y_ref", "reference", self.L, "L")
         if self.mode == "explicit" and self.basis.identity_index is None:
             raise ConfigError(
-                "matching needs the input itself among the basis functions "
-                "(identity_index) to retrieve it from the solution"
+                "matching needs the input itself among the basis functions (identity_index): "
+                "the input is read as H_{L-n}(u) alpha, the input of the trajectory alpha "
+                "parameterizes only when the input is a basis function"
             )
         if self.mode == "kernel" and self.kernel.kind != "gaussian_plus_linear":
             raise ConfigError(f"kernel matching takes the gaussian_plus_linear kernel only, got {self.kernel.kind!r}")

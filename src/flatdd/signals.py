@@ -9,10 +9,9 @@ from pathlib import Path
 from typing import Callable, Sequence, TypeVar
 
 import numpy as np
-import scipy.linalg.lapack
 
 from .errors import ConfigError, DimensionError, FormatError, ParseError
-from .solver import _svd, _workspace
+from .solver import _lower_cholesky, _svd, _workspace
 
 __all__ = [
     "Signal",
@@ -237,9 +236,10 @@ def _excitation(rows: Sequence[np.ndarray]) -> PeResult:
     fails.  Too few columns is the verdict on data length (``_too_short``).
 
     G = H H' is assembled block by block in this thread's ``"gram"``
-    scratch (``solver._workspace``), its 1-norm taken by ``dlange`` and
-    the array factored in place by ``dpotrf`` on its Fortran-ordered
-    transpose (G is symmetric), so the certificate allocates nothing of
+    scratch (``solver._workspace``) and factored there, on its
+    Fortran-ordered transpose (G is symmetric), by the solver's one
+    factorization, which also gives its 1-norm and condition estimate
+    (``solver._lower_cholesky``), so the certificate allocates nothing of
     G's size once that scratch has grown to it.
     """
     edges = np.cumsum([0, *(len(b) for b in rows)])
@@ -253,11 +253,9 @@ def _excitation(rows: Sequence[np.ndarray]) -> PeResult:
                     for b, b_lo, b_hi in blocks[:i]:  # the block above the diagonal is this one's transpose
                         np.matmul(a, b.T, out=G[lo:hi, b_lo:b_hi])
                         G[b_lo:b_hi, lo:hi] = G[lo:hi, b_lo:b_hi].T
-            anorm = scipy.linalg.lapack.dlange("1", G.T)
-            if np.finfo(float).tiny / np.finfo(float).eps <= anorm < math.inf:
-                R, info = scipy.linalg.lapack.dpotrf(G.T, lower=0, clean=0, overwrite_a=1)
-                if info == 0 and scipy.linalg.lapack.dpocon(R, anorm)[0] >= _PE_CERTIFY_RCOND:
-                    return PeResult(True, full)
+            _, anorm, rcond = _lower_cholesky(G.T)
+            if np.finfo(float).tiny / np.finfo(float).eps <= anorm < math.inf and rcond >= _PE_CERTIFY_RCOND:
+                return PeResult(True, full)
     _, rank = _svd(np.concatenate(rows), "the Hankel matrix", vectors=False)
     return _too_short(full, cols, rank) if cols < full else PeResult(rank == full, rank)
 

@@ -15,13 +15,15 @@ test or at one iteration cap.
 Every regularized linear step is a Cholesky solve: of the Gram matrix in
 kernel mode, factored once where it is built (a Gram problem holds only
 the factor), of the Gram matrix of the smaller side of the data block in
-explicit mode.  A Gram that flatdd builds skips the condition estimate
-where its trace already bounds the condition number below the warning
-limit.  The explicit Gauss-Newton data block, Jacobian and Gram are
-written into scratch buffers that each thread keeps between requests
-(``_workspace``).  Only an unregularized ridge solve (lam = 0) goes through
-the SVD of the data block: ``_svd``, the one SVD of flatdd, which also
-gives membership's pseudo-inverse and the excitation rank its cutoff.
+explicit mode.  One helper, ``_lower_cholesky``, factors every Gram, the
+excitation certificate's too.  A Gram that flatdd builds skips the
+condition estimate where its trace already bounds the condition number
+below the warning limit.  The explicit Gauss-Newton data block,
+Jacobian and Gram are written into scratch buffers that each thread
+keeps between requests (``_workspace``).  Only an unregularized ridge
+solve (lam = 0) goes through the SVD of the data block: ``_svd``, the
+one SVD of flatdd, which also gives membership's pseudo-inverse and the
+excitation rank its cutoff.
 """
 from __future__ import annotations
 
@@ -96,9 +98,9 @@ def ridge_solve(prob: RidgeProblem) -> np.ndarray:
     factored by Cholesky (``_cholesky``): alpha = A' (A A' + lam I)^-1 b
     when A has fewer rows than columns, alpha = (A'A + lam I)^-1 A'b
     otherwise, formed and factored in this thread's ``"gram"`` scratch
-    (``_workspace``).  Its eigenvalues are s_i^2 + lam for the min(m, p)
-    singular values s_i of A, so the warned condition number is that of
-    the normal equations.  With lam = 0 the SVD of A (``_svd``) tells a
+    (``_workspace``) and solved by ``dpotrs`` on the lower factor.  Its
+    eigenvalues are s_i^2 + lam for the min(m, p) singular values s_i of
+    A, so the warned condition number is that of the normal equations.  With lam = 0 the SVD of A (``_svd``) tells a
     rank-deficient block, which raises with advice to regularize, from
     an ill-conditioned one, as no Gram matrix can once cond(A) passes
     about 1e8.  A block with non-finite entries raises SingularMatrixError.
@@ -110,11 +112,11 @@ def ridge_solve(prob: RidgeProblem) -> np.ndarray:
         wide = A.shape[0] < A.shape[1]
         F = A if wide else A.T  # the Gram F F' of the smaller side
         with _workspace("gram", (len(F), len(F))) as G:
-            # the product is factored in the memory it is written to
-            R = _cholesky(np.matmul(F, F.T, out=G), lam, overwrite_g=True)
+            # the product is factored in the memory it is written to; R' is the lower factor
+            L = _cholesky(np.matmul(F, F.T, out=G), lam, overwrite_g=True).T
             if wide:
-                return A.T @ scipy.linalg.cho_solve((R, False), b)
-            return scipy.linalg.cho_solve((R, False), A.T @ b)
+                return A.T @ scipy.linalg.lapack.dpotrs(L, b, lower=1)[0]
+            return scipy.linalg.lapack.dpotrs(L, A.T @ b, lower=1)[0]
     (U, s, Vt), rank = _svd(A, "the data block")
     if not 0 < rank == s.size:
         raise SingularMatrixError("data block is rank-deficient and lam = 0; set lam > 0 to regularize")
@@ -192,11 +194,11 @@ class NormalEquationsProblem:
 
     ``R`` is the upper triangular Cholesky factor of the alpha-independent
     products plus the weight, R'R = gram + lam I, as ``_cholesky`` returns
-    it; the problem only reads it.  The nonlinear terms see alpha only
-    through the signal v = H alpha.  ``terms(v)`` returns cross(v), the
-    block offset(v) = |rhs(v)|^2 that holds no alpha, and ``slope``: a
-    function that, called once with alpha, returns the gradient in v of
-    offset(v) - 2 cross(v)' alpha at that alpha.  The exact gradient of
+    it; the problem reads only its triangle.  The nonlinear terms see
+    alpha only through the signal v = H alpha.  ``terms(v)`` returns
+    cross(v), the block offset(v) = |rhs(v)|^2 that holds no alpha, and
+    ``slope``: a function that, called once with alpha, returns the
+    gradient in v of offset(v) - 2 cross(v)' alpha at that alpha.  The exact gradient of
     the objective is 2 R'R alpha - 2 cross(v) + H' slope(alpha).
     """
 
@@ -223,7 +225,7 @@ class NormalEquationsProblem:
     def objective(self, alpha: np.ndarray) -> float:
         """The objective alone, with no gradient formed."""
         c, off, _ = self.terms(self.H @ alpha)
-        R_alpha = self.R @ alpha
+        R_alpha = scipy.linalg.blas.dtrmv(self.R.T, alpha, lower=1, trans=1)
         return float(R_alpha @ R_alpha) - 2.0 * float(c @ alpha) + float(off)
 
 
@@ -236,18 +238,32 @@ class NonlinearResult:
     initial_objective: float
 
 
-def _cholesky(G: np.ndarray, lam: float, overwrite_g: bool = False) -> np.ndarray:
-    """R, upper triangular with R'R = G + lam I.
+def _lower_cholesky(M: np.ndarray, estimate: bool = True) -> tuple[np.ndarray, float, float]:
+    """L, lower triangular with L L' = M, by ``dpotrf`` in the memory of M
+    (symmetric, Fortran-ordered) with the upper triangle zeroed; M's
+    1-norm (``dlange``, taken first); and LAPACK's estimate of 1/cond_1(M)
+    from L (``dpocon``, Higham 1988), 0 where the factorization fails.
+    Without ``estimate`` the norm is nan and a factorization that
+    succeeds, or an empty M, has estimate 1."""
+    anorm = scipy.linalg.lapack.dlange("1", M) if estimate else math.nan
+    L, info = scipy.linalg.lapack.dpotrf(M, lower=1, clean=1, overwrite_a=1)
+    if info != 0 or not (estimate and len(L)):
+        return L, anorm, float(info == 0)
+    return L, anorm, scipy.linalg.lapack.dpocon(L, anorm, uplo="L")[0]
 
-    R is computed in place in one Fortran-order copy of G; with
-    ``overwrite_g``, for a symmetric G that no caller holds, in G's own
-    memory (a C-ordered G is its own Fortran-ordered transpose).
-    Conditioning is LAPACK's 1-norm estimate (``dpocon``, Higham 1988)
-    from R, so no spectrum is computed.  A failed factorization, or a
-    reciprocal condition number below machine epsilon (singular to
-    working precision, as in LAPACK's ``?posvx``; a non-finite G ends in
-    one of the two), is singular; a condition number above the limit
-    warns.
+
+def _cholesky(G: np.ndarray, lam: float, overwrite_g: bool = False) -> np.ndarray:
+    """R, upper triangular with R'R = G + lam I and the other triangle zero.
+
+    R is the transpose of the lower factor (``_lower_cholesky``) computed
+    in place in one Fortran-order copy of G; with ``overwrite_g``, for a
+    symmetric G that no caller holds, in G's own memory (a C-ordered G is
+    its own Fortran-ordered transpose, and is then R itself).  Consumers
+    solve with R' through LAPACK and BLAS on the lower triangle.  A failed
+    factorization, or a reciprocal condition number below machine
+    epsilon (singular to working precision, as in LAPACK's ``?posvx``; a
+    non-finite G ends in one of the two), is singular; a condition number
+    above the limit warns.
 
     The Grams that flatdd builds itself, the ``overwrite_g`` callers, are
     sums of outer products of finite data: positive semidefinite up to
@@ -266,16 +282,12 @@ def _cholesky(G: np.ndarray, lam: float, overwrite_g: bool = False) -> np.ndarra
     delta = _GRAM_ROUNDING * trace
     bound = len(M) * (trace + 2.0 * delta)  # times 1 / (lam - delta)
     certified = overwrite_g and 0.0 <= trace < math.inf and bound < _COND_LIMIT * (lam - delta)
-    anorm = None if certified else scipy.linalg.lapack.dlange("1", M)  # before dpotrf overwrites M
-    R, info = scipy.linalg.lapack.dpotrf(M, lower=0, clean=1, overwrite_a=1)
-    if info == 0 and certified:
-        return R
-    rcond, info = scipy.linalg.lapack.dpocon(R, anorm) if info == 0 else (0.0, info)
-    if info != 0 or not rcond >= np.finfo(float).eps:
+    L, _, rcond = _lower_cholesky(M, estimate=not certified)
+    if not rcond >= np.finfo(float).eps:
         raise SingularMatrixError(f"gram matrix plus lam I is numerically singular at lam = {lam:g}; increase lam")
     if rcond < 1.0 / _COND_LIMIT:
         _warn(f"normal equations have condition number {1.0 / rcond:.3e}", ConditioningWarning)
-    return R
+    return L.T
 
 
 def _difference_jacobian(rhs: Callable[[np.ndarray], np.ndarray], alpha: np.ndarray) -> np.ndarray:
@@ -293,7 +305,7 @@ def _gauss_newton(prob: NonlinearResidualProblem, alpha: np.ndarray) -> Nonlinea
     A, lam = prob.A, prob.lam
     jacobian = prob.jacobian or (lambda a: _difference_jacobian(prob.rhs, a))
     rhs = prob.rhs(alpha)
-    r = A @ alpha - rhs
+    r = A @ alpha - rhs if alpha.any() else -rhs  # the zero start multiplies nothing
     obj = float(r @ r + lam * (alpha @ alpha))
     if not np.isfinite(obj):
         raise DivergenceError("objective is not finite at alpha0")
@@ -302,7 +314,7 @@ def _gauss_newton(prob: NonlinearResidualProblem, alpha: np.ndarray) -> Nonlinea
     for _ in range(prob.max_iter):
         C = jacobian(alpha)
         # the residual A a - rhs(a) is linearized as J a - target
-        target = rhs - C @ alpha
+        target = rhs - C @ alpha if alpha.any() else rhs
         J = np.subtract(A, C, out=C)
         alpha_star = ridge_solve(RidgeProblem(J, target, lam))
         r = J @ alpha_star - target
@@ -333,21 +345,22 @@ def _projected(prob: NormalEquationsProblem, alpha0: np.ndarray):
     = v}, and its minimizer there is alpha = M^-1 (cross(v) + H' mu) with
     M = R'R from the problem's factor R (variable projection; Golub &
     Pereyra, SIAM J. Numer. Anal., 1973).  Y = R^-T H' takes one
-    ``dtrsm``, and S = Y'Y = H M^-1 H' is factored by pivoted Cholesky
-    (``dpstrf``, at LAPACK's default tolerance m eps max S_ii for the m
-    rows of H) as P'SP = U'U with U of rank r rows.  Then v = T' eta with T = U P' keeps v in the
-    range of H and whitens the part of the objective quadratic in v, and
-    Z = Y X, X = P [U_11^-1; 0], has orthonormal columns; Z is formed in
-    Y's memory.  An evaluation at eta takes w = R^-T cross(v),
-    e = eta - Z'w and R alpha = w + Z e, so alpha costs two triangular
-    solves and no Gram product.  The value is |w + Z e|^2 - 2 cross'alpha
+    ``dtrsm`` on the lower factor R', and S = Y'Y = H M^-1 H' is
+    factored by pivoted Cholesky (``dpstrf``, at LAPACK's default
+    tolerance m eps max S_ii for the m rows of H) as P'SP = U'U with U of
+    rank r rows.  Then v = T' eta with T = U P' keeps v in the range of H
+    and whitens the part of the objective quadratic in v, and Z = Y X,
+    X = P [U_11^-1; 0], has orthonormal columns; Z is formed in Y's
+    memory.  An evaluation at eta takes w = R^-T cross(v), e = eta - Z'w
+    and R alpha = w + Z e, so alpha costs two triangular solves (``dtrsv``
+    on R') and no Gram product.  The value is |w + Z e|^2 - 2 cross'alpha
     + offset(v), the objective at that alpha, and the gradient in eta is
     T slope(alpha) + 2 e.  Returns eta0 = X'H alpha0, the coordinates of
     the start's signal, and the evaluation, which gives the value, the
     gradient and alpha.
     """
-    H, R = prob.H, prob.R
-    Y = scipy.linalg.blas.dtrsm(1.0, R, H.T, trans_a=1)
+    H, L = prob.H, prob.R.T  # R' is the lower factor
+    Y = scipy.linalg.blas.dtrsm(1.0, L, H.T, lower=1)
     U, piv, rank, _ = scipy.linalg.lapack.dpstrf(Y.T @ Y)
     U, piv = np.triu(U[:rank]), piv - 1
     T = np.empty_like(U)
@@ -360,10 +373,10 @@ def _projected(prob: NormalEquationsProblem, alpha0: np.ndarray):
 
     def evaluate(eta: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         c, off, slope = prob.terms(T.T @ eta)
-        w = scipy.linalg.blas.dtrsv(R, c, trans=1)
+        w = scipy.linalg.blas.dtrsv(L, c, lower=1)
         e = eta - Z.T @ w
         R_alpha = w + Z @ e
-        alpha = scipy.linalg.blas.dtrsv(R, R_alpha)
+        alpha = scipy.linalg.blas.dtrsv(L, R_alpha, lower=1, trans=1)
         value = float(R_alpha @ R_alpha) - 2.0 * float(c @ alpha) + float(off)
         return value, T @ slope(alpha) + 2.0 * e, alpha
 

@@ -47,3 +47,24 @@ def test_output_digest_solves_prints_one_json_line_per_run(digest_script, monkey
     for r in runs:
         assert set(r) == {"group", "seed", "objective", "initial_objective", "iterations", "converged"}
         assert r["objective"] <= r["initial_objective"]
+
+
+def test_output_digest_against_reports_changes_and_fails_on_changed_runs(digest_script, monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(sys, "argv", [str(SCRIPT), "--solves"])
+    digest_script.main()
+    runs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    old = tmp_path / "old.jsonl"
+    old.write_text("".join(json.dumps(r) + "\n" for r in runs))
+    monkeypatch.setattr(sys, "argv", [str(SCRIPT), "--solves", "--against", str(old)])
+    assert digest_script.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == [r["group"] for r in runs]
+    assert all(line.endswith("objective 0, initial_objective 0") for line in lines)
+    # a run whose iteration count moved is named and fails the comparison
+    runs[1]["iterations"] += 1
+    runs[2]["objective"] *= 1.0 + 1e-12
+    old.write_text("".join(json.dumps(r) + "\n" for r in runs))
+    assert digest_script.main() == 1
+    out = capsys.readouterr().out
+    assert f"changed  example1-kernel seed 5: iterations {runs[1]['iterations']} -> {runs[1]['iterations'] - 1}" in out
+    assert re.search(r"^example2 .* objective 1e-12, initial_objective 0$", out, flags=re.MULTILINE)

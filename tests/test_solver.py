@@ -594,6 +594,73 @@ def test_caller_gram_keeps_condition_estimate(monkeypatch):
     assert calls == [1]
 
 
+@settings(deadline=None, max_examples=80)
+@given(
+    st.integers(1, 60), st.floats(1e-10, 1.0), st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from([1e12, 10.0])
+)
+def test_cholesky_factor_contract(n, lam, seed, overwrite_g, limit):
+    # R'R = G + lam I with R upper triangular, in both modes; every condition
+    # estimate behind a warning or a pass is LAPACK's lower bound on
+    # cond_1(G + lam I), so it never exceeds it beyond rounding (the limit
+    # 10 makes most of them warn)
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(n, n + int(rng.integers(1, n + 1)))) * 10.0 ** rng.uniform(-3, 3)
+    G = A @ A.T
+    M = G + lam * np.eye(n)
+    estimates = []
+    factor = flatdd.solver._lower_cholesky
+
+    def recording(M, estimate=True):
+        out = factor(M, estimate)
+        estimates.extend([out[2]] if estimate else [])
+        return out
+
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(record=True) as caught:
+        mp.setattr(flatdd.solver, "_lower_cholesky", recording)
+        mp.setattr(flatdd.solver, "_COND_LIMIT", limit)
+        warnings.simplefilter("always")
+        R = _cholesky(G, lam, overwrite_g=overwrite_g)
+    assert np.array_equal(R, np.triu(R))
+    assert np.linalg.norm(R.T @ R - M) <= 1e-12 * np.linalg.norm(M)
+    cond = np.linalg.cond(M, 1)
+    assert all(1.0 / rcond <= cond * (1.0 + 1e-8) for rcond in estimates)
+    assert len(caught) == sum(1.0 / rcond > limit for rcond in estimates)
+    assert overwrite_g or len(estimates) == 1
+
+
+@pytest.mark.parametrize("overwrite_g", [False, True])
+def test_empty_gram_factors_without_lapack_error(capfd, overwrite_g):
+    # LAPACK's dpocon rejects the leading dimension of an empty factor with a printed error
+    R = _cholesky(np.zeros((0, 0)), 0.1, overwrite_g=overwrite_g)
+    assert R.shape == (0, 0)
+    assert capfd.readouterr() == ("", "")
+
+
+def test_gauss_newton_from_zero_multiplies_nothing_by_it():
+    # a start at alpha = 0 takes its residual as -rhs(0) and its first
+    # target as rhs(0): neither the data block nor the Jacobian meets the
+    # zero vector, and the start's objective is the one the product gives
+    zero_products = []
+
+    class Recording(np.ndarray):
+        def __matmul__(self, other):
+            zero_products.extend([self.shape] if not np.any(other) else [])
+            return np.asarray(self) @ other
+
+    rng = np.random.default_rng(7)
+    A, S = rng.normal(size=(12, 5)), 0.5 * rng.normal(size=(12, 5))
+    prob = NonlinearResidualProblem(
+        A, lambda a: np.tanh(S @ a) + 1.0, 0.1,
+        jacobian=lambda a: ((1.0 - np.tanh(S @ a) ** 2)[:, None] * S).view(Recording),
+    )
+    start = prob.objective(np.zeros(5))
+    object.__setattr__(prob, "A", A.view(Recording))
+    res = nonlinear_solve(prob)
+    assert zero_products == []
+    assert res.iterations >= 2 and res.converged
+    assert res.initial_objective == start
+
+
 def _fresh_match(seed: int, y_ref: np.ndarray, basis: BasisSet | None = None):
     """An explicit example1 match at L = 50 on a record made for this call alone."""
     traj = collect_trajectory(example1_model(), 500, (-0.5, 0.5), seed=seed)
