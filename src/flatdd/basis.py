@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Literal
 
 import numpy as np
-import scipy.linalg.blas
 
 from .errors import ConfigError, DimensionError, EvaluationError
 from .signals import HankelMatrix, IoTrajectory, Signal, _memo, build_hankel
@@ -188,17 +187,18 @@ def psi_jacobian(basis: BasisSet, Z: np.ndarray, coords: Iterable[int]) -> np.nd
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Positive-definite kernel over points z = (u, xi) in R^{1+n}.
+    """Positive-definite kernel over points z = (u, xi) in R^{1+n}, for
+    simulation and matching alike.
 
-    ``gaussian``: exp(-|z - z'|^2 / (2 sigma^2)).
-    ``gaussian_plus_linear``: the same plus u u', the kernel of matching.
+    ``kind`` names it; ``gaussian``, exp(-|z - z'|^2 / (2 sigma^2)), is
+    the one kind.
     """
 
-    kind: Literal["gaussian", "gaussian_plus_linear"]
+    kind: Literal["gaussian"]
     sigma: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("gaussian", "gaussian_plus_linear"):
+        if self.kind != "gaussian":
             raise ConfigError(f"unknown kernel kind {self.kind!r}")
         # outside this range 1/(2 sigma^2) is not a finite nonzero float
         if not 1e-150 < self.sigma < 1e150:
@@ -206,10 +206,9 @@ class KernelSpec:
 
 
 def kernel_eval(spec: KernelSpec, Z1: np.ndarray, Z2: np.ndarray) -> np.ndarray:
-    """Pairwise kernel values, shape (len(Z1), len(Z2)).
+    """Pairwise Gaussian kernel values, shape (len(Z1), len(Z2)).
 
-    Rows of Z are points (u, xi_1, ..., xi_n); the input is the first
-    coordinate.
+    Rows of Z are points (u, xi_1, ..., xi_n).
     """
     Z1 = np.atleast_2d(np.asarray(Z1, dtype=float))
     Z2 = np.atleast_2d(np.asarray(Z2, dtype=float))
@@ -225,25 +224,17 @@ def kernel_eval(spec: KernelSpec, Z1: np.ndarray, Z2: np.ndarray) -> np.ndarray:
     K = left @ right.T
     np.minimum(K, 0.0, out=K)
     np.exp(K, out=K)
-    if spec.kind == "gaussian_plus_linear" and K.size:
-        # K += u1 u2' as a rank-one update of K's own memory (K' is Fortran-ordered)
-        scipy.linalg.blas.dger(1.0, Z2[:, 0], Z1[:, 0], a=K.T, overwrite_a=1)
     return K
 
 
 def kernel_diag(spec: KernelSpec, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Kernel values k(z, z) at each row z of Z, and their gradients in z.
 
-    Returns shapes (m,) and (m, 1+n).  The Gaussian part is 1 with zero
-    gradient; the linear term adds u^2, whose gradient is 2u in the input.
+    Returns shapes (m,) and (m, 1+n): the Gaussian's diagonal is 1, with
+    zero gradient.
     """
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    values = np.ones(Z.shape[0])
-    grads = np.zeros_like(Z)
-    if spec.kind == "gaussian_plus_linear":
-        values += Z[:, 0] ** 2
-        grads[:, 0] = 2.0 * Z[:, 0]
-    return values, grads
+    return np.ones(Z.shape[0]), np.zeros_like(Z)
 
 
 def kernel_grad(
@@ -252,23 +243,16 @@ def kernel_grad(
     """Weighted kernel gradients in the first argument, shape Z1.shape.
 
     Row k is sum_j W[k, j] dk(z, Z2_j)/dz at z = Z1_k, given the values
-    K = kernel_eval(spec, Z1, Z2).  The Gaussian part contributes
-    -(z - Z2_j) / sigma^2 times its value, the linear term (u_j, 0, ..., 0).
-    K is overwritten: the weighted Gaussian part is formed in its memory
-    (a K that is not a writable C-contiguous float array is copied first).
+    K = kernel_eval(spec, Z1, Z2); each term is -(z - Z2_j) / sigma^2
+    times its value.  K is overwritten: the weighted values are formed in
+    its memory (a K that is not a writable C-contiguous float array is
+    copied first).
     """
     Z1 = np.atleast_2d(np.asarray(Z1, dtype=float))
     Z2 = np.atleast_2d(np.asarray(Z2, dtype=float))
     K = np.require(K, dtype=float, requirements=("C", "W"))
-    linear = spec.kind == "gaussian_plus_linear"
-    if linear and K.size:
-        # K -= u1 u2', the rank-one update kernel_eval adds, undone in K's own memory
-        scipy.linalg.blas.dger(-1.0, Z2[:, 0], Z1[:, 0], a=K.T, overwrite_a=1)
     K *= W
-    out = (K @ Z2 - Z1 * K.sum(axis=1)[:, None]) / spec.sigma**2
-    if linear:
-        out[:, 0] += W @ Z2[:, 0]
-    return out
+    return (K @ Z2 - Z1 * K.sum(axis=1)[:, None]) / spec.sigma**2
 
 
 def kernel_gram(spec: KernelSpec, Z: np.ndarray) -> np.ndarray:

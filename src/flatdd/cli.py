@@ -118,10 +118,9 @@ def _cmd_check_membership(args) -> int:
 
 def _cmd_simulate_or_match(args) -> int:
     traj = read_trajectory(args.data)
-    problem = SimProblem if args.command == "simulate" else MatchProblem
-    settings = _features(problem, args.mode, args.basis or "example1-poly", args.sigma, traj.n)
+    settings = _features(args.mode, args.basis or "example1-poly", args.sigma, traj.n)
     settings.update(lam=args.lam, max_iter=args.max_iter, rel_tol=args.rel_tol)
-    if problem is SimProblem:
+    if args.command == "simulate":
         u_new = read_signal_csv(args.input)
         y_init = read_signal_csv(args.init)
         res = dd_simulate(SimProblem(traj, u_new.size + traj.n, u_new, y_init, args.mode, **settings))

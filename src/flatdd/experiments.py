@@ -97,10 +97,13 @@ class ExperimentConfig:
             raise ConfigError(
                 f"n_samples={self.n_samples} must exceed horizon={self.horizon}"
             )
-        if self.input_lo > self.input_hi:
-            raise ConfigError(f"input_lo={self.input_lo} > input_hi={self.input_hi}")
-        if self.noise_lo > self.noise_hi:
-            raise ConfigError(f"noise_lo={self.noise_lo} > noise_hi={self.noise_hi}")
+        for name in ("input", "noise"):
+            lo, hi = getattr(self, f"{name}_lo"), getattr(self, f"{name}_hi")
+            if lo > hi:
+                raise ConfigError(f"{name}_lo={lo} > {name}_hi={hi}")
+            # the uniform draws take the width hi - lo, which must be a float
+            if not math.isfinite(hi - lo):
+                raise ConfigError(f"{name} range {name}_hi - {name}_lo = {hi} - ({lo}) is not a finite float")
         if self.mode == "explicit" and not self.basis:
             raise ConfigError("basis name required in explicit mode")
 
@@ -197,13 +200,11 @@ def _write_outputs(config: ExperimentConfig, json_name: str, obj: dict, **csvs) 
     return obj
 
 
-def _features(problem: type, mode: str, basis: str, sigma: float, n: int) -> dict:
-    """The named basis of window width n (explicit mode) or the kernel that ``problem``
-    takes: matching needs the gaussian_plus_linear kernel, simulation the gaussian."""
+def _features(mode: str, basis: str, sigma: float, n: int) -> dict:
+    """The named basis of window width n (explicit mode) or the Gaussian kernel."""
     if mode == "explicit":
         return dict(basis=named_basis(basis, n))
-    kind = "gaussian_plus_linear" if problem is MatchProblem else "gaussian"
-    return dict(kernel=KernelSpec(kind, sigma=sigma))
+    return dict(kernel=KernelSpec("gaussian", sigma=sigma))
 
 
 def solve_metrics(res: NonlinearResult) -> dict:
@@ -287,7 +288,7 @@ def run_example1(config: ExperimentConfig | None = None, **overrides) -> dict:
     traj = _collect(config, model)
     L = config.horizon
     y_ref = reference_output(L)
-    features = _features(MatchProblem, config.mode, config.basis, config.sigma, model.n)
+    features = _features(config.mode, config.basis, config.sigma, model.n)
     res = dd_match(MatchProblem(traj, L, y_ref, config.mode, lam=config.lam, **features))
 
     u_model = matching_input_oracle(model, y_ref)
@@ -321,7 +322,7 @@ def run_example2(config: ExperimentConfig | None = None, **overrides) -> dict:
         seed=_derived_seed(config.seed, _TEST_INPUT_ROLE),
     )
     y_true = simulate(model, np.zeros(n), u_test).flat
-    features = _features(SimProblem, config.mode, config.basis, config.sigma, n)
+    features = _features(config.mode, config.basis, config.sigma, n)
     res = dd_simulate(SimProblem(traj, L, u_test, y_true[:n], config.mode, lam=config.lam, **features))
 
     metrics = _metrics(config, res, y_err_2=float(np.linalg.norm(res.y.flat - y_true)))

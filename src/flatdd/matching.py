@@ -12,11 +12,10 @@ H_{L-n}(u) and every output fixed.  The unknown input appears inside Psi;
 for a basis affine in u the explicit Gauss-Newton solve takes one step,
 the ridge solve of the affine problem.  The identity function's rows
 read (H_{L-n}(u) alpha)_k = (H_{L-n}(u) alpha)_k for every alpha, so the
-explicit solve leaves them out.  Kernel mode takes the
-gaussian_plus_linear kernel.  Its linear term does not make the input
-recoverable, which is H_{L-n}(u) alpha in any kernel: on the set
-{H_{L-n}(u) alpha = v} of a solve's signal v, that term adds
-|H_{L-n}(u) alpha - v|^2 = 0 to the objective.
+explicit solve leaves them out.  Kernel mode needs no input term in its
+kernel: the input is H_{L-n}(u) alpha in any kernel, and on the set
+{H_{L-n}(u) alpha = v} a solve searches, a term u u' would add
+|H_{L-n}(u) alpha - v|^2 = 0.
 """
 from __future__ import annotations
 
@@ -43,8 +42,7 @@ class MatchProblem(WindowProblem):
     as H_{L-n}(u) alpha, which is the input of the trajectory alpha
     parameterizes only when the input itself is a basis function, whose
     rows then hold by construction.  Its equations are the rows of the
-    other functions and the L reference outputs (``equations``).  Kernel
-    mode requires the gaussian_plus_linear kernel.
+    other functions and the L reference outputs (``equations``).
     """
 
     y_ref: np.ndarray
@@ -59,8 +57,6 @@ class MatchProblem(WindowProblem):
                 "the input is read as H_{L-n}(u) alpha, the input of the trajectory alpha "
                 "parameterizes only when the input is a basis function"
             )
-        if self.mode == "kernel" and self.kernel.kind != "gaussian_plus_linear":
-            raise ConfigError(f"kernel matching takes the gaussian_plus_linear kernel only, got {self.kernel.kind!r}")
         n, L = self.traj.n, self.L
         # candidate point k is ((U alpha)[k], y_ref[k], ..., y_ref[k+n-1]) with U = H_{L-n}(u)
         Z0 = window_points(np.zeros(L - n), self.y_ref, n)

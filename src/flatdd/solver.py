@@ -192,9 +192,10 @@ class NormalEquationsProblem:
 
     objective(alpha) = |R alpha|^2 - 2 cross(v)' alpha + offset(v),  v = H alpha
 
-    ``R`` is the upper triangular Cholesky factor of the alpha-independent
-    products plus the weight, R'R = gram + lam I, as ``_cholesky`` returns
-    it; the problem reads only its triangle.  The nonlinear terms see
+    ``R`` holds in its upper triangle the Cholesky factor of the
+    alpha-independent products plus the weight, R'R = gram + lam I, as
+    ``_cholesky`` returns it; its other triangle is unspecified, and the
+    problem reads only the upper one.  The nonlinear terms see
     alpha only through the signal v = H alpha.  ``terms(v)`` returns
     cross(v), the block offset(v) = |rhs(v)|^2 that holds no alpha, and
     ``slope``: a function that, called once with alpha, returns the
@@ -239,21 +240,23 @@ class NonlinearResult:
 
 
 def _lower_cholesky(M: np.ndarray, estimate: bool = True) -> tuple[np.ndarray, float, float]:
-    """L, lower triangular with L L' = M, by ``dpotrf`` in the memory of M
-    (symmetric, Fortran-ordered) with the upper triangle zeroed; M's
-    1-norm (``dlange``, taken first); and LAPACK's estimate of 1/cond_1(M)
-    from L (``dpocon``, Higham 1988), 0 where the factorization fails.
+    """L, whose lower triangle is the factor of M = L L', by ``dpotrf`` in
+    the memory of M (symmetric, Fortran-ordered); the upper triangle keeps
+    M's entries, and no consumer reads it.  M's 1-norm (``dlange``, taken
+    first); and LAPACK's estimate of 1/cond_1(M) from L (``dpocon``,
+    Higham 1988), 0 where the factorization fails.
     Without ``estimate`` the norm is nan and a factorization that
     succeeds, or an empty M, has estimate 1."""
     anorm = scipy.linalg.lapack.dlange("1", M) if estimate else math.nan
-    L, info = scipy.linalg.lapack.dpotrf(M, lower=1, clean=1, overwrite_a=1)
+    L, info = scipy.linalg.lapack.dpotrf(M, lower=1, clean=0, overwrite_a=1)
     if info != 0 or not (estimate and len(L)):
         return L, anorm, float(info == 0)
     return L, anorm, scipy.linalg.lapack.dpocon(L, anorm, uplo="L")[0]
 
 
 def _cholesky(G: np.ndarray, lam: float, overwrite_g: bool = False) -> np.ndarray:
-    """R, upper triangular with R'R = G + lam I and the other triangle zero.
+    """R, whose upper triangle is the factor U with U'U = G + lam I; its
+    other triangle is unspecified.
 
     R is the transpose of the lower factor (``_lower_cholesky``) computed
     in place in one Fortran-order copy of G; with ``overwrite_g``, for a

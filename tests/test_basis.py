@@ -145,38 +145,25 @@ def test_gaussian_kernel_values():
     assert_allclose(wide[0, 1], np.exp(-1.0 / 8.0))
 
 
-def test_linear_term_adds_input_product():
-    g = KernelSpec("gaussian", sigma=1.3)
-    gl = KernelSpec("gaussian_plus_linear", sigma=1.3)
-    rng = np.random.default_rng(5)
-    Z1, Z2 = rng.normal(size=(4, 3)), rng.normal(size=(6, 3))
-    assert_allclose(
-        kernel_eval(gl, Z1, Z2) - kernel_eval(g, Z1, Z2),
-        np.outer(Z1[:, 0], Z2[:, 0]),
-        atol=1e-14,
-    )
-
-
-@pytest.mark.parametrize("kind", ["gaussian", "gaussian_plus_linear"])
+@pytest.mark.parametrize("kind", ["gaussian"])
 def test_kernel_eval_matches_broadcast_reference(kind):
     rng = np.random.default_rng(21)
     Z2 = rng.normal(scale=1.5, size=(40, 3))
     Z1 = np.vstack([Z2[:10], rng.normal(scale=1.5, size=(15, 3))])  # ten points coincide with data points
     sigma = 0.7
     gauss = np.exp(-((Z1[:, None, :] - Z2[None, :, :]) ** 2).sum(axis=2) / (2.0 * sigma**2))
-    linear = np.outer(Z1[:, 0], Z2[:, 0]) if kind == "gaussian_plus_linear" else 0.0
     K = kernel_eval(KernelSpec(kind, sigma), Z1, Z2)
-    assert np.abs(K - (gauss + linear)).max() <= 1e-13
+    assert np.abs(K - gauss).max() <= 1e-13
     # far from the origin the distance of coincident points rounds to either side of 0; it is
     # clamped, so no Gaussian value exceeds 1
     far = Z2 + 40.0
     assert kernel_eval(KernelSpec("gaussian", sigma), far, far).max() <= 1.0
 
 
-@pytest.mark.parametrize("kind", ["gaussian", "gaussian_plus_linear"])
+@pytest.mark.parametrize("kind", ["gaussian"])
 def test_kernel_grad_weights_the_block_in_place(kind):
     # the weighted gradient of a matching request's shape, against the formula that forms
-    # K - u1 u2' and W * (.) as new arrays
+    # W * K as a new array
     rng = np.random.default_rng(23)
     Z2 = rng.normal(scale=0.5, size=(498, 3))
     Z1 = rng.normal(scale=0.5, size=(48, 3))
@@ -184,11 +171,8 @@ def test_kernel_grad_weights_the_block_in_place(kind):
     W[:, :451] = rng.normal(size=451)
     spec = KernelSpec(kind, 0.8)
     K = kernel_eval(spec, Z1, Z2)
-    linear = np.outer(Z1[:, 0], Z2[:, 0]) if kind == "gaussian_plus_linear" else 0.0
-    WK = W * (K - linear)
+    WK = W * K
     expected = (WK @ Z2 - Z1 * WK.sum(axis=1)[:, None]) / spec.sigma**2
-    if kind == "gaussian_plus_linear":
-        expected[:, 0] += W @ Z2[:, 0]
     tracemalloc.start()
     try:
         grad = kernel_grad(spec, Z1, Z2, K, W)
@@ -197,12 +181,13 @@ def test_kernel_grad_weights_the_block_in_place(kind):
         tracemalloc.stop()
     assert np.abs(grad - expected).max() <= 1e-13 * np.abs(expected).max()
     assert peak < 0.5 * K.nbytes  # no m x N temporary
-    assert np.abs(K - WK).max() <= 1e-13 * np.abs(WK).max()  # K now holds the weighted Gaussian part
+    assert np.abs(K - WK).max() <= 1e-13 * np.abs(WK).max()  # K now holds the weighted values
 
 
 def test_kernel_spec_validation():
-    with pytest.raises(ConfigError):
-        KernelSpec("cubic")
+    for kind in ("cubic", "gaussian_plus_linear"):
+        with pytest.raises(ConfigError, match="unknown kernel kind"):
+            KernelSpec(kind)
     with pytest.raises(ConfigError):
         KernelSpec("gaussian", sigma=0.0)
 
@@ -211,10 +196,9 @@ def test_kernel_spec_validation():
 def test_gram_symmetric_psd(seed):
     rng = np.random.default_rng(seed)
     Z = rng.normal(size=(rng.integers(2, 12), 3))
-    for kind in ("gaussian", "gaussian_plus_linear"):
-        G = kernel_gram(KernelSpec(kind, sigma=0.8), Z)
-        assert_allclose(G, G.T)
-        assert np.linalg.eigvalsh(G).min() > -1e-10
+    G = kernel_gram(KernelSpec("gaussian", sigma=0.8), Z)
+    assert_allclose(G, G.T)
+    assert np.linalg.eigvalsh(G).min() > -1e-10
 
 
 @given(st.integers(0, 300))

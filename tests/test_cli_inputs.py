@@ -84,6 +84,11 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
         ("example2", ["--horizon", "0", "--n-samples", "10"]),
         ("sweep", ["--model", "example2", "--horizon", "1", "--n-samples", "10", "--count", "1"]),
         ("generate", ["--n-samples", "1", "--horizon", "0"]),
+        # ranges whose width overflows a float ("-1e308" alone would read as a flag)
+        ("generate", ["--input-lo=-1e308", "--input-hi=1e308"]),
+        ("generate", ["--noise-lo=-1e308", "--noise-hi=1e308"]),
+        ("example1", ["--noise-lo=-1e308", "--noise-hi=1e308"]),
+        ("sweep", ["--model", "example2", "--input-lo=-1e308", "--input-hi=1e308", "--count", "1"]),
     ],
 )
 def test_cli_rejects_bad_settings(files, command, extra):
@@ -109,6 +114,8 @@ def _traj():
         lambda: KernelSpec("gaussian", sigma=1e-300),
         lambda: KernelSpec("gaussian", sigma=1e200),
         lambda: ExperimentConfig(input_lo=np.nan),
+        lambda: ExperimentConfig(input_lo=-1e308, input_hi=1e308),
+        lambda: ExperimentConfig(noise_lo=-1e308, noise_hi=1e308),
         lambda: ExperimentConfig(lam=np.inf),
         lambda: ExperimentConfig(seed=-1),
         lambda: ExperimentConfig(model="example2", n_samples=10, horizon=1),
@@ -119,6 +126,7 @@ def _traj():
     ],
     ids=[
         "ridge-lam-inf", "ridge-lam-nan", "sigma-nan", "sigma-tiny", "sigma-huge", "config-input-lo-nan",
+        "config-input-range-overflow", "config-noise-range-overflow",
         "config-lam-inf", "config-seed-negative", "config-horizon-below-order", "config-negative-sizes", "sim-lam-inf", "sim-rel-tol-negative", "membership-tol-nan",
     ],
 )

@@ -39,11 +39,8 @@ CASES = {
     "gaussian-simulation": lambda: kernel_sim_problem(
         SimProblem(*_sim_data(5), "kernel", kernel=KernelSpec("gaussian", 1.0), lam=0.1)
     ),
-    "gaussian_plus_linear-simulation": lambda: kernel_sim_problem(
-        SimProblem(*_sim_data(5), "kernel", kernel=KernelSpec("gaussian_plus_linear", 1.0), lam=0.1)
-    ),
-    "gaussian_plus_linear-matching": lambda: kernel_match_problem(
-        MatchProblem(*_match_data(5), "kernel", kernel=KernelSpec("gaussian_plus_linear", 1.0), lam=0.1)
+    "gaussian-matching": lambda: kernel_match_problem(
+        MatchProblem(*_match_data(5), "kernel", kernel=KernelSpec("gaussian", 1.0), lam=0.1)
     ),
 }
 
@@ -125,7 +122,7 @@ def test_objective_does_not_depend_on_a_solve(task, seed):
         prob, alpha0 = kernel_sim_problem(SimProblem(*_sim_data(seed), "kernel", kernel=KernelSpec("gaussian", 1.0)))
     else:
         prob, alpha0 = kernel_match_problem(
-            MatchProblem(*_match_data(seed), "kernel", kernel=KernelSpec("gaussian_plus_linear", 1.0))
+            MatchProblem(*_match_data(seed), "kernel", kernel=KernelSpec("gaussian", 1.0))
         )
     before = prob.objective(alpha0)
     assert nonlinear_solve(prob, alpha0).initial_objective == before
@@ -143,7 +140,7 @@ def test_kernel_solve_never_above_initial_objective(seed, task, lam, sigma):
         res = dd_simulate(SimProblem(*_sim_data(seed), "kernel", kernel=KernelSpec("gaussian", sigma), lam=lam))
     else:
         res = dd_match(
-            MatchProblem(*_match_data(seed), "kernel", kernel=KernelSpec("gaussian_plus_linear", sigma), lam=lam)
+            MatchProblem(*_match_data(seed), "kernel", kernel=KernelSpec("gaussian", sigma), lam=lam)
         )
     assert np.isfinite(res.objective)
     assert res.objective <= res.initial_objective
@@ -164,7 +161,7 @@ def test_kernel_solve_on_constant_output_data(task, level, data_input):
         res = dd_simulate(SimProblem(traj, L, u_new, y_init, "kernel", kernel=KernelSpec("gaussian")))
         signal = res.y.flat
     else:
-        res = dd_match(MatchProblem(traj, L, _match_data(5)[2], "kernel", kernel=KernelSpec("gaussian_plus_linear")))
+        res = dd_match(MatchProblem(traj, L, _match_data(5)[2], "kernel", kernel=KernelSpec("gaussian")))
         signal = res.u.flat
     assert np.isfinite(res.objective) and res.objective <= res.initial_objective
     assert np.all(np.isfinite(res.alpha)) and np.all(np.isfinite(signal))
@@ -206,7 +203,7 @@ def test_converged_solves_are_stationary(seed, task, lam, sigma):
         )
     elif task == "kernel-matching":
         prob, alpha0 = kernel_match_problem(
-            MatchProblem(*_match_data(seed), "kernel", kernel=KernelSpec("gaussian_plus_linear", sigma), lam=lam)
+            MatchProblem(*_match_data(seed), "kernel", kernel=KernelSpec("gaussian", sigma), lam=lam)
         )
     else:  # explicit fits are near exact and run at small weights
         prob, alpha0 = _explicit_sim_problem(seed, lam * 1e-4), None

@@ -11,6 +11,7 @@ from flatdd.basis import (
     window_points,
 )
 from flatdd.errors import ConfigError, DimensionError, PersistencyWarning
+from flatdd.experiments import ExperimentConfig, _collect
 from flatdd.matching import MatchProblem, dd_match
 from flatdd.membership import candidate_stack, flat_membership, flat_stack
 from flatdd.plant import collect_trajectory, example1_model, matching_input_oracle, simulate
@@ -162,7 +163,7 @@ def test_kernel_mode_recovers_data_window(model):
             20,
             y_ref,
             "kernel",
-            kernel=KernelSpec("gaussian_plus_linear", sigma=1.0),
+            kernel=KernelSpec("gaussian", sigma=1.0),
             lam=1e-8,
         )
     )
@@ -195,11 +196,13 @@ def test_explicit_mode_needs_identity_function(clean_traj, sin_ref):
         MatchProblem(clean_traj, 50, sin_ref, "explicit", basis=no_identity, lam=0.1)
 
 
-def test_plain_gaussian_kernel_rejected(clean_traj, sin_ref):
-    with pytest.raises(ConfigError, match="gaussian_plus_linear kernel only, got 'gaussian'"):
-        MatchProblem(
-            clean_traj, 50, sin_ref, "kernel", kernel=KernelSpec("gaussian", sigma=1.0), lam=0.1
-        )
+def test_gaussian_kernel_matches_in_criterion_4_band(model, sin_ref):
+    # run_example1's kernel-mode request on data seed 5: the plain Gaussian needs
+    # no input term, and its input error lies in criterion 4's band
+    traj = _collect(ExperimentConfig(seed=5), model)
+    res = dd_match(MatchProblem(traj, 50, sin_ref, "kernel", kernel=KernelSpec("gaussian", sigma=1.0), lam=0.1))
+    assert res.converged and res.objective <= res.initial_objective
+    assert 0.02 <= np.linalg.norm(res.u.flat - matching_input_oracle(model, sin_ref)) <= 0.25
 
 
 def test_validation_errors(clean_traj, basis, sin_ref):

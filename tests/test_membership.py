@@ -252,7 +252,7 @@ def test_horizon_above_the_record_names_the_record():
     y = record.y.flat[100:150]
     for settings in (
         dict(mode="explicit", basis=named_basis("example1-poly")),
-        dict(mode="kernel", kernel=KernelSpec("gaussian_plus_linear")),
+        dict(mode="kernel", kernel=KernelSpec("gaussian")),
     ):
         with pytest.raises(DimensionError, match=r"^Hankel depth L=50 out of range for sequence length N=49$"):
             MatchProblem(traj, 50, y, **settings)

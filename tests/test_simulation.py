@@ -168,7 +168,7 @@ def test_kernel_problem_gram_matches_naive_sum(task, monkeypatch):
         spec, b = KernelSpec("gaussian", 0.8), np.array([0.1, -0.2])
         prob, _ = kernel_sim_problem(SimProblem(traj, L, np.zeros(L - n), b, "kernel", kernel=spec, lam=0.1))
     else:
-        spec, b = KernelSpec("gaussian_plus_linear", 1.0), np.sin(np.arange(L) / 3.0)
+        spec, b = KernelSpec("gaussian", 1.0), np.sin(np.arange(L) / 3.0)
         prob, _ = kernel_match_problem(MatchProblem(traj, L, b, "kernel", kernel=spec, lam=0.1))
     Z_data = window_points(traj.u.flat, traj.y.flat, n)
     K = kernel_eval(spec, Z_data, Z_data)
@@ -177,7 +177,8 @@ def test_kernel_problem_gram_matches_naive_sum(task, monkeypatch):
     naive = sum(K[k : k + cols, k : k + cols] for k in range(L - n)) + B.T @ B
     (block,) = blocks
     assert np.shares_memory(prob.R, block)
-    gram = prob.R.T @ prob.R - 0.1 * np.eye(cols)
+    R = np.triu(prob.R)
+    gram = R.T @ R - 0.1 * np.eye(cols)
     assert np.abs(gram - naive).max() <= 1e-12 * np.abs(naive).max()
 
 
@@ -193,7 +194,7 @@ def test_kernel_builders_reject_explicit_problems(ex1_traj, ex1_basis):
 def test_explicit_solve_rejects_kernel_problems(ex1_traj):
     for prob in (
         SimProblem(ex1_traj, 50, np.zeros(48), np.zeros(2), "kernel", kernel=KernelSpec("gaussian")),
-        MatchProblem(ex1_traj, 50, np.zeros(50), "kernel", kernel=KernelSpec("gaussian_plus_linear")),
+        MatchProblem(ex1_traj, 50, np.zeros(50), "kernel", kernel=KernelSpec("gaussian")),
     ):
         with pytest.raises(ConfigError, match="mode 'kernel'"):
             explicit_solve(prob)
@@ -251,7 +252,7 @@ def test_kernel_with_finite_basis_product_matches_explicit(ex1_basis, monkeypatc
     # one frozen step from a common point agrees as well
     a0 = rng.normal(size=normal.dim) * 0.02
     step_explicit = ridge_solve(RidgeProblem(A, explicit_rhs(a0), lam))
-    step_kernel = np.linalg.solve(normal.R.T @ normal.R, normal.terms(H_L_y @ a0)[0])
+    step_kernel = np.linalg.solve(np.triu(normal.R).T @ np.triu(normal.R), normal.terms(H_L_y @ a0)[0])
     assert_allclose(step_kernel, step_explicit, atol=1e-8 * (1 + np.linalg.norm(step_explicit)))
 
     # endpoints of the two pipelines are optimizer-path dependent (same
@@ -277,7 +278,7 @@ def test_nonfinite_problem_signal_rejected(ex1_traj, ex1_basis, mode, name, inde
     # rejected where they enter, not deep in the solve or by scipy's ValueError
     signals = {"u_new": np.zeros(48), "y_init": np.zeros(2), "y_ref": np.sin(np.arange(50.0))}
     signals[name][index] = np.nan if index else np.inf
-    features = dict(basis=ex1_basis) if mode == "explicit" else dict(kernel=KernelSpec("gaussian_plus_linear"))
+    features = dict(basis=ex1_basis) if mode == "explicit" else dict(kernel=KernelSpec("gaussian"))
     with pytest.raises(ConfigError, match=rf"non-finite .*sample {name}\[{index}\]"):
         if name == "y_ref":
             dd_match(MatchProblem(ex1_traj, 50, signals["y_ref"], mode, **features))

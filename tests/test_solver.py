@@ -210,7 +210,8 @@ def test_condition_estimate_quiet_on_kernel_sim_gram():
             )
         )
     # LAPACK's estimate on the factor, which the build may skip, is quiet as well
-    M = prob.R.T @ prob.R
+    R = np.triu(prob.R)
+    M = R.T @ R
     assert scipy.linalg.lapack.dpocon(prob.R, scipy.linalg.lapack.dlange("1", M))[0] >= 1e-12
 
 
@@ -234,7 +235,7 @@ def _kernel_sim_seed5():
 def _kernel_match_seed5():
     traj = _collect(ExperimentConfig(seed=5), example1_model())
     return kernel_match_problem(
-        MatchProblem(traj, 50, reference_output(50), "kernel", kernel=KernelSpec("gaussian_plus_linear", 1.0), lam=0.1)
+        MatchProblem(traj, 50, reference_output(50), "kernel", kernel=KernelSpec("gaussian", 1.0), lam=0.1)
     )
 
 
@@ -247,7 +248,8 @@ def test_whitened_evaluation_matches_objective(build):
     prob, alpha0 = build()
     H, signals = prob.H, []
     recording = NormalEquationsProblem(prob.R, lambda v: signals.append(v) or prob.terms(v), H)
-    M = prob.R.T @ prob.R
+    R = np.triu(prob.R)
+    M = R.T @ R
     eta0, evaluate = _projected(recording, alpha0)
     rng = np.random.default_rng(8)
     for scale in (0.0, 0.1, 1.0):
@@ -478,7 +480,7 @@ def test_conditioning_warning_names_caller(task, tmp_path):
     elif task == "matching":
         traj = collect_trajectory(example1_model(), 150, (-0.5, 0.5), seed=12)
         front_end, prob = dd_match, MatchProblem(
-            traj, L, reference_output(L), "kernel", kernel=KernelSpec("gaussian_plus_linear", 1000.0), lam=1e-9
+            traj, L, reference_output(L), "kernel", kernel=KernelSpec("gaussian", 1000.0), lam=1e-9
         )
     elif task == "explicit":
         # a constant input: the data also warn that they excite nothing
@@ -599,7 +601,7 @@ def test_caller_gram_keeps_condition_estimate(monkeypatch):
     st.integers(1, 60), st.floats(1e-10, 1.0), st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from([1e12, 10.0])
 )
 def test_cholesky_factor_contract(n, lam, seed, overwrite_g, limit):
-    # R'R = G + lam I with R upper triangular, in both modes; every condition
+    # R'R = G + lam I with R read as its upper triangle, in both modes; every condition
     # estimate behind a warning or a pass is LAPACK's lower bound on
     # cond_1(G + lam I), so it never exceeds it beyond rounding (the limit
     # 10 makes most of them warn)
@@ -619,8 +621,7 @@ def test_cholesky_factor_contract(n, lam, seed, overwrite_g, limit):
         mp.setattr(flatdd.solver, "_lower_cholesky", recording)
         mp.setattr(flatdd.solver, "_COND_LIMIT", limit)
         warnings.simplefilter("always")
-        R = _cholesky(G, lam, overwrite_g=overwrite_g)
-    assert np.array_equal(R, np.triu(R))
+        R = np.triu(_cholesky(G, lam, overwrite_g=overwrite_g))
     assert np.linalg.norm(R.T @ R - M) <= 1e-12 * np.linalg.norm(M)
     cond = np.linalg.cond(M, 1)
     assert all(1.0 / rcond <= cond * (1.0 + 1e-8) for rcond in estimates)
