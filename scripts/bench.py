@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run the perfbench end-to-end benchmark in alternated pairs and keep every result.
 
-    python3 scripts/bench.py --workload kernel-match --seed 37 --pairs 10 --parent ../flatdd-parent
+    python3 scripts/bench.py --workload kernel-match --seed 43 --pairs 10 --parent ../flatdd-parent
 
 Each run is the tree's own ``python3 perfbench/run.py --workload W --seed S
 --seconds 15 --trace 0``, started from that tree's root.  With ``--parent
@@ -18,8 +18,10 @@ The record goes to ``BENCH_<W>.json`` at the root of this checkout:
 - ``trees``: per side, ``git rev-parse HEAD`` and whether its files
   differ from that commit (``BENCH_*.json`` files aside), null outside a
   git checkout;
-- ``runs``: per pair, the order and per side the end-to-end metrics,
-  the request counts and the host load before and after;
+- ``runs``: per pair, the order and per side the whole result file:
+  the end-to-end ``metrics``, ``detail`` (per-process and per-kind
+  figures, accuracy medians), ``env`` (versions, host load before and
+  after), the request counts and any failures;
 - ``end_to_end``: per metric of ``BENCHMARK.json``, its bound and
   direction, per side the values with their median and quartiles, and
   with a parent the number of pairs this checkout won, its median's
@@ -53,17 +55,9 @@ def _perfbench(tree: Path, workload: str, seed: int) -> None:
 
 
 def run_once(tree: Path, workload: str, seed: int) -> dict:
-    """Run the tree's benchmark and keep what its result file says."""
+    """Run the tree's benchmark and return its result file, read before the next run overwrites it."""
     _perfbench(tree, workload, seed)
-    res = json.loads((tree / "perfbench" / "out" / "results" / f"{workload}-seed{seed}-trace0.json").read_text())
-    env = res["env"]
-    return {
-        "metrics": res["metrics"],
-        "correct": res["correct"],
-        "attempted": res["attempted"],
-        "failed": res["failed"],
-        "loadavg": [env["loadavg_before"], env["loadavg_after"]],
-    }
+    return json.loads((tree / "perfbench" / "out" / "results" / f"{workload}-seed{seed}-trace0.json").read_text())
 
 
 def tree_state(tree: Path) -> dict:

@@ -53,7 +53,7 @@ def test_bench_alternates_pairs_and_keeps_every_run(bench):
     assert [pair["order"] for pair in record["runs"]] == [calls[0:2], calls[2:4], calls[4:6]]
     assert [p["parent"]["metrics"]["request_ref.p50"] for p in record["runs"]] == [2.0, 2.5, 4.0]
     assert [p["change"]["metrics"]["request_ref.p50"] for p in record["runs"]] == [1.0, 3.0, 3.5]
-    assert record["runs"][0]["parent"]["loadavg"] == ["0.1", "0.2"]
+    assert record["runs"][0]["parent"]["env"] == {"loadavg_before": "0.1", "loadavg_after": "0.2"}
     ref = record["end_to_end"]["request_ref.p50"]
     assert ref["bound"] == 0.25 and ref["better"] == "lower"
     assert ref["change"]["median"] == 3.0 and ref["parent"]["median"] == 2.5
