@@ -4,29 +4,34 @@
     python3 scripts/bench.py --workload kernel-match --seed 43 --pairs 10 --parent ../flatdd-parent
 
 Each run is the tree's own ``python3 perfbench/run.py --workload W --seed S
---seconds 15 --trace 0``, started from that tree's root.  With ``--parent
+--seconds 15 --trace T``, started from that tree's root, with T from
+``--trace`` (0, the default: end-to-end metrics; 1: the per-layer metrics
+of a traced run).  With ``--parent
 DIR`` (a checkout of the commit to compare against) each of K pairs runs
 both trees, the parent first in even pairs and this checkout first in odd
 ones, so that a drift in the host's load falls on both sides alike.
 Without it, this checkout runs K times.  perfbench overwrites its result
-file ``perfbench/out/results/W-seedS-trace0.json`` on every run, so the
+file ``perfbench/out/results/W-seedS-traceT.json`` on every run, so the
 file is read right after each run.
 
-The record goes to ``BENCH_<W>.json`` at the root of this checkout:
+The record goes to ``BENCH_<W>.json`` at the root of this checkout, or
+to ``BENCH_<W>-trace1.json`` with ``--trace 1``, which keeps the first:
 
 - ``command``: the command line;
 - ``trees``: per side, ``git rev-parse HEAD`` and whether its files
   differ from that commit (``BENCH_*.json`` files aside), null outside a
   git checkout;
 - ``runs``: per pair, the order and per side the whole result file:
-  the end-to-end ``metrics``, ``detail`` (per-process and per-kind
-  figures, accuracy medians), ``env`` (versions, host load before and
-  after), the request counts and any failures;
-- ``end_to_end``: per metric of ``BENCHMARK.json``, its bound and
-  direction, per side the values with their median and quartiles, and
-  with a parent the number of pairs this checkout won, its median's
-  relative change, and whether that change lies outside the parent's
-  interquartile range.
+  the ``metrics``, ``detail`` (per-process and per-kind figures,
+  accuracy medians, or the traced run's self-check and time shares),
+  ``env`` (versions, host load before and after), the request counts
+  and any failures;
+- ``end_to_end``, or ``per_layer`` with ``--trace 1``: per metric of
+  that list in ``BENCHMARK.json``, its bound (null for a per-layer
+  metric) and direction, per side the values with their median and
+  quartiles, and with a parent the number of pairs this checkout won,
+  its median's relative change, and whether that change lies outside
+  the parent's interquartile range.
 
 The exit code is 1 if a run fails or a request is wrong, else 0.  A
 full set of ten pairs takes about 10 minutes per workload.
@@ -44,20 +49,20 @@ ROOT = Path(__file__).resolve().parents[1]
 SECONDS = 15
 
 
-def _perfbench(tree: Path, workload: str, seed: int) -> None:
-    """One end-to-end run of the tree's own perfbench, from the tree's root."""
+def _perfbench(tree: Path, workload: str, seed: int, trace: int) -> None:
+    """One run of the tree's own perfbench, from the tree's root."""
     cmd = ["python3", "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(SECONDS), "--trace", "0"]
+           "--seconds", str(SECONDS), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         tail = "\n".join(proc.stderr.strip().splitlines()[-5:])
         raise SystemExit(f"bench: {shlex.join(cmd)} in {tree} exited with {proc.returncode}:\n{tail}")
 
 
-def run_once(tree: Path, workload: str, seed: int) -> dict:
+def run_once(tree: Path, workload: str, seed: int, trace: int) -> dict:
     """Run the tree's benchmark and return its result file, read before the next run overwrites it."""
-    _perfbench(tree, workload, seed)
-    return json.loads((tree / "perfbench" / "out" / "results" / f"{workload}-seed{seed}-trace0.json").read_text())
+    _perfbench(tree, workload, seed, trace)
+    return json.loads((tree / "perfbench" / "out" / "results" / f"{workload}-seed{seed}-trace{trace}.json").read_text())
 
 
 def tree_state(tree: Path) -> dict:
@@ -78,11 +83,11 @@ def spread(values: list[float]) -> dict:
 
 
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
-    """Per end-to-end metric, each side's spread and, with both sides, the comparison."""
+    """Per metric, each side's spread and, with both sides, the comparison."""
     out = {}
     for m in metrics:
         name = m["name"]
-        row = {"bound": m["bound"], "better": m["better"]}
+        row = {"bound": m.get("bound"), "better": m["better"]}
         for side in ("change", "parent"):
             if side in runs[0]:
                 row[side] = spread([r[side]["metrics"][name] for r in runs])
@@ -102,6 +107,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--parent", type=Path, help="checkout of the commit to compare against")
+    p.add_argument("--trace", type=int, choices=(0, 1), default=0, help="1: per-layer metrics of traced runs")
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be >= 1")
@@ -117,12 +123,13 @@ def main(argv: list[str] | None = None) -> int:
         order = [side for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")) if side in trees]
         pair = {"order": order}
         for side in order:
-            pair[side] = run_once(trees[side], args.workload, args.seed)
+            pair[side] = run_once(trees[side], args.workload, args.seed, args.trace)
             print(f"pair {i} {side}: " + " ".join(f"{k}={v:.6g}" for k, v in pair[side]["metrics"].items()),
                   flush=True)
         runs.append(pair)
 
     manifest = json.loads((ROOT / "BENCHMARK.json").read_text())
+    section = "per_layer" if args.trace else "end_to_end"
     record = {
         "command": shlex.join(["python3", "scripts/bench.py", *(sys.argv[1:] if argv is None else argv)]),
         "workload": args.workload,
@@ -130,11 +137,11 @@ def main(argv: list[str] | None = None) -> int:
         "seconds": SECONDS,
         "trees": states,
         "runs": runs,
-        "end_to_end": summarize(runs, manifest["end_to_end"]),
+        section: summarize(runs, manifest[section]),
     }
-    out = ROOT / f"BENCH_{args.workload}.json"
+    out = ROOT / f"BENCH_{args.workload}{'-trace1' if args.trace else ''}.json"
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
-    for name, row in record["end_to_end"].items():
+    for name, row in record[section].items():
         line = f"{name}: change median {row['change']['median']:.6g}"
         if "parent" in row:
             line += (f", parent median {row['parent']['median']:.6g} "

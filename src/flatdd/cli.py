@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 validation error (bad flags, config or data
-files), 2 numerical failure (divergence, non-finite evaluation), 3 I/O
-error.  ``FLATDD_OUTDIR`` sets the default output directory; an
+files, and running out of memory), 2 numerical failure (divergence,
+non-finite evaluation), 3 I/O error.  ``FLATDD_OUTDIR`` sets the default output directory; an
 explicit --out/--out-dir flag wins over it.
 """
 
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import warnings
 from dataclasses import fields
@@ -62,6 +63,11 @@ _CONFIG_COMMANDS = (
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a value such as -1e-3 is a negative number, not a flag (argparse's own pattern lacks exponents)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
     # argparse exits with code 2 on bad flags; 2 means numerical failure
     # here, so reroute through the validation-error path
     def error(self, message):
@@ -200,6 +206,9 @@ def main(argv=None) -> int:
             return args.handler(args)
         except _VALIDATION_ERRORS as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except MemoryError as exc:
+            print(f"error: out of memory: {exc}", file=sys.stderr)
             return 1
         except _NUMERICAL_ERRORS as exc:
             print(f"numerical failure: {exc}", file=sys.stderr)

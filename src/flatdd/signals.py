@@ -236,8 +236,7 @@ def _excitation(rows: Sequence[np.ndarray]) -> PeResult:
     fails.  Too few columns is the verdict on data length (``_too_short``).
 
     G = H H' is assembled block by block in this thread's ``"gram"``
-    scratch (``solver._workspace``) and factored there, on its
-    Fortran-ordered transpose (G is symmetric), by the solver's one
+    scratch (``solver._workspace``) and factored there by the solver's one
     factorization, which also gives its 1-norm and condition estimate
     (``solver._lower_cholesky``), so the certificate allocates nothing of
     G's size once that scratch has grown to it.
@@ -253,7 +252,7 @@ def _excitation(rows: Sequence[np.ndarray]) -> PeResult:
                     for b, b_lo, b_hi in blocks[:i]:  # the block above the diagonal is this one's transpose
                         np.matmul(a, b.T, out=G[lo:hi, b_lo:b_hi])
                         G[b_lo:b_hi, lo:hi] = G[lo:hi, b_lo:b_hi].T
-            _, anorm, rcond = _lower_cholesky(G.T)
+            _, anorm, rcond = _lower_cholesky(G)
             if np.finfo(float).tiny / np.finfo(float).eps <= anorm < math.inf and rcond >= _PE_CERTIFY_RCOND:
                 return PeResult(True, full)
     _, rank = _svd(np.concatenate(rows), "the Hankel matrix", vectors=False)

@@ -112,8 +112,7 @@ def ridge_solve(prob: RidgeProblem) -> np.ndarray:
         wide = A.shape[0] < A.shape[1]
         F = A if wide else A.T  # the Gram F F' of the smaller side
         with _workspace("gram", (len(F), len(F))) as G:
-            # the product is factored in the memory it is written to; R' is the lower factor
-            L = _cholesky(np.matmul(F, F.T, out=G), lam, overwrite_g=True).T
+            L = _cholesky(np.matmul(F, F.T, out=G), lam)  # factored in the memory it is written to
             if wide:
                 return A.T @ scipy.linalg.lapack.dpotrs(L, b, lower=1)[0]
             return scipy.linalg.lapack.dpotrs(L, A.T @ b, lower=1)[0]
@@ -190,33 +189,32 @@ class NormalEquationsProblem:
     """Same objective as NonlinearResidualProblem, expressed through inner
     products so that kernelized (implicit-basis) residuals fit.
 
-    objective(alpha) = |R alpha|^2 - 2 cross(v)' alpha + offset(v),  v = H alpha
+    objective(alpha) = |L' alpha|^2 - 2 cross(v)' alpha + offset(v),  v = H alpha
 
-    ``R`` holds in its upper triangle the Cholesky factor of the
-    alpha-independent products plus the weight, R'R = gram + lam I, as
-    ``_cholesky`` returns it; its other triangle is unspecified, and the
-    problem reads only the upper one.  The nonlinear terms see
+    ``L`` holds in its lower triangle the Cholesky factor of the
+    alpha-independent products plus the weight, L L' = gram + lam I, as
+    ``_cholesky`` returns it; its other triangle is unspecified.  The nonlinear terms see
     alpha only through the signal v = H alpha.  ``terms(v)`` returns
     cross(v), the block offset(v) = |rhs(v)|^2 that holds no alpha, and
     ``slope``: a function that, called once with alpha, returns the
     gradient in v of offset(v) - 2 cross(v)' alpha at that alpha.  The exact gradient of
-    the objective is 2 R'R alpha - 2 cross(v) + H' slope(alpha).
+    the objective is 2 L L' alpha - 2 cross(v) + H' slope(alpha).
     """
 
-    R: np.ndarray = field(repr=False)
+    L: np.ndarray = field(repr=False)
     terms: Callable[[np.ndarray], tuple[np.ndarray, float, Callable[[np.ndarray], np.ndarray]]]
     H: np.ndarray = field(repr=False)
     max_iter: int = 500
     rel_tol: float = 1e-8
 
     def __post_init__(self) -> None:
-        R, H = np.asarray(self.R, dtype=float), np.asarray(self.H, dtype=float)
-        if R.ndim != 2 or R.shape[0] != R.shape[1]:
-            raise ConfigError(f"Cholesky factor must be square, got shape {R.shape}")
-        if H.ndim != 2 or H.shape[1] != R.shape[0]:
-            raise ConfigError(f"signal map has shape {H.shape}, Cholesky factor {R.shape}")
-        _check_controls(0.0, self.max_iter, self.rel_tol)  # the weight is in R
-        object.__setattr__(self, "R", R)
+        L, H = np.asarray(self.L, dtype=float), np.asarray(self.H, dtype=float)
+        if L.ndim != 2 or L.shape[0] != L.shape[1]:
+            raise ConfigError(f"Cholesky factor must be square, got shape {L.shape}")
+        if H.ndim != 2 or H.shape[1] != L.shape[0]:
+            raise ConfigError(f"signal map has shape {H.shape}, Cholesky factor {L.shape}")
+        _check_controls(0.0, self.max_iter, self.rel_tol)  # the weight is in L
+        object.__setattr__(self, "L", L)
         object.__setattr__(self, "H", H)
 
     @property
@@ -226,8 +224,8 @@ class NormalEquationsProblem:
     def objective(self, alpha: np.ndarray) -> float:
         """The objective alone, with no gradient formed."""
         c, off, _ = self.terms(self.H @ alpha)
-        R_alpha = scipy.linalg.blas.dtrmv(self.R.T, alpha, lower=1, trans=1)
-        return float(R_alpha @ R_alpha) - 2.0 * float(c @ alpha) + float(off)
+        Lt_alpha = scipy.linalg.blas.dtrmv(self.L, alpha, lower=1, trans=1)
+        return float(Lt_alpha @ Lt_alpha) - 2.0 * float(c @ alpha) + float(off)
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,56 +239,54 @@ class NonlinearResult:
 
 def _lower_cholesky(M: np.ndarray, estimate: bool = True) -> tuple[np.ndarray, float, float]:
     """L, whose lower triangle is the factor of M = L L', by ``dpotrf`` in
-    the memory of M (symmetric, Fortran-ordered); the upper triangle keeps
+    the memory of M (symmetric, C- or Fortran-ordered: a C-ordered M is
+    factored as its Fortran-ordered transpose); the upper triangle keeps
     M's entries, and no consumer reads it.  M's 1-norm (``dlange``, taken
     first); and LAPACK's estimate of 1/cond_1(M) from L (``dpocon``,
-    Higham 1988), 0 where the factorization fails.
+    Higham 1988), 0 where the factorization fails.  A factor with a
+    non-finite diagonal has failed: OpenBLAS's ``dpotrf`` reports success
+    on a NaN below the diagonal, which reaches the diagonal of its row.
     Without ``estimate`` the norm is nan and a factorization that
     succeeds, or an empty M, has estimate 1."""
+    M = M if M.flags.f_contiguous else M.T
     anorm = scipy.linalg.lapack.dlange("1", M) if estimate else math.nan
     L, info = scipy.linalg.lapack.dpotrf(M, lower=1, clean=0, overwrite_a=1)
-    if info != 0 or not (estimate and len(L)):
-        return L, anorm, float(info == 0)
+    factored = info == 0 and bool(np.isfinite(L.diagonal()).all())
+    if not (factored and estimate and len(L)):
+        return L, anorm, float(factored)
     return L, anorm, scipy.linalg.lapack.dpocon(L, anorm, uplo="L")[0]
 
 
-def _cholesky(G: np.ndarray, lam: float, overwrite_g: bool = False) -> np.ndarray:
-    """R, whose upper triangle is the factor U with U'U = G + lam I; its
-    other triangle is unspecified.
+def _cholesky(G: np.ndarray, lam: float) -> np.ndarray:
+    """L, whose lower triangle is the factor with L L' = G + lam I, in G's
+    own memory; its other triangle is unspecified.
 
-    R is the transpose of the lower factor (``_lower_cholesky``) computed
-    in place in one Fortran-order copy of G; with ``overwrite_g``, for a
-    symmetric G that no caller holds, in G's own memory (a C-ordered G is
-    its own Fortran-ordered transpose, and is then R itself).  Consumers
-    solve with R' through LAPACK and BLAS on the lower triangle.  A failed
+    The caller hands G over: lam is added to its diagonal and it is
+    factored in place (``_lower_cholesky``).  Consumers solve with L
+    through LAPACK and BLAS on the lower triangle.  A failed
     factorization, or a reciprocal condition number below machine
-    epsilon (singular to working precision, as in LAPACK's ``?posvx``; a
-    non-finite G ends in one of the two), is singular; a condition number
-    above the limit warns.
+    epsilon (singular to working precision, as in LAPACK's ``?posvx``),
+    is singular; a condition number above the limit warns.
 
-    The Grams that flatdd builds itself, the ``overwrite_g`` callers, are
-    sums of outer products of finite data: positive semidefinite up to
-    rounding of 2-norm at most delta = 1e-8 trace(M), M = G + lam I, a
-    margin that also covers the factorization's backward error.  Then
-    cond_1(M) <= n lambda_max / lambda_min <= n (trace(M) + 2 delta) /
-    (lam - delta), and where that bound is below the limit the estimate
-    can neither warn nor call M singular, so it is not computed.
+    G is a sum of outer products of finite data, as every Gram of flatdd
+    is: positive semidefinite up to rounding of 2-norm at most delta =
+    1e-8 trace(M), M = G + lam I, a margin that also covers the
+    factorization's backward error.  Then cond_1(M) <= n lambda_max /
+    lambda_min <= n (trace(M) + 2 delta) / (lam - delta), and where that
+    bound is below the limit the estimate can neither warn nor call M
+    singular, so it is not computed.
     """
-    if overwrite_g:
-        M = G if G.flags.f_contiguous else G.T
-    else:
-        M = np.array(G, dtype=float, order="F")
-    M.flat[:: M.shape[0] + 1] += lam
-    trace = float(np.trace(M))
+    G.flat[:: G.shape[0] + 1] += lam
+    trace = float(np.trace(G))
     delta = _GRAM_ROUNDING * trace
-    bound = len(M) * (trace + 2.0 * delta)  # times 1 / (lam - delta)
-    certified = overwrite_g and 0.0 <= trace < math.inf and bound < _COND_LIMIT * (lam - delta)
-    L, _, rcond = _lower_cholesky(M, estimate=not certified)
+    bound = len(G) * (trace + 2.0 * delta)  # times 1 / (lam - delta)
+    certified = 0.0 <= trace < math.inf and bound < _COND_LIMIT * (lam - delta)
+    L, _, rcond = _lower_cholesky(G, estimate=not certified)
     if not rcond >= np.finfo(float).eps:
         raise SingularMatrixError(f"gram matrix plus lam I is numerically singular at lam = {lam:g}; increase lam")
     if rcond < 1.0 / _COND_LIMIT:
         _warn(f"normal equations have condition number {1.0 / rcond:.3e}", ConditioningWarning)
-    return L.T
+    return L
 
 
 def _difference_jacobian(rhs: Callable[[np.ndarray], np.ndarray], alpha: np.ndarray) -> np.ndarray:
@@ -346,23 +342,23 @@ def _projected(prob: NormalEquationsProblem, alpha0: np.ndarray):
 
     For a fixed v the objective is quadratic in alpha on {alpha : H alpha
     = v}, and its minimizer there is alpha = M^-1 (cross(v) + H' mu) with
-    M = R'R from the problem's factor R (variable projection; Golub &
-    Pereyra, SIAM J. Numer. Anal., 1973).  Y = R^-T H' takes one
-    ``dtrsm`` on the lower factor R', and S = Y'Y = H M^-1 H' is
+    M = L L' from the problem's lower factor L (variable projection; Golub &
+    Pereyra, SIAM J. Numer. Anal., 1973).  Y = L^-1 H' takes one
+    ``dtrsm`` on L, and S = Y'Y = H M^-1 H' is
     factored by pivoted Cholesky (``dpstrf``, at LAPACK's default
     tolerance m eps max S_ii for the m rows of H) as P'SP = U'U with U of
     rank r rows.  Then v = T' eta with T = U P' keeps v in the range of H
     and whitens the part of the objective quadratic in v, and Z = Y X,
     X = P [U_11^-1; 0], has orthonormal columns; Z is formed in Y's
-    memory.  An evaluation at eta takes w = R^-T cross(v), e = eta - Z'w
-    and R alpha = w + Z e, so alpha costs two triangular solves (``dtrsv``
-    on R') and no Gram product.  The value is |w + Z e|^2 - 2 cross'alpha
+    memory.  An evaluation at eta takes w = L^-1 cross(v), e = eta - Z'w
+    and L' alpha = w + Z e, so alpha costs two triangular solves (``dtrsv``
+    on L) and no Gram product.  The value is |w + Z e|^2 - 2 cross'alpha
     + offset(v), the objective at that alpha, and the gradient in eta is
     T slope(alpha) + 2 e.  Returns eta0 = X'H alpha0, the coordinates of
     the start's signal, and the evaluation, which gives the value, the
     gradient and alpha.
     """
-    H, L = prob.H, prob.R.T  # R' is the lower factor
+    H, L = prob.H, prob.L
     Y = scipy.linalg.blas.dtrsm(1.0, L, H.T, lower=1)
     U, piv, rank, _ = scipy.linalg.lapack.dpstrf(Y.T @ Y)
     U, piv = np.triu(U[:rank]), piv - 1
@@ -378,9 +374,9 @@ def _projected(prob: NormalEquationsProblem, alpha0: np.ndarray):
         c, off, slope = prob.terms(T.T @ eta)
         w = scipy.linalg.blas.dtrsv(L, c, lower=1)
         e = eta - Z.T @ w
-        R_alpha = w + Z @ e
-        alpha = scipy.linalg.blas.dtrsv(L, R_alpha, lower=1, trans=1)
-        value = float(R_alpha @ R_alpha) - 2.0 * float(c @ alpha) + float(off)
+        Lt_alpha = w + Z @ e
+        alpha = scipy.linalg.blas.dtrsv(L, Lt_alpha, lower=1, trans=1)
+        value = float(Lt_alpha @ Lt_alpha) - 2.0 * float(c @ alpha) + float(off)
         return value, T @ slope(alpha) + 2.0 * e, alpha
 
     return X.T @ (H @ alpha0), evaluate
@@ -445,10 +441,10 @@ def nonlinear_solve(
     Pereyra, SIAM J. Numer. Anal., 1973).  For a fixed signal v = H alpha
     the objective is quadratic in alpha, so alpha is eliminated, and one
     L-BFGS-B run (maxiter = max_iter, ftol = rel_tol) searches the signal
-    alone.  Its coordinates eta give v = T'eta, where T'T = H (R'R)^-1 H'
+    alone.  Its coordinates eta give v = T'eta, where T'T = H (L L')^-1 H'
     on the range of H, so the part of the objective quadratic in v is
     |eta|^2 (a change of variables; Nocedal & Wright 5.1 and 7.2).  For
-    H = I these are the coefficients whitened by R, up to a rotation.  The
+    H = I these are the coefficients whitened by L', up to a rotation.  The
     problem arrives factored, so this solve neither finds a Gram singular
     nor warns of its conditioning.  Every Gram problem carries its exact
     gradient.  An evaluation takes the terms at v, the alpha that

@@ -242,5 +242,5 @@ def kernel_problem(prob: WindowProblem) -> tuple[NormalEquationsProblem, np.ndar
 
         return _band(K, cols).sum(axis=0) + const_cross, float(diag.sum()) + b_sq, slope
 
-    R = _cholesky(gram, lam, overwrite_g=True)
-    return NormalEquationsProblem(R, terms, prob.H, **prob.controls), ridge_solve(RidgeProblem(B, b, lam))
+    L = _cholesky(gram, lam)
+    return NormalEquationsProblem(L, terms, prob.H, **prob.controls), ridge_solve(RidgeProblem(B, b, lam))

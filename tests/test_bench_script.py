@@ -10,12 +10,14 @@ import pytest
 REPO = Path(__file__).resolve().parents[1]
 SCRIPT = REPO / "scripts" / "bench.py"
 METRICS = ("setup_s", "request_ref.p50", "cpu_ref_per_request.p50", "peak_rss_mb")
+PER_LAYER = tuple(m["name"] for m in json.loads((REPO / "BENCHMARK.json").read_text())["per_layer"])
 
 
 @pytest.fixture
 def bench(monkeypatch, tmp_path):
     """The script as a module on two stand-in trees, with a perfbench stub that
-    writes a result file whose request_ref.p50 is new on every run."""
+    writes a result file whose request_ref.p50 (trace.request_s when traced)
+    is new on every run."""
     spec = importlib.util.spec_from_file_location("bench", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -26,15 +28,16 @@ def bench(monkeypatch, tmp_path):
     monkeypatch.setattr(module, "ROOT", tmp_path / "change")
     calls = []
 
-    def perfbench(tree, workload, seed):
+    def perfbench(tree, workload, seed, trace):
         calls.append(tree.name)
         ref = (2.0, 1.0, 3.0, 2.5, 4.0, 3.5)[len(calls) - 1]  # the change wins pairs 0 and 2
+        timed = "trace.request_s" if trace else "request_ref.p50"
         result = {
-            "metrics": {name: ref if name == "request_ref.p50" else 1.0 for name in METRICS},
+            "metrics": {name: ref if name == timed else 1.0 for name in (PER_LAYER if trace else METRICS)},
             "correct": True, "attempted": 4, "failed": 0, "detail": {}, "failures": [],
             "env": {"loadavg_before": "0.1", "loadavg_after": "0.2"},
         }
-        out = tree / "perfbench" / "out" / "results" / f"{workload}-seed{seed}-trace0.json"
+        out = tree / "perfbench" / "out" / "results" / f"{workload}-seed{seed}-trace{trace}.json"
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(json.dumps(result))  # overwritten by the tree's next run
 
@@ -71,3 +74,22 @@ def test_bench_without_parent_runs_this_tree_alone(bench):
     record = json.loads((root / "change" / "BENCH_explicit-shared.json").read_text())
     setup = record["end_to_end"]["setup_s"]
     assert "parent" not in setup and setup["change"] == {"values": [1.0], "median": 1.0, "q1": 1.0, "q3": 1.0}
+
+
+def test_bench_trace_run_keeps_the_end_to_end_record(bench):
+    module, calls, root = bench
+    kept = root / "change" / "BENCH_kernel-match.json"
+    kept.write_text("{}")
+    argv = ["--workload", "kernel-match", "--seed", "3", "--pairs", "3", "--parent", str(root / "parent"),
+            "--trace", "1"]
+    assert module.main(argv) == 0
+    assert calls == ["parent", "change", "change", "parent", "parent", "change"]
+    assert kept.read_text() == "{}"
+    record = json.loads((root / "change" / "BENCH_kernel-match-trace1.json").read_text())
+    assert "end_to_end" not in record and list(record["per_layer"]) == list(PER_LAYER)
+    request = record["per_layer"]["trace.request_s"]
+    assert request["bound"] is None and request["better"] == "lower"
+    assert request["change"]["values"] == [1.0, 3.0, 3.5] and request["parent"]["values"] == [2.0, 2.5, 4.0]
+    assert request["wins"] == 2
+    share = record["per_layer"]["solver.converged_share"]
+    assert share["better"] == "higher" and share["wins"] == 0  # ties win nothing

@@ -84,7 +84,7 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
         ("example2", ["--horizon", "0", "--n-samples", "10"]),
         ("sweep", ["--model", "example2", "--horizon", "1", "--n-samples", "10", "--count", "1"]),
         ("generate", ["--n-samples", "1", "--horizon", "0"]),
-        # ranges whose width overflows a float ("-1e308" alone would read as a flag)
+        # ranges whose width overflows a float
         ("generate", ["--input-lo=-1e308", "--input-hi=1e308"]),
         ("generate", ["--noise-lo=-1e308", "--noise-hi=1e308"]),
         ("example1", ["--noise-lo=-1e308", "--noise-hi=1e308"]),
@@ -99,6 +99,29 @@ def test_cli_rejects_bad_settings(files, command, extra):
     code, _, err = _run(argv + extra)
     assert code == 1, err
     assert len(err.strip().splitlines()) == 1, err
+
+
+def test_cli_reads_negative_values_in_exponent_form(files, tmp_path):
+    # argparse's own pattern for negative numbers has no exponent and reads "-1e-3" as a flag
+    code, out, err = _run(["generate", "--n-samples", "60", "--input-lo", "-1e-3", "--out-dir", str(tmp_path)])
+    assert code == 0, err
+    assert json.loads(out)["config"]["input_lo"] == -0.001
+    code, _, err = _run(_argv("simulate", files) + ["--lambda", "-1e-3"])
+    assert (code, err) == (1, "error: regularization weight must be finite and >= 0, got -0.001\n")
+
+
+def test_cli_out_of_memory_is_one_line(monkeypatch):
+    # the command is stubbed: nothing is allocated
+    def exhausted(args):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,) and data type float64")
+
+    monkeypatch.setattr("flatdd.cli._cmd_config", exhausted)
+    code, out, err = _run(["generate", "--n-samples", "1000000000000"])
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: out of memory: Unable to allocate 7.28 TiB for an array with shape (1000000000000,) "
+        "and data type float64\n"
+    )
 
 
 def _traj():

@@ -176,9 +176,9 @@ def test_kernel_problem_gram_matches_naive_sum(task, monkeypatch):
     cols = B.shape[1]
     naive = sum(K[k : k + cols, k : k + cols] for k in range(L - n)) + B.T @ B
     (block,) = blocks
-    assert np.shares_memory(prob.R, block)
-    R = np.triu(prob.R)
-    gram = R.T @ R - 0.1 * np.eye(cols)
+    assert np.shares_memory(prob.L, block)
+    L = np.tril(prob.L)
+    gram = L @ L.T - 0.1 * np.eye(cols)
     assert np.abs(gram - naive).max() <= 1e-12 * np.abs(naive).max()
 
 
@@ -252,7 +252,7 @@ def test_kernel_with_finite_basis_product_matches_explicit(ex1_basis, monkeypatc
     # one frozen step from a common point agrees as well
     a0 = rng.normal(size=normal.dim) * 0.02
     step_explicit = ridge_solve(RidgeProblem(A, explicit_rhs(a0), lam))
-    step_kernel = np.linalg.solve(np.triu(normal.R).T @ np.triu(normal.R), normal.terms(H_L_y @ a0)[0])
+    step_kernel = np.linalg.solve(np.tril(normal.L) @ np.tril(normal.L).T, normal.terms(H_L_y @ a0)[0])
     assert_allclose(step_kernel, step_explicit, atol=1e-8 * (1 + np.linalg.norm(step_explicit)))
 
     # endpoints of the two pipelines are optimizer-path dependent (same

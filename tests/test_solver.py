@@ -210,9 +210,9 @@ def test_condition_estimate_quiet_on_kernel_sim_gram():
             )
         )
     # LAPACK's estimate on the factor, which the build may skip, is quiet as well
-    R = np.triu(prob.R)
-    M = R.T @ R
-    assert scipy.linalg.lapack.dpocon(prob.R, scipy.linalg.lapack.dlange("1", M))[0] >= 1e-12
+    L = np.tril(prob.L)
+    M = L @ L.T
+    assert scipy.linalg.lapack.dpocon(prob.L, scipy.linalg.lapack.dlange("1", M), uplo="L")[0] >= 1e-12
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -247,9 +247,9 @@ def test_whitened_evaluation_matches_objective(build):
     # the objective among the alphas that move the same signal
     prob, alpha0 = build()
     H, signals = prob.H, []
-    recording = NormalEquationsProblem(prob.R, lambda v: signals.append(v) or prob.terms(v), H)
-    R = np.triu(prob.R)
-    M = R.T @ R
+    recording = NormalEquationsProblem(prob.L, lambda v: signals.append(v) or prob.terms(v), H)
+    L = np.tril(prob.L)
+    M = L @ L.T
     eta0, evaluate = _projected(recording, alpha0)
     rng = np.random.default_rng(8)
     for scale in (0.0, 0.1, 1.0):
@@ -267,17 +267,17 @@ def test_whitened_evaluation_matches_objective(build):
 
 
 def test_gram_factor_makes_one_copy():
-    # one Fortran-order copy of G, factored in place: no |M| temporary and
-    # no second copy for the factor
+    # the one copy is the caller's G, factored in its own memory: no second copy, no |M| temporary
     M = np.random.default_rng(3).normal(size=(701, 701))
     G = M @ M.T / 701
     tracemalloc.start()
     try:
-        _cholesky(G, 0.1)
+        L = _cholesky(G, 0.1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * G.nbytes
+    assert np.shares_memory(L, G)
+    assert peak <= 0.1 * G.nbytes
 
 
 def test_kernel_solve_factors_its_gram_in_the_data_block():
@@ -296,15 +296,6 @@ def test_kernel_solve_factors_its_gram_in_the_data_block():
         tracemalloc.stop()
     assert peak <= 1.4 * traj.u.length**2 * 8  # the 748 x 748 block of the data points
     assert_allclose(prob.objective(res.alpha), res.objective, rtol=1e-10)
-
-
-def test_hand_built_gram_is_not_written():
-    M = np.random.default_rng(4).normal(size=(30, 30))
-    G = M @ M.T
-    before = G.copy()
-    R = _cholesky(G, 0.1)
-    nonlinear_solve(NormalEquationsProblem(R, _fixed_terms(np.ones(30)), np.eye(30)), np.zeros(30))
-    assert not np.shares_memory(R, G) and np.array_equal(G, before)
 
 
 @pytest.mark.parametrize("radius", [0.0, 0.5])
@@ -575,33 +566,23 @@ def test_certified_gram_skips_condition_estimate(monkeypatch):
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", ConditioningWarning)
-                R = _cholesky(G, lam, overwrite_g=True)
+                L = _cholesky(G, lam)
         except SingularMatrixError:
-            R = None
+            L = None
         if calls:
             estimated += 1
             continue
         skipped += 1
-        assert dpocon(R, scipy.linalg.lapack.dlange("1", M))[0] >= 1e-12
+        assert dpocon(L, scipy.linalg.lapack.dlange("1", M), uplo="L")[0] >= 1e-12
     assert skipped >= 20 and estimated >= 20
-
-
-def test_caller_gram_keeps_condition_estimate(monkeypatch):
-    calls = []
-    dpocon = scipy.linalg.lapack.dpocon
-    monkeypatch.setattr(scipy.linalg.lapack, "dpocon", lambda *a, **k: calls.append(1) or dpocon(*a, **k))
-    _cholesky(np.eye(5), 0.1)
-    assert calls == [1]
-    _cholesky(np.eye(5), 0.1, overwrite_g=True)
-    assert calls == [1]
 
 
 @settings(deadline=None, max_examples=80)
 @given(
-    st.integers(1, 60), st.floats(1e-10, 1.0), st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from([1e12, 10.0])
+    st.integers(1, 60), st.floats(1e-10, 1.0), st.integers(0, 2**32 - 1), st.sampled_from([1e12, 10.0])
 )
-def test_cholesky_factor_contract(n, lam, seed, overwrite_g, limit):
-    # R'R = G + lam I with R read as its upper triangle, in both modes; every condition
+def test_cholesky_factor_contract(n, lam, seed, limit):
+    # L L' = G + lam I with L read as its lower triangle; every condition
     # estimate behind a warning or a pass is LAPACK's lower bound on
     # cond_1(G + lam I), so it never exceeds it beyond rounding (the limit
     # 10 makes most of them warn)
@@ -621,19 +602,17 @@ def test_cholesky_factor_contract(n, lam, seed, overwrite_g, limit):
         mp.setattr(flatdd.solver, "_lower_cholesky", recording)
         mp.setattr(flatdd.solver, "_COND_LIMIT", limit)
         warnings.simplefilter("always")
-        R = np.triu(_cholesky(G, lam, overwrite_g=overwrite_g))
-    assert np.linalg.norm(R.T @ R - M) <= 1e-12 * np.linalg.norm(M)
+        L = np.tril(_cholesky(G, lam))
+    assert np.linalg.norm(L @ L.T - M) <= 1e-12 * np.linalg.norm(M)
     cond = np.linalg.cond(M, 1)
     assert all(1.0 / rcond <= cond * (1.0 + 1e-8) for rcond in estimates)
     assert len(caught) == sum(1.0 / rcond > limit for rcond in estimates)
-    assert overwrite_g or len(estimates) == 1
 
 
-@pytest.mark.parametrize("overwrite_g", [False, True])
-def test_empty_gram_factors_without_lapack_error(capfd, overwrite_g):
+def test_empty_gram_factors_without_lapack_error(capfd):
     # LAPACK's dpocon rejects the leading dimension of an empty factor with a printed error
-    R = _cholesky(np.zeros((0, 0)), 0.1, overwrite_g=overwrite_g)
-    assert R.shape == (0, 0)
+    L = _cholesky(np.zeros((0, 0)), 0.1)
+    assert L.shape == (0, 0)
     assert capfd.readouterr() == ("", "")
 
 
