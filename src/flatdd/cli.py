@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 validation error (bad flags, config or data
-files, and running out of memory), 2 numerical failure (divergence,
-non-finite evaluation), 3 I/O error.  ``FLATDD_OUTDIR`` sets the default output directory; an
-explicit --out/--out-dir flag wins over it.
+files) or an allocation that fails ("error: out of memory: ..."), 2
+numerical failure (divergence, non-finite evaluation), 3 I/O error.
+``FLATDD_OUTDIR`` sets the default output directory; an explicit
+--out/--out-dir flag wins over it.
 """
 
 from __future__ import annotations
