@@ -609,10 +609,21 @@ def test_cholesky_factor_contract(n, lam, seed, limit):
     assert len(caught) == sum(1.0 / rcond > limit for rcond in estimates)
 
 
-def test_empty_gram_factors_without_lapack_error(capfd):
-    # LAPACK's dpocon rejects the leading dimension of an empty factor with a printed error
-    L = _cholesky(np.zeros((0, 0)), 0.1)
+@pytest.mark.parametrize("certified", [False, True])
+def test_empty_gram_factors_without_lapack_error(capfd, monkeypatch, certified):
+    # LAPACK's dpocon rejects the leading dimension of an empty factor with a
+    # printed error; at lam = 0 the trace bound certifies nothing, so the
+    # factorization takes the condition-estimate path
+    factor, estimates = flatdd.solver._lower_cholesky, []
+
+    def recording(M, estimate=True):
+        estimates.append(estimate)
+        return factor(M, estimate)
+
+    monkeypatch.setattr(flatdd.solver, "_lower_cholesky", recording)
+    L = _cholesky(np.zeros((0, 0)), 0.1 if certified else 0.0)
     assert L.shape == (0, 0)
+    assert estimates == [not certified]
     assert capfd.readouterr() == ("", "")
 
 
