@@ -21,7 +21,7 @@ to ``BENCH_<W>-trace1.json`` with ``--trace 1``, which keeps the first:
 - ``trees``: per side, ``git rev-parse HEAD`` and whether its files
   differ from that commit (``BENCH_*.json`` files aside), null outside a
   git checkout;
-- ``runs``: per pair, the order and per side the whole result file:
+- ``runs``: per finished pair, the order and per side the whole result file:
   the ``metrics``, ``detail`` (per-process and per-kind figures,
   accuracy medians, or the traced run's self-check and time shares),
   ``env`` (versions, host load before and after), the request counts
@@ -31,7 +31,10 @@ to ``BENCH_<W>-trace1.json`` with ``--trace 1``, which keeps the first:
   metric) and direction, per side the values with their median and
   quartiles, and with a parent the number of pairs this checkout won,
   its median's relative change, and whether that change lies outside
-  the parent's interquartile range.
+  the parent's interquartile range;
+- ``failed_run``: null, or the command, tree, exit code and last five
+  lines of stderr of a run that exited non-zero.  No run follows it, and
+  the record keeps the pairs finished before it.
 
 The exit code is 1 if a run fails or a request is wrong, else 0.  A
 full set of ten pairs takes about 10 minutes per workload.
@@ -49,19 +52,24 @@ ROOT = Path(__file__).resolve().parents[1]
 SECONDS = 15
 
 
-def _perfbench(tree: Path, workload: str, seed: int, trace: int) -> None:
+class RunFailed(Exception):
+    """A perfbench run that exited non-zero; ``args[0]`` is its record."""
+
+
+def _perfbench(tree: Path, workload: str, seed: int, trace: int) -> subprocess.CompletedProcess:
     """One run of the tree's own perfbench, from the tree's root."""
     cmd = ["python3", "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(SECONDS), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
-    if proc.returncode != 0:
-        tail = "\n".join(proc.stderr.strip().splitlines()[-5:])
-        raise SystemExit(f"bench: {shlex.join(cmd)} in {tree} exited with {proc.returncode}:\n{tail}")
+    return subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
 
 
 def run_once(tree: Path, workload: str, seed: int, trace: int) -> dict:
-    """Run the tree's benchmark and return its result file, read before the next run overwrites it."""
-    _perfbench(tree, workload, seed, trace)
+    """Run the tree's benchmark and return its result file, read before the next run overwrites it.
+    A run that exits non-zero raises RunFailed with its command, exit code and last lines of stderr."""
+    proc = _perfbench(tree, workload, seed, trace)
+    if proc.returncode != 0:
+        raise RunFailed({"command": shlex.join(proc.args), "tree": str(tree), "exit_code": proc.returncode,
+                         "stderr_tail": proc.stderr.strip().splitlines()[-5:]})
     return json.loads((tree / "perfbench" / "out" / "results" / f"{workload}-seed{seed}-trace{trace}.json").read_text())
 
 
@@ -118,15 +126,20 @@ def main(argv: list[str] | None = None) -> int:
             p.error(f"no perfbench/run.py under {trees['parent']}")
 
     states = {side: tree_state(tree) for side, tree in trees.items()}
-    runs = []
-    for i in range(args.pairs):
-        order = [side for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")) if side in trees]
-        pair = {"order": order}
-        for side in order:
-            pair[side] = run_once(trees[side], args.workload, args.seed, args.trace)
-            print(f"pair {i} {side}: " + " ".join(f"{k}={v:.6g}" for k, v in pair[side]["metrics"].items()),
-                  flush=True)
-        runs.append(pair)
+    runs, failed = [], None
+    try:
+        for i in range(args.pairs):
+            order = [side for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")) if side in trees]
+            pair = {"order": order}
+            for side in order:
+                pair[side] = run_once(trees[side], args.workload, args.seed, args.trace)
+                print(f"pair {i} {side}: " + " ".join(f"{k}={v:.6g}" for k, v in pair[side]["metrics"].items()),
+                      flush=True)
+            runs.append(pair)
+    except RunFailed as exc:  # keep the finished pairs
+        failed = exc.args[0]
+        print(f"bench: {failed['command']} in {failed['tree']} exited with {failed['exit_code']}:",
+              *failed["stderr_tail"], sep="\n", file=sys.stderr)
 
     manifest = json.loads((ROOT / "BENCHMARK.json").read_text())
     section = "per_layer" if args.trace else "end_to_end"
@@ -137,7 +150,8 @@ def main(argv: list[str] | None = None) -> int:
         "seconds": SECONDS,
         "trees": states,
         "runs": runs,
-        section: summarize(runs, manifest[section]),
+        "failed_run": failed,
+        section: summarize(runs, manifest[section]) if runs else {},
     }
     out = ROOT / f"BENCH_{args.workload}{'-trace1' if args.trace else ''}.json"
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
@@ -146,10 +160,10 @@ def main(argv: list[str] | None = None) -> int:
         if "parent" in row:
             line += (f", parent median {row['parent']['median']:.6g} "
                      f"(IQR {row['parent']['q1']:.6g}-{row['parent']['q3']:.6g}), "
-                     f"wins {row['wins']}/{args.pairs}")
+                     f"wins {row['wins']}/{len(runs)}")
         print(line)
     print(f"wrote {out}")
-    ok = all(r[side]["correct"] and r[side]["failed"] == 0 for r in runs for side in trees)
+    ok = failed is None and all(r[side]["correct"] and r[side]["failed"] == 0 for r in runs for side in trees)
     return 0 if ok else 1
 
 

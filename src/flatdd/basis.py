@@ -40,9 +40,9 @@ class BasisSet:
 
     Each function must accept a batch: u of shape (m,) and xi of shape
     (m, n), returning shape (m,).  ``identity_index`` marks a function
-    equal to u itself, required for retrieving inputs in matching;
-    ``validate`` probes it numerically.  The solvers need no declared
-    structure: their derivatives come from ``psi_jacobian``.
+    equal to u itself (ConfigError out of range), which matching needs
+    and checks on the data; ``validate`` probes it at random points.  The
+    solvers need no declared structure: ``psi_jacobian`` gives derivatives.
     """
 
     functions: tuple[BasisFn, ...]
@@ -53,6 +53,8 @@ class BasisSet:
     def __post_init__(self) -> None:
         # a tuple keeps the set hashable: it keys results stored on a trajectory
         object.__setattr__(self, "functions", tuple(self.functions))
+        if self.identity_index is not None and not (0 <= self.identity_index < self.r):
+            raise ConfigError(f"identity_index {self.identity_index} out of range for r={self.r}")
 
     @property
     def r(self) -> int:
@@ -63,8 +65,6 @@ class BasisSet:
             raise ConfigError("basis has no functions")
         if self.n < 1:
             raise ConfigError(f"window width must be >= 1, got n={self.n}")
-        if self.identity_index is not None and not (0 <= self.identity_index < self.r):
-            raise ConfigError(f"identity_index {self.identity_index} out of range for r={self.r}")
         rng = np.random.default_rng(seed)
         u = rng.uniform(-1.0, 1.0, size=probes)
         xi = rng.uniform(-1.0, 1.0, size=(probes, self.n))

@@ -44,9 +44,10 @@ from .experiments import (
     solve_metrics,
 )
 from .matching import MatchProblem, dd_match
-from .membership import flat_membership
+from .membership import _check_tol, flat_membership
 from .signals import read_signal_csv, read_trajectory, write_signal_csv
 from .simulation import SimProblem, dd_simulate
+from .solver import _check_controls
 from .window import WindowProblem
 
 _VALIDATION_ERRORS = (ConfigError, DimensionError, FormatError, ParseError)
@@ -101,13 +102,26 @@ def _cmd_config(args) -> int:
     return 0
 
 
+def _check_settings(args) -> None:
+    """Check each setting of a command that reads data files by itself, before any file is read."""
+    if args.basis:
+        named_basis(args.basis)  # the name: every bundled basis is defined at the default n = 2
+    if args.command == "check-membership":
+        _check_tol(args.tol)
+    elif args.command in ("simulate", "match"):
+        _check_controls(args.lam, args.max_iter, args.rel_tol)
+        KernelSpec("gaussian", args.sigma)
+
+
 def _cmd_check_pe(args) -> int:
+    _check_settings(args)
     traj = read_trajectory(args.data)
     _print_json(pe_verdict(traj, args.order, named_basis(args.basis, traj.n) if args.basis else None))
     return 0
 
 
 def _cmd_check_membership(args) -> int:
+    _check_settings(args)
     data = read_trajectory(args.data)
     cand = read_trajectory(args.candidate)
     verdict = flat_membership(
@@ -124,6 +138,7 @@ def _cmd_check_membership(args) -> int:
 
 
 def _cmd_simulate_or_match(args) -> int:
+    _check_settings(args)
     traj = read_trajectory(args.data)
     settings = _features(args.mode, args.basis or "example1-poly", args.sigma, traj.n)
     settings.update(lam=args.lam, max_iter=args.max_iter, rel_tol=args.rel_tol)

@@ -23,9 +23,9 @@ from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
-from .basis import window_points
+from .basis import psi_hat_signal, window_points
 from .errors import ConfigError
-from .signals import Signal, build_hankel
+from .signals import Signal, _memo, build_hankel
 from .solver import NonlinearResult, NormalEquationsProblem, nonlinear_solve
 from .window import WindowProblem, explicit_solve, kernel_problem
 
@@ -51,12 +51,18 @@ class MatchProblem(WindowProblem):
     def __post_init__(self) -> None:
         super().__post_init__()
         self._known_signal("y_ref", "reference", self.L, "L")
-        if self.mode == "explicit" and self.basis.identity_index is None:
-            raise ConfigError(
-                "matching needs the input itself among the basis functions (identity_index): "
-                "the input is read as H_{L-n}(u) alpha, the input of the trajectory alpha "
-                "parameterizes only when the input is a basis function"
-            )
+        if self.mode == "explicit":
+            i = self.basis.identity_index
+            if i is None:
+                raise ConfigError(
+                    "matching needs the input itself among the basis functions (identity_index): "
+                    "the input is read as H_{L-n}(u) alpha, the input of the trajectory alpha "
+                    "parameterizes only when the input is a basis function"
+                )
+            # the solve leaves out this function's rows, so it must be the input: checked once per data set
+            psi = psi_hat_signal(self.traj, self.basis).values
+            if not _memo(self.traj, ("identity", self.basis), lambda: np.allclose(psi[:, i], self.traj.u.flat)):
+                raise ConfigError(f"function {i} of {self.basis.name!r} is not the identity in u on the data")
         n, L = self.traj.n, self.L
         # candidate point k is ((U alpha)[k], y_ref[k], ..., y_ref[k+n-1]) with U = H_{L-n}(u)
         Z0 = window_points(np.zeros(L - n), self.y_ref, n)

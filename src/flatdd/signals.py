@@ -266,7 +266,7 @@ def _excitation(rows: Sequence[np.ndarray]) -> PeResult:
 # for the final n rows, floats with 17 significant digits, LF line endings.
 # Signal files: header "k,<name>", used for bare input/reference sequences;
 # the experiment plot files and the trajectory files are the same format
-# with one column per name.
+# with one column per name.  One writer and one reader serve them all.
 # ---------------------------------------------------------------------------
 
 
@@ -284,7 +284,11 @@ def _parse_cell(cell: str, row: int, col: str) -> float:
     return value
 
 
-def _read_rows(path: str | Path, what: str) -> list[list[str]]:
+def _read_columns(path: str | Path, what: str, names: Sequence[str] | None, short: str | None = None) -> list:
+    """The value columns of a ``what`` file with header ``k`` and then ``names`` (any one name
+    when None).  Blank rows are skipped, other rows need one cell per name, and every cell, ``k``
+    too, is a finite number, except that column ``short`` may end in empty cells, as
+    ``write_signal_csv`` leaves a shorter column: a value after them is a FormatError."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
@@ -294,32 +298,33 @@ def _read_rows(path: str | Path, what: str) -> list[list[str]]:
         raise ParseError(f"{path} is not a CSV file: {exc}") from None
     if not rows:
         raise ParseError(f"empty {what} file: {path}")
-    return rows
+    header = [c.strip() for c in rows[0]]
+    if header[:1] != ["k"] or (len(header) != 2 if names is None else header[1:] != list(names)):
+        raise FormatError(f"expected header 'k,{','.join(names or ['<name>'])}', got {rows[0]!r}")
+    k, *columns = [[] for _ in header]
+    for idx, row in enumerate(rows[1:]):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise FormatError(f"row {idx} has {len(row)} cells, expected {len(header)}")
+        k.append(_parse_cell(row[0], idx, "k"))
+        for column, name, cell in zip(columns, header[1:], row[1:]):
+            if name == short and not cell.strip():
+                continue
+            if len(column) < len(k) - 1:
+                raise FormatError(f"non-empty {name} cell at row {idx} after empty {name} cells")
+            column.append(_parse_cell(cell, idx, name))
+    if not k:
+        raise ParseError(f"no data rows in {path}")
+    return columns
 
 
 def read_trajectory(path: str | Path) -> IoTrajectory:
-    rows = _read_rows(path, "trajectory")
-    if [c.strip() for c in rows[0]] != ["k", "u", "y"]:
-        raise FormatError(f"expected header 'k,u,y', got {rows[0]!r}")
-    u_vals: list[float] = []
-    y_vals: list[float] = []
-    n_trailing_empty = 0
-    for idx, row in enumerate(rows[1:]):
-        if len(row) != 3:
-            raise FormatError(f"row {idx} has {len(row)} cells, expected 3")
-        _parse_cell(row[0], idx, "k")
-        if row[1].strip() == "":
-            n_trailing_empty += 1
-        else:
-            if n_trailing_empty:
-                raise FormatError(f"non-empty u cell at row {idx} after empty u cells")
-            u_vals.append(_parse_cell(row[1], idx, "u"))
-        y_vals.append(_parse_cell(row[2], idx, "y"))
-    if not y_vals:
-        raise ParseError(f"no data rows in {path}")
-    if n_trailing_empty == 0:
+    """A trajectory file; its order n is the number of trailing empty u cells."""
+    u, y = _read_columns(path, "trajectory", ("u", "y"), short="u")
+    if len(u) == len(y):
         raise FormatError("no trailing empty u cells; cannot infer system order n")
-    return IoTrajectory.from_arrays(np.array(u_vals), np.array(y_vals), n_trailing_empty)
+    return IoTrajectory.from_arrays(np.array(u), np.array(y), len(y) - len(u))
 
 
 def write_signal_csv(path: str | Path, name: str | Sequence[str], values) -> None:
@@ -338,17 +343,5 @@ def write_signal_csv(path: str | Path, name: str | Sequence[str], values) -> Non
 
 
 def read_signal_csv(path: str | Path) -> np.ndarray:
-    rows = _read_rows(path, "signal")
-    header = [c.strip() for c in rows[0]]
-    if len(header) != 2 or header[0] != "k":
-        raise FormatError(f"expected header 'k,<name>', got {rows[0]!r}")
-    out = []
-    for idx, row in enumerate(rows[1:]):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise FormatError(f"row {idx} has {len(row)} cells, expected 2")
-        out.append(_parse_cell(row[1], idx, header[1]))
-    if not out:
-        raise ParseError(f"no data rows in {path}")
-    return np.array(out)
+    (values,) = _read_columns(path, "signal", None)
+    return np.array(values)

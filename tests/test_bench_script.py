@@ -3,6 +3,7 @@ stubbed perfbench run: the benchmark itself never starts."""
 import importlib.util
 import json
 import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -40,6 +41,7 @@ def bench(monkeypatch, tmp_path):
         out = tree / "perfbench" / "out" / "results" / f"{workload}-seed{seed}-trace{trace}.json"
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(json.dumps(result))  # overwritten by the tree's next run
+        return subprocess.CompletedProcess(["python3", "perfbench/run.py", "--workload", workload], 0, "", "")
 
     monkeypatch.setattr(module, "_perfbench", perfbench)
     return module, calls, tmp_path
@@ -93,3 +95,34 @@ def test_bench_trace_run_keeps_the_end_to_end_record(bench):
     assert request["wins"] == 2
     share = record["per_layer"]["solver.converged_share"]
     assert share["better"] == "higher" and share["wins"] == 0  # ties win nothing
+
+
+@pytest.mark.parametrize("fails_at", [3, 0])
+def test_bench_keeps_the_finished_pairs_when_a_run_fails(bench, monkeypatch, capsys, fails_at):
+    module, calls, root = bench
+    finishes = module._perfbench
+
+    def perfbench(tree, workload, seed, trace):
+        if len(calls) < fails_at:
+            return finishes(tree, workload, seed, trace)
+        calls.append(tree.name)
+        stderr = "".join(f"line {i}\n" for i in range(8)) + "MemoryError\n"
+        return subprocess.CompletedProcess(["python3", "perfbench/run.py", "--workload", workload], 1, "", stderr)
+
+    monkeypatch.setattr(module, "_perfbench", perfbench)
+    argv = ["--workload", "kernel-sim", "--seed", "3", "--pairs", "3", "--parent", str(root / "parent")]
+    assert module.main(argv) == 1
+    assert calls == ["parent", "change", "change", "parent"][: fails_at + 1]  # no run after the failed one
+    record = json.loads((root / "change" / "BENCH_kernel-sim.json").read_text())
+    assert record["failed_run"] == {
+        "command": "python3 perfbench/run.py --workload kernel-sim",
+        "tree": str(root / calls[-1]),
+        "exit_code": 1,
+        "stderr_tail": ["line 4", "line 5", "line 6", "line 7", "MemoryError"],
+    }
+    assert len(record["runs"]) == fails_at // 2
+    if fails_at:
+        assert record["end_to_end"]["request_ref.p50"]["parent"]["values"] == [2.0]
+    else:
+        assert record["end_to_end"] == {}
+    assert "exited with 1" in capsys.readouterr().err

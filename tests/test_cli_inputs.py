@@ -49,6 +49,7 @@ def _argv(command: str, files: dict, **replace) -> list[str]:
         "match": ["match", "--data", f["data"], "--reference", f["reference"], "--out", f"{out}/u_est.csv"],
         "check-membership": ["check-membership", "--data", f["data"], "--candidate", f["candidate"],
                              "--basis", "example1-poly"],
+        "check-pe": ["check-pe", "--data", f["data"], "--order", "5"],
         "generate": ["generate", "--config", f["config"], "--out-dir", out],
     }[command]
 
@@ -99,6 +100,30 @@ def test_cli_rejects_bad_settings(files, command, extra):
     code, _, err = _run(argv + extra)
     assert code == 1, err
     assert len(err.strip().splitlines()) == 1, err
+
+
+@pytest.mark.parametrize(
+    "command, extra, message",
+    [
+        ("simulate", ["--lambda", "-1e-3"], "regularization weight must be finite and >= 0, got -0.001"),
+        ("simulate", ["--max-iter", "0"], "max_iter must be >= 1, got 0"),
+        ("match", ["--rel-tol", "0"], "rel_tol must be positive and finite, got 0.0"),
+        # a kernel width or a basis name is checked in either mode
+        ("simulate", ["--sigma", "0"], "kernel width must lie in (1e-150, 1e150), got sigma=0.0"),
+        ("match", ["--mode", "kernel", "--sigma", "0"], "kernel width must lie in (1e-150, 1e150), got sigma=0.0"),
+        ("match", ["--basis", "nosuch"], "unknown basis 'nosuch'"),
+        ("simulate", ["--mode", "kernel", "--basis", "nosuch"], "unknown basis 'nosuch'"),
+        ("check-membership", ["--tol", "-1"], "membership tolerance must be finite and >= 0, got tol=-1.0"),
+        ("check-membership", ["--basis", "nosuch"], "unknown basis 'nosuch'"),
+        ("check-pe", ["--basis", "nosuch"], "unknown basis 'nosuch'"),
+    ],
+    ids=["simulate-lambda", "simulate-max-iter", "match-rel-tol", "simulate-sigma", "match-kernel-sigma",
+         "match-basis", "simulate-kernel-basis", "check-membership-tol", "check-membership-basis", "check-pe-basis"],
+)
+def test_cli_checks_settings_before_reading_files(files, tmp_path, command, extra, message):
+    argv = _argv(command, files, data=str(tmp_path / "missing.csv"))
+    assert _run(argv)[0] == 3  # the missing file, once every setting is valid
+    assert _run(argv + extra) == (1, "", f"error: {message}\n")
 
 
 def test_cli_reads_negative_values_in_exponent_form(files, tmp_path):

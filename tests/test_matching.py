@@ -185,7 +185,7 @@ def test_noisy_regime_error_scale(model, basis, sin_ref):
     assert np.linalg.norm(y - sin_ref) < 0.5
 
 
-def test_explicit_mode_needs_identity_function(clean_traj, sin_ref):
+def test_explicit_mode_needs_identity_function(clean_traj, basis, model, sin_ref):
     no_identity = BasisSet(
         name="squares-only",
         n=2,
@@ -194,6 +194,13 @@ def test_explicit_mode_needs_identity_function(clean_traj, sin_ref):
     )
     with pytest.raises(ConfigError, match="identity"):
         MatchProblem(clean_traj, 50, sin_ref, "explicit", basis=no_identity, lam=0.1)
+    # a mislabelled identity, u xi1^2, would drop that function's equations: on run_example1's
+    # data (seed 5) the input error grew tenfold without a warning
+    mislabelled = BasisSet(basis.functions, 2, "mislabelled", identity_index=4)
+    with pytest.raises(ConfigError, match="function 4 of 'mislabelled' is not the identity in u"):
+        MatchProblem(_collect(ExperimentConfig(seed=5), model), 50, sin_ref, "explicit", basis=mislabelled, lam=0.1)
+    with pytest.raises(ConfigError, match="identity_index 6 out of range for r=6"):
+        BasisSet(basis.functions, 2, "past-the-end", identity_index=6)
 
 
 def test_gaussian_kernel_matches_in_criterion_4_band(model, sin_ref):

@@ -1,4 +1,5 @@
 import copy
+import re
 
 import numpy as np
 import pytest
@@ -129,36 +130,12 @@ def test_trajectory_roundtrip(tmp_path):
     assert raw.startswith(b"k,u,y\n")
 
 
-def test_trajectory_read_errors(tmp_path):
-    p = tmp_path / "bad.csv"
-    p.write_text("")
-    with pytest.raises(ParseError):
-        read_trajectory(p)
-    p.write_text("k,u\n0,1\n")
-    with pytest.raises(FormatError):
-        read_trajectory(p)
-    p.write_text("k,u,y\n0,oops,1.0\n1,,2.0\n")
-    with pytest.raises(ParseError, match="row 0"):
-        read_trajectory(p)
-    # u resumes after an empty cell: structural violation
-    p.write_text("k,u,y\n0,1.0,1.0\n1,,2.0\n2,3.0,3.0\n")
-    with pytest.raises(FormatError):
-        read_trajectory(p)
-    # no empty u tail at all
-    p.write_text("k,u,y\n0,1.0,1.0\n1,2.0,2.0\n")
-    with pytest.raises(FormatError):
-        read_trajectory(p)
-
-
 def test_signal_csv_roundtrip(tmp_path):
     p = tmp_path / "ref.csv"
     vals = np.array([0.0, 0.125, -3.5])
     write_signal_csv(p, "y_ref", vals)
     assert p.read_text().splitlines()[0] == "k,y_ref"
     assert_array_equal(read_signal_csv(p), vals)
-    p.write_text("")
-    with pytest.raises(ParseError):
-        read_signal_csv(p)
 
 
 def _csv_module_signal_file(path, names, columns):
@@ -191,11 +168,68 @@ def test_signal_csv_bytes_match_csv_module(tmp_path, names, columns):
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
-def test_signal_csv_one_cell_row(tmp_path):
-    p = tmp_path / "short.csv"
-    p.write_text("k,u\n0,0.5\n1\n")
-    with pytest.raises(FormatError, match="row 1 has 1 cells"):
-        read_signal_csv(p)
+_TRAJ, _SIG = read_trajectory, read_signal_csv
+# file text, reader, and what it reads: (u, y, n) of a trajectory, the values of a
+# signal, or an error type with a fragment of its message
+_READ_CASES = {
+    "empty-file-traj": ("", _TRAJ, (ParseError, "empty trajectory file")),
+    "empty-file-signal": ("", _SIG, (ParseError, "empty signal file")),
+    "not-utf8-traj": (b"k,u,y\n0,\xff,1\n", _TRAJ, (ParseError, "is not UTF-8 text")),
+    "header-traj": ("k,u\n0,1\n", _TRAJ, (FormatError, "expected header 'k,u,y'")),
+    "header-signal-width": ("k,u,y\n0,1,2\n", _SIG, (FormatError, "expected header 'k,<name>'")),
+    "header-signal-k": ("t,u\n0,1\n", _SIG, (FormatError, "expected header 'k,<name>'")),
+    "header-spaces": (" k , u , y \n0,1.0,1.0\n1,,2.0\n", _TRAJ, ([1.0], [1.0, 2.0], 1)),
+    "no-rows-traj": ("k,u,y\n", _TRAJ, (ParseError, "no data rows")),
+    "no-rows-signal": ("k,u\n", _SIG, (ParseError, "no data rows")),
+    "blank-rows-only": ("k,u,y\n\n\n", _TRAJ, (ParseError, "no data rows")),
+    "blank-rows-traj": ("k,u,y\n0,1.0,1.0\n\n1,2.0,2.0\n2,,3.0\n\n", _TRAJ, ([1.0, 2.0], [1.0, 2.0, 3.0], 1)),
+    "blank-rows-signal": ("k,u\n0,1.0\n\n1,3.0\n\n", _SIG, [1.0, 3.0]),
+    "row-width-traj": ("k,u,y\n0,1.0\n", _TRAJ, (FormatError, "row 0 has 2 cells, expected 3")),
+    "row-width-signal": ("k,u\n0,0.5\n1\n", _SIG, (FormatError, "row 1 has 1 cells, expected 2")),
+    "row-numbers-count-blank-rows": ("k,u\n0,0.5\n\n1\n", _SIG, (FormatError, "row 2 has 1 cells")),
+    "k-non-numeric-traj": ("k,u,y\nabc,1.0,1.0\n1,,2.0\n", _TRAJ, (ParseError, "non-numeric k cell at row 0")),
+    "k-non-numeric-signal": ("k,u\nabc,1.0\n\n2,3.0\n", _SIG, (ParseError, "non-numeric k cell at row 0")),
+    "k-non-finite-traj": ("k,u,y\n0,1.0,1.0\ninf,,2.0\n", _TRAJ, (ParseError, "non-finite k cell at row 1")),
+    "k-non-finite-signal": ("k,u\nnan,1.0\n", _SIG, (ParseError, "non-finite k cell at row 0")),
+    "k-empty-signal": ("k,u\n,1.0\n", _SIG, (ParseError, "non-numeric k cell at row 0: ''")),
+    "value-non-numeric": ("k,u,y\n0,oops,1.0\n1,,2.0\n", _TRAJ, (ParseError, "non-numeric u cell at row 0")),
+    "empty-y": ("k,u,y\n0,1.0,1.0\n1,,\n", _TRAJ, (ParseError, "non-numeric y cell at row 1: ''")),
+    "empty-signal-cell": ("k,u\n0,1.0\n1, \n", _SIG, (ParseError, "non-numeric u cell at row 1: ' '")),
+    "empty-u-column": ("k,u,y\n0,,1.0\n1,,2.0\n", _TRAJ, (DimensionError, "signal needs N >= 1")),
+    "u-after-empty": ("k,u,y\n0,1.0,1.0\n1,,2.0\n2,3.0,3.0\n", _TRAJ,
+                      (FormatError, "non-empty u cell at row 2 after empty u cells")),
+    "y-after-empty": ("k,u,y\n0,1.0,1.0\n1,,\n2,,3.0\n", _TRAJ, (ParseError, "non-numeric y cell at row 1")),
+    "signal-after-empty": ("k,u\n0,1.0\n1,\n2,3.0\n", _SIG, (ParseError, "non-numeric u cell at row 1: ''")),
+    "no-empty-u": ("k,u,y\n0,1.0,1.0\n1,2.0,2.0\n", _TRAJ, (FormatError, "no trailing empty u cells")),
+}
+
+
+@pytest.mark.parametrize("text, reader, expected", _READ_CASES.values(), ids=_READ_CASES)
+def test_csv_readers_share_one_rule_set(tmp_path, text, reader, expected):
+    # non-finite value cells: test_nonfinite_cells_rejected_on_read, in every spelling
+    p = tmp_path / "in.csv"
+    p.write_bytes(text if isinstance(text, bytes) else text.encode())
+    if isinstance(expected[0], type):
+        with pytest.raises(expected[0], match=re.escape(expected[1])):
+            reader(p)
+    elif reader is read_trajectory:
+        traj = read_trajectory(p)
+        assert (traj.u.flat.tolist(), traj.y.flat.tolist(), traj.n) == expected
+    else:
+        values = read_signal_csv(p)
+        assert values.dtype == float and values.tolist() == expected
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=4, max_size=12), st.integers(1, 3))
+def test_written_files_read_back_bit_identically(tmp_path_factory, values, n):
+    d = tmp_path_factory.mktemp("roundtrip")
+    y = np.array(values)
+    write_signal_csv(d / "signal.csv", "z", y)
+    assert read_signal_csv(d / "signal.csv").tobytes() == y.tobytes()
+    write_trajectory(d / "traj.csv", IoTrajectory.from_arrays(y[:-n], y, n))
+    back = read_trajectory(d / "traj.csv")
+    assert (back.n, back.u.flat.tobytes(), back.y.flat.tobytes()) == (n, y[:-n].tobytes(), y.tobytes())
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
