@@ -39,39 +39,27 @@ class BasisSet:
     """Ordered basis functions psi_i(u, xi) with xi of width ``n``.
 
     Each function must accept a batch: u of shape (m,) and xi of shape
-    (m, n), returning shape (m,).  ``identity_index`` marks a function
-    equal to u itself (ConfigError out of range), which matching needs
-    and checks on the data; ``validate`` probes it at random points.  The
-    solvers need no declared structure: ``psi_jacobian`` gives derivatives.
+    (m, n), returning shape (m,).  A set needs at least one function and
+    n >= 1, else ConfigError.  No structure is declared: matching finds
+    the function equal to u on its data, and the solvers take derivatives
+    from ``psi_jacobian``.
     """
 
     functions: tuple[BasisFn, ...]
     n: int
     name: str
-    identity_index: int | None = None
 
     def __post_init__(self) -> None:
         # a tuple keeps the set hashable: it keys results stored on a trajectory
         object.__setattr__(self, "functions", tuple(self.functions))
-        if self.identity_index is not None and not (0 <= self.identity_index < self.r):
-            raise ConfigError(f"identity_index {self.identity_index} out of range for r={self.r}")
+        if self.r == 0:
+            raise ConfigError(f"basis {self.name!r} has no functions")
+        if self.n < 1:
+            raise ConfigError(f"window width must be >= 1, got n={self.n}")
 
     @property
     def r(self) -> int:
         return len(self.functions)
-
-    def validate(self, probes: int = 8, seed: int = 0, tol: float = 1e-9) -> None:
-        if self.r == 0:
-            raise ConfigError("basis has no functions")
-        if self.n < 1:
-            raise ConfigError(f"window width must be >= 1, got n={self.n}")
-        rng = np.random.default_rng(seed)
-        u = rng.uniform(-1.0, 1.0, size=probes)
-        xi = rng.uniform(-1.0, 1.0, size=(probes, self.n))
-        P = eval_psi_hat(self, np.column_stack([u, xi]))
-        if self.identity_index is not None:
-            if not np.allclose(P[:, self.identity_index], u, atol=tol):
-                raise ConfigError(f"function {self.identity_index} of {self.name!r} is not the identity in u")
 
 
 # one tuple per bundled basis, so that equal names give equal bases, which
@@ -98,9 +86,9 @@ def named_basis(name: str, n: int = 2) -> BasisSet:
     if name == "example1-poly":
         if n != 2:
             raise ConfigError(f"basis {name!r} is defined for n=2, got n={n}")
-        return BasisSet(_EXAMPLE1_POLY, 2, name, identity_index=0)
+        return BasisSet(_EXAMPLE1_POLY, 2, name)
     if name == "identity-only":
-        return BasisSet(_IDENTITY_ONLY, n, name, identity_index=0)
+        return BasisSet(_IDENTITY_ONLY, n, name)
     raise ConfigError(f"unknown basis {name!r}")
 
 

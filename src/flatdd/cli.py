@@ -33,6 +33,7 @@ from .errors import (
 from .experiments import (
     _FIELD_PARSERS,
     ExperimentConfig,
+    _check_count,
     _dump_json,
     _features,
     load_config,
@@ -45,9 +46,8 @@ from .experiments import (
 )
 from .matching import MatchProblem, dd_match
 from .membership import _check_tol, flat_membership
-from .signals import read_signal_csv, read_trajectory, write_signal_csv
+from .signals import _check_depth, read_signal_csv, read_trajectory, write_signal_csv
 from .simulation import SimProblem, dd_simulate
-from .solver import _check_controls
 from .window import WindowProblem
 
 _VALIDATION_ERRORS = (ConfigError, DimensionError, FormatError, ParseError)
@@ -97,7 +97,10 @@ def _cmd_config(args) -> int:
     out_dir = args.out_dir or os.environ.get("FLATDD_OUTDIR")
     if out_dir:
         overrides["out_dir"] = out_dir
-    extra = dict(count=args.count) if args.command == "sweep" else {}
+    # each flag by itself, before the config file is read
+    for name, value in overrides.items():
+        ExperimentConfig._check_field(name, value)
+    extra = dict(count=_check_count(args.count)) if args.command == "sweep" else {}
     _print_json(args.run(load_config(args.config) if args.config else None, **extra, **overrides))
     return 0
 
@@ -106,10 +109,13 @@ def _check_settings(args) -> None:
     """Check each setting of a command that reads data files by itself, before any file is read."""
     if args.basis:
         named_basis(args.basis)  # the name: every bundled basis is defined at the default n = 2
-    if args.command == "check-membership":
+    if args.command == "check-pe":
+        _check_depth(args.order)
+    elif args.command == "check-membership":
         _check_tol(args.tol)
-    elif args.command in ("simulate", "match"):
-        _check_controls(args.lam, args.max_iter, args.rel_tol)
+    else:
+        problem = SimProblem if args.command == "simulate" else MatchProblem
+        problem._check_settings(args.lam, args.max_iter, args.rel_tol)
         KernelSpec("gaussian", args.sigma)
 
 

@@ -81,18 +81,22 @@ class ExperimentConfig:
     lam: float = 0.1
     out_dir: str = "runs"
 
+    @staticmethod
+    def _check_field(name: str, value) -> None:
+        """The rules that field ``name`` obeys by itself, whatever the others hold."""
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
+        if name == "seed" and value < 0:
+            raise ConfigError(f"seed must be >= 0, got {value}")
+        choices = {"model": ("example1", "example2"), "mode": ("explicit", "kernel")}.get(name)
+        if choices and value not in choices:
+            raise ConfigError(f"{name} must be {' or '.join(choices)}, got {value!r}")
+
     def __post_init__(self) -> None:
         for f in fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.model not in ("example1", "example2"):
-            raise ConfigError(f"model must be example1 or example2, got {self.model!r}")
+            self._check_field(f.name, getattr(self, f.name))
         if self.horizon <= (n := _named_model(self.model).n):
             raise ConfigError(f"horizon={self.horizon} must exceed the order n={n} of model {self.model}")
-        if self.mode not in ("explicit", "kernel"):
-            raise ConfigError(f"mode must be explicit or kernel, got {self.mode!r}")
         if self.n_samples <= self.horizon:
             raise ConfigError(
                 f"n_samples={self.n_samples} must exceed horizon={self.horizon}"
@@ -331,14 +335,19 @@ def run_example2(config: ExperimentConfig | None = None, **overrides) -> dict:
     )
 
 
+def _check_count(count: int) -> int:
+    if count < 1:
+        raise ConfigError(f"sweep needs count >= 1, got {count}")
+    return count
+
+
 def run_sweep(config: ExperimentConfig | None = None, count: int = 10, **overrides) -> dict:
     """Repeat the configured example over consecutive seeds.
 
     Each run writes into out_dir/seed_<s>; the summary reports the
     per-seed metrics and error medians.
     """
-    if count < 1:
-        raise ConfigError(f"sweep needs count >= 1, got {count}")
+    _check_count(count)
     config = _with_overrides(config, overrides)
     runner = run_example1 if config.model == "example1" else run_example2
     per_seed = []

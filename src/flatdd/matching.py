@@ -10,12 +10,12 @@ in the regularized least-squares sense, and the input is H_{L-n}(u) alpha.
 This is the window problem of ``window`` with the input moved by
 H_{L-n}(u) and every output fixed.  The unknown input appears inside Psi;
 for a basis affine in u the explicit Gauss-Newton solve takes one step,
-the ridge solve of the affine problem.  The identity function's rows
-read (H_{L-n}(u) alpha)_k = (H_{L-n}(u) alpha)_k for every alpha, so the
-explicit solve leaves them out.  Kernel mode needs no input term in its
-kernel: the input is H_{L-n}(u) alpha in any kernel, and on the set
-{H_{L-n}(u) alpha = v} a solve searches, a term u u' would add
-|H_{L-n}(u) alpha - v|^2 = 0.
+the ridge solve of the affine problem.  The rows of the identity, the
+first basis function equal to u on the data, read (H_{L-n}(u) alpha)_k
+= (H_{L-n}(u) alpha)_k for any alpha: the explicit solve leaves them
+out.  Kernel mode needs no input term in its kernel: the input is
+H_{L-n}(u) alpha in any kernel, and on the set {H_{L-n}(u) alpha = v} a
+solve searches, a term u u' would add |H_{L-n}(u) alpha - v|^2 = 0.
 """
 from __future__ import annotations
 
@@ -41,8 +41,9 @@ class MatchProblem(WindowProblem):
     requires a basis containing the identity function: the input is read
     as H_{L-n}(u) alpha, which is the input of the trajectory alpha
     parameterizes only when the input itself is a basis function, whose
-    rows then hold by construction.  Its equations are the rows of the
-    other functions and the L reference outputs (``equations``).
+    rows then hold by construction: the first equal to u on the data, found
+    once per data set (a basis without one raises ConfigError).  The
+    equations are the other functions' rows and the L reference outputs.
     """
 
     y_ref: np.ndarray
@@ -52,17 +53,16 @@ class MatchProblem(WindowProblem):
         super().__post_init__()
         self._known_signal("y_ref", "reference", self.L, "L")
         if self.mode == "explicit":
-            i = self.basis.identity_index
-            if i is None:
-                raise ConfigError(
-                    "matching needs the input itself among the basis functions (identity_index): "
-                    "the input is read as H_{L-n}(u) alpha, the input of the trajectory alpha "
-                    "parameterizes only when the input is a basis function"
-                )
-            # the solve leaves out this function's rows, so it must be the input: checked once per data set
+            # the first function equal to u on the data, found once per data set: the solve leaves out its rows
             psi = psi_hat_signal(self.traj, self.basis).values
-            if not _memo(self.traj, ("identity", self.basis), lambda: np.allclose(psi[:, i], self.traj.u.flat)):
-                raise ConfigError(f"function {i} of {self.basis.name!r} is not the identity in u on the data")
+            is_u = _memo(self.traj, ("identity", self.basis), lambda: np.isclose(psi, self.traj.u.values).all(axis=0))
+            if not is_u.any():
+                raise ConfigError(
+                    f"matching needs the input itself among the functions of basis {self.basis.name!r} "
+                    "(the identity, found on the data): the input is read as H_{L-n}(u) alpha, the input "
+                    "of the trajectory alpha parameterizes only when the input is a basis function"
+                )
+            object.__setattr__(self, "_identity", int(is_u.argmax()))
         n, L = self.traj.n, self.L
         # candidate point k is ((U alpha)[k], y_ref[k], ..., y_ref[k+n-1]) with U = H_{L-n}(u)
         Z0 = window_points(np.zeros(L - n), self.y_ref, n)
@@ -72,7 +72,7 @@ class MatchProblem(WindowProblem):
     def equations(self) -> np.ndarray:
         """Every basis function but the identity: at candidate point k it is
         the moved input (H_u alpha)_k itself, so its rows hold for any alpha."""
-        return np.delete(np.arange(self.basis.r), self.basis.identity_index)
+        return np.delete(np.arange(self.basis.r), self._identity)
 
 
 @dataclass(frozen=True, eq=False)

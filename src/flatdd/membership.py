@@ -198,9 +198,9 @@ def flat_membership(
     """
     _check_tol(tol)
     n = traj.n
+    M = flat_stack(traj, basis, L)  # checks the horizon, which the candidate lengths take
     u_bar = _known_samples(u_bar, "candidate", "u_bar", L - n, "L-n")
     y_bar = _known_samples(y_bar, "candidate", "y_bar", L, "L")
-    M = flat_stack(traj, basis, L)
     _warn_if_not_excited(traj, basis, L)
     P = _memo(traj, ("flat_pinv", basis, L), lambda: _pseudo_inverse(M))
     rhs = candidate_stack(basis, window_points(u_bar, y_bar, n), y_bar)

@@ -167,9 +167,16 @@ class HankelMatrix:
         return out
 
 
+def _check_depth(L: int) -> None:
+    """A Hankel depth below 1, which no sequence has, raises."""
+    if L < 1:
+        raise DimensionError(f"Hankel depth L={L} must be >= 1")
+
+
 def _hankel_cols(z: Signal, L: int) -> int:
     """Column count of the depth-L Hankel matrix of z; a depth outside 1..N raises."""
-    if not (1 <= L <= z.length):
+    _check_depth(L)
+    if L > z.length:
         raise DimensionError(f"Hankel depth L={L} out of range for sequence length N={z.length}")
     return z.length - L + 1
 

@@ -61,9 +61,7 @@ class WindowProblem:
         n = self.traj.n
         if self.L <= n:
             raise ConfigError(f"horizon L={self.L} must exceed order n={n}")
-        _check_controls(self.lam, self.max_iter, self.rel_tol)
-        if self.lam == 0:
-            raise ConfigError(f"{type(self).__name__} requires lam > 0, got {self.lam}")
+        self._check_settings(self.lam, self.max_iter, self.rel_tol)
         if self.mode == "explicit":
             if self.basis is None:
                 raise ConfigError("explicit mode requires a basis")
@@ -75,6 +73,13 @@ class WindowProblem:
         else:
             raise ConfigError(f"unknown mode {self.mode!r}")
         _hankel_cols(self.traj.y, self.L)
+
+    @classmethod
+    def _check_settings(cls, lam: float, max_iter: int, rel_tol: float) -> None:
+        """The solver settings, each valid or not by itself: ``solver._check_controls``, and lam > 0."""
+        _check_controls(lam, max_iter, rel_tol)
+        if lam == 0:
+            raise ConfigError(f"{cls.__name__} requires lam > 0, got {lam}")
 
     @property
     def controls(self) -> dict:

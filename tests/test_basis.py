@@ -30,19 +30,19 @@ def ex1_traj():
     return collect_trajectory(example1_model(), 120, (-0.5, 0.5), seed=11)
 
 
-def test_named_bases_validate():
-    named_basis("example1-poly").validate()
-    named_basis("identity-only", n=3).validate()
+def test_basis_sets_are_checked_when_built():
+    assert named_basis("example1-poly").r == 6 and named_basis("identity-only", n=3).n == 3
     with pytest.raises(ConfigError):
         named_basis("no-such-basis")
     with pytest.raises(ConfigError):
         named_basis("example1-poly", n=3)
-
-
-def test_validate_rejects_wrong_declarations():
-    not_id = BasisSet((lambda u, xi: 2.0 * u,), 2, "scaled", identity_index=0)
-    with pytest.raises(ConfigError, match="identity"):
-        not_id.validate()
+    with pytest.raises(ConfigError, match="^basis 'x' has no functions$"):
+        BasisSet((), 2, "x")
+    for n in (0, -1):
+        with pytest.raises(ConfigError, match=f"^window width must be >= 1, got n={n}$"):
+            BasisSet((lambda u, xi: u,), n, "x")
+        with pytest.raises(ConfigError, match=f"^window width must be >= 1, got n={n}$"):
+            named_basis("identity-only", n=n)
 
 
 def test_example1_basis_spans_recursion(ex1_traj):

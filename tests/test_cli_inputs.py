@@ -9,10 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flatdd.basis import KernelSpec, named_basis
+from flatdd.basis import KernelSpec, named_basis, psi_hat_signal
 from flatdd.cli import main
 from flatdd.errors import ConfigError
-from flatdd.experiments import ExperimentConfig, reference_output, save_config
+from flatdd.experiments import ExperimentConfig, reference_output, run_example1, run_example2, run_sweep, save_config
 from flatdd.membership import flat_membership
 from flatdd.plant import collect_trajectory, example1_model
 from flatdd.signals import IoTrajectory, write_signal_csv, write_trajectory
@@ -106,6 +106,9 @@ def test_cli_rejects_bad_settings(files, command, extra):
     "command, extra, message",
     [
         ("simulate", ["--lambda", "-1e-3"], "regularization weight must be finite and >= 0, got -0.001"),
+        # the window problems need lam > 0, which the solver controls allow
+        ("simulate", ["--lambda", "0"], "SimProblem requires lam > 0, got 0.0"),
+        ("match", ["--lambda", "0"], "MatchProblem requires lam > 0, got 0.0"),
         ("simulate", ["--max-iter", "0"], "max_iter must be >= 1, got 0"),
         ("match", ["--rel-tol", "0"], "rel_tol must be positive and finite, got 0.0"),
         # a kernel width or a basis name is checked in either mode
@@ -116,13 +119,32 @@ def test_cli_rejects_bad_settings(files, command, extra):
         ("check-membership", ["--tol", "-1"], "membership tolerance must be finite and >= 0, got tol=-1.0"),
         ("check-membership", ["--basis", "nosuch"], "unknown basis 'nosuch'"),
         ("check-pe", ["--basis", "nosuch"], "unknown basis 'nosuch'"),
+        ("check-pe", ["--order", "0"], "Hankel depth L=0 must be >= 1"),
     ],
-    ids=["simulate-lambda", "simulate-max-iter", "match-rel-tol", "simulate-sigma", "match-kernel-sigma",
-         "match-basis", "simulate-kernel-basis", "check-membership-tol", "check-membership-basis", "check-pe-basis"],
+    ids=["simulate-lambda", "simulate-lambda-zero", "match-lambda-zero", "simulate-max-iter", "match-rel-tol",
+         "simulate-sigma", "match-kernel-sigma", "match-basis", "simulate-kernel-basis", "check-membership-tol",
+         "check-membership-basis", "check-pe-basis", "check-pe-order"],
 )
 def test_cli_checks_settings_before_reading_files(files, tmp_path, command, extra, message):
     argv = _argv(command, files, data=str(tmp_path / "missing.csv"))
     assert _run(argv)[0] == 3  # the missing file, once every setting is valid
+    assert _run(argv + extra) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "command, extra, message",
+    [
+        ("generate", ["--seed", "-1"], "seed must be >= 0, got -1"),
+        ("example1", ["--mode", "nope"], "mode must be explicit or kernel, got 'nope'"),
+        ("example2", ["--model", "bogus"], "model must be example1 or example2, got 'bogus'"),
+        ("generate", ["--input-lo", "nan"], "input_lo must be finite, got nan"),
+        ("sweep", ["--count", "0"], "sweep needs count >= 1, got 0"),
+    ],
+    ids=["generate-seed", "example1-mode", "example2-model", "generate-input-lo", "sweep-count"],
+)
+def test_cli_checks_flags_before_reading_the_config(files, tmp_path, command, extra, message):
+    argv = [command, "--config", str(tmp_path / "missing.cfg"), "--out-dir", str(files["out"])]
+    assert _run(argv)[0] == 3  # the missing file, once every flag is valid
     assert _run(argv + extra) == (1, "", f"error: {message}\n")
 
 
@@ -180,6 +202,23 @@ def _traj():
 )
 def test_settings_rejected_where_they_enter(build):
     with pytest.raises(ConfigError):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SimProblem(_traj(), L, np.zeros(L - 2), np.zeros(2), basis=named_basis("identity-only", n=3)),
+         "basis window width 3 != trajectory order 2"),
+        (lambda: psi_hat_signal(_traj(), named_basis("identity-only", n=3)), "basis window width 3 != trajectory order 2"),
+        (lambda: run_sweep(count=0), "sweep needs count >= 1, got 0"),
+        (lambda: run_example1(model="example2"), "run_example1 drives model example1, got 'example2'"),
+        (lambda: run_example2(model="example1"), "run_example2 drives model example2, got 'example1'"),
+    ],
+    ids=["window-basis-width", "psi-basis-width", "sweep-count", "example1-model", "example2-model"],
+)
+def test_front_ends_reject_settings_that_do_not_fit(build, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
         build()
 
 

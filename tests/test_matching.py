@@ -81,7 +81,7 @@ def test_input_recovery_identity_is_exact(clean_traj, basis, sin_ref):
 def test_identity_row_matches_returned_input(clean_traj, basis, sin_ref):
     res = dd_match(MatchProblem(clean_traj, 50, sin_ref, "explicit", basis=basis, lam=0.1))
     psi = eval_psi_hat(basis, window_points(res.u.flat, sin_ref, 2))
-    assert np.array_equal(psi[:, basis.identity_index], res.u.flat)
+    assert np.array_equal(psi[:, 0], res.u.flat)  # function 0 of example1-poly is u
 
 
 def test_substituted_residual_is_linear_in_alpha(clean_traj, basis, sin_ref):
@@ -133,7 +133,7 @@ def test_explicit_match_equals_full_system_with_identity_rows(model, basis, sin_
     # the one Gauss-Newton step of a basis affine in u, on every row of flat_stack: the identity's
     # rows are zero rows of A - C with a zero right-hand side at alpha = 0, so they change nothing
     traj = collect_trajectory(model, 500, (-0.5, 0.5), seed=5)
-    subset = BasisSet(tuple(basis.functions[i] for i in functions), 2, f"subset{functions}", functions.index(0))
+    subset = BasisSet(tuple(basis.functions[i] for i in functions), 2, f"subset{functions}")
     A = flat_stack(traj, subset, 50)
     U = build_hankel(traj.u, 48).entries
     Z = window_points(np.zeros(48), sin_ref, 2)
@@ -185,22 +185,26 @@ def test_noisy_regime_error_scale(model, basis, sin_ref):
     assert np.linalg.norm(y - sin_ref) < 0.5
 
 
-def test_explicit_mode_needs_identity_function(clean_traj, basis, model, sin_ref):
-    no_identity = BasisSet(
-        name="squares-only",
-        n=2,
-        functions=(lambda u, xi: u * u, lambda u, xi: xi[..., 0]),
-        identity_index=None,
-    )
-    with pytest.raises(ConfigError, match="identity"):
-        MatchProblem(clean_traj, 50, sin_ref, "explicit", basis=no_identity, lam=0.1)
-    # a mislabelled identity, u xi1^2, would drop that function's equations: on run_example1's
-    # data (seed 5) the input error grew tenfold without a warning
-    mislabelled = BasisSet(basis.functions, 2, "mislabelled", identity_index=4)
-    with pytest.raises(ConfigError, match="function 4 of 'mislabelled' is not the identity in u"):
-        MatchProblem(_collect(ExperimentConfig(seed=5), model), 50, sin_ref, "explicit", basis=mislabelled, lam=0.1)
-    with pytest.raises(ConfigError, match="identity_index 6 out of range for r=6"):
-        BasisSet(basis.functions, 2, "past-the-end", identity_index=6)
+def test_explicit_mode_needs_identity_function(clean_traj, sin_ref):
+    # neither u^2 and xi1 nor the scaled input 2u equals u on the data
+    for functions in ((lambda u, xi: u * u, lambda u, xi: xi[..., 0]), (lambda u, xi: 2.0 * u,)):
+        no_identity = BasisSet(functions, 2, "no-u")
+        with pytest.raises(ConfigError, match=r"^matching needs the input itself among the functions of basis 'no-u' "
+                           r"\(the identity, found on the data\)"):
+            MatchProblem(clean_traj, 50, sin_ref, "explicit", basis=no_identity, lam=0.1)
+
+
+def test_identity_is_found_in_any_position(model, basis, sin_ref):
+    # example1-poly with its functions reversed, u last and nothing declared, on run_example1's data
+    traj = _collect(ExperimentConfig(seed=5), model)
+    reversed_basis = BasisSet(basis.functions[::-1], 2, "reversed")
+    prob = MatchProblem(traj, 50, sin_ref, "explicit", basis=reversed_basis, lam=0.1)
+    assert list(prob.equations) == [0, 1, 2, 3, 4]
+    expected = dd_match(MatchProblem(traj, 50, sin_ref, "explicit", basis=basis, lam=0.1)).u.flat
+    assert np.abs(dd_match(prob).u.flat - expected).max() <= 1e-12
+    # of two functions equal to u, the first is the identity; the other's rows stay equations
+    twice = BasisSet((basis.functions[3], basis.functions[0], basis.functions[0]), 2, "twice")
+    assert list(MatchProblem(traj, 50, sin_ref, "explicit", basis=twice, lam=0.1).equations) == [0, 2]
 
 
 def test_gaussian_kernel_matches_in_criterion_4_band(model, sin_ref):

@@ -246,6 +246,18 @@ def test_horizon_above_the_record_raises_before_any_warning():
                 request()
 
 
+@pytest.mark.parametrize("L", [1, 2])
+def test_horizon_not_above_the_order_raises_before_the_candidates(L):
+    # with L = 1 the candidate input would need L - n = -1 samples
+    traj = collect_trajectory(example1_model(), 120, (-0.5, 0.5), seed=1)
+    basis = named_basis("example1-poly")
+    message = f"^window length L={L} must exceed order n=2$"
+    with pytest.raises(ConfigError, match=message):
+        flat_membership(traj, basis, L, traj.u.flat[: max(L - 2, 0)], traj.y.flat[:L])
+    with pytest.raises(ConfigError, match=message):
+        flat_stack(traj, basis, L)
+
+
 def test_horizon_above_the_record_names_the_record():
     record = collect_trajectory(example1_model(), 200, (-0.5, 0.5), seed=5)
     traj = IoTrajectory.from_arrays(record.u.flat[:47], record.y.flat[:49], 2)
@@ -319,7 +331,7 @@ def test_repeated_queries_reuse_stored_factorizations(monkeypatch):
     flat_membership(traj, basis, 40, u[:38], y[:40])
     assert counts == {"_excitation": 1, "svd": 1}
     counts.clear()
-    flat_membership(traj, BasisSet(basis.functions, 2, "copy", identity_index=0), 50, u, y)
+    flat_membership(traj, BasisSet(basis.functions, 2, "copy"), 50, u, y)
     assert counts == {"_excitation": 1, "svd": 1}
     # a basis named again is the same basis: no new entry, no new factorization
     counts.clear()
@@ -343,7 +355,7 @@ def test_explicit_match_reads_the_stored_pe_verdict(monkeypatch):
 def test_basis_given_as_list_keys_the_store():
     traj = collect_trajectory(example1_model(), 500, (-0.5, 0.5), seed=5)
     basis = named_basis("example1-poly")
-    as_list = BasisSet(list(basis.functions), 2, "listed", identity_index=0)
+    as_list = BasisSet(list(basis.functions), 2, "listed")
     v = flat_membership(traj, as_list, 50, traj.u.flat[:48], traj.y.flat[:50])
     assert v.is_member and v.residual < 1e-9
 
@@ -377,7 +389,7 @@ def _random_data(n, N, seed):
 
 def _product_basis(n):
     """Three functions of (u, xi) for a window of width n: u, u xi_1 and xi_n^2."""
-    return BasisSet((lambda u, xi: u, lambda u, xi: u * xi[:, 0], lambda u, xi: xi[:, -1] ** 2), n, "product", 0)
+    return BasisSet((lambda u, xi: u, lambda u, xi: u * xi[:, 0], lambda u, xi: xi[:, -1] ** 2), n, "product")
 
 
 def _example1_basis():

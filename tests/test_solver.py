@@ -79,6 +79,14 @@ def test_problem_validation():
         RidgeProblem(np.eye(2), np.ones(2), -1.0)
     with pytest.raises(ConfigError):
         NonlinearResidualProblem(np.eye(2), lambda a: np.ones(2), 0.1, max_iter=0)
+    # what nonlinear_solve itself checks: the problem type, then the start
+    prob = NonlinearResidualProblem(np.eye(2), lambda a: np.ones(2), 0.1)
+    with pytest.raises(ConfigError, match="^unsupported problem type RidgeProblem$"):
+        nonlinear_solve(RidgeProblem(np.eye(2), np.ones(2), 0.1))
+    with pytest.raises(ConfigError, match="^alpha0 has 3 entries, problem dimension is 2$"):
+        nonlinear_solve(prob, np.zeros(3))
+    with pytest.raises(DivergenceError, match="^alpha0 is not finite$"):
+        nonlinear_solve(prob, np.array([0.0, np.inf]))
 
 
 @settings(deadline=None, max_examples=60)
@@ -142,6 +150,13 @@ def test_objective_never_above_initial():
         a0 = np.random.default_rng(trial).normal(size=3) * 3
         res = nonlinear_solve(prob, a0)
         assert res.objective <= prob.objective(a0) + 1e-12
+    # from the minimizer of |a - 1|^2 + 0.1 a^2, a Jacobian of 2 where rhs is constant points
+    # the step uphill: no halving descends, and the solve stops where it started
+    wrong = NonlinearResidualProblem(np.eye(1), lambda a: np.ones(1), 0.1, jacobian=lambda a: np.full((1, 1), 2.0))
+    start = np.array([1.0 / 1.1])
+    res = nonlinear_solve(wrong, start)
+    assert res.iterations == 0 and not res.converged
+    assert np.array_equal(res.alpha, start) and res.objective == res.initial_objective == wrong.objective(start)
 
 
 def test_divergent_rhs_raises():
@@ -150,6 +165,10 @@ def test_divergent_rhs_raises():
     )
     with pytest.raises(DivergenceError):
         nonlinear_solve(prob, np.zeros(2))
+    # a Gram problem whose objective is not finite at its start
+    gram = NormalEquationsProblem(_cholesky(np.eye(2), 0.1), _fixed_terms(np.zeros(2), np.inf), np.eye(2))
+    with pytest.raises(DivergenceError, match="^objective is not finite at alpha0$"):
+        nonlinear_solve(gram, np.zeros(2))
 
 
 def _fixed_terms(cross, offset=0.0):
@@ -688,7 +707,7 @@ def test_basis_running_its_own_explicit_match_nests_on_one_thread():
         inner_inputs.append(dd_match(inner).u.values)
         return u * xi[:, 0]
 
-    nesting = BasisSet((basis.functions[0], u_xi1, *basis.functions[2:]), 2, "nesting", identity_index=0)
+    nesting = BasisSet((basis.functions[0], u_xi1, *basis.functions[2:]), 2, "nesting")
     y_ref = 0.6 * reference_output(50)
     assert _bits(_fresh_match(13, y_ref, nesting)) == _bits(_fresh_match(13, y_ref))
     assert any(checked_out)
