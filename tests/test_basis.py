@@ -20,6 +20,7 @@ from flatdd.basis import (
     window_points,
 )
 from flatdd.errors import ConfigError, DimensionError, EvaluationError
+from flatdd.matching import MatchProblem
 from flatdd.plant import collect_trajectory, example1_model
 
 TRUE_COEFFS = np.array([2.0, 0.0, 0.0, 0.0, 1.0, 0.0])
@@ -36,13 +37,22 @@ def test_basis_sets_are_checked_when_built():
         named_basis("no-such-basis")
     with pytest.raises(ConfigError):
         named_basis("example1-poly", n=3)
+    for n in (0, -1):
+        with pytest.raises(ConfigError, match=f"^window width must be >= 1, got n={n}$"):
+            named_basis("identity-only", n=n)
+
+
+def test_validate_rejects_wrong_declarations(ex1_traj):
+    # a set with no function or a window below 1 is refused when built
     with pytest.raises(ConfigError, match="^basis 'x' has no functions$"):
         BasisSet((), 2, "x")
     for n in (0, -1):
         with pytest.raises(ConfigError, match=f"^window width must be >= 1, got n={n}$"):
             BasisSet((lambda u, xi: u,), n, "x")
-        with pytest.raises(ConfigError, match=f"^window width must be >= 1, got n={n}$"):
-            named_basis("identity-only", n=n)
+    # the scaled input 2u is not the identity: explicit matching finds no u among the functions
+    scaled = BasisSet((lambda u, xi: 2.0 * u,), 2, "scaled")
+    with pytest.raises(ConfigError, match=r"^matching needs the input itself among the functions of basis 'scaled' "):
+        MatchProblem(ex1_traj, 20, np.zeros(20), "explicit", basis=scaled, lam=0.1)
 
 
 def test_example1_basis_spans_recursion(ex1_traj):
