@@ -14,7 +14,8 @@ from typing import Callable, Iterable, Literal
 import numpy as np
 
 from .errors import ConfigError, DimensionError, EvaluationError
-from .signals import HankelMatrix, IoTrajectory, Signal, _memo, build_hankel
+from .signals import HankelMatrix, IoTrajectory, Signal, _memo, _window_cols, build_hankel
+from .solver import _central_differences
 
 __all__ = [
     "BasisSet",
@@ -60,6 +61,11 @@ class BasisSet:
     @property
     def r(self) -> int:
         return len(self.functions)
+
+    def _check_width(self, traj: IoTrajectory) -> None:
+        """The one basis-width rule: the set reads windows as wide as the order of ``traj``."""
+        if self.n != traj.n:
+            raise ConfigError(f"basis window width {self.n} != trajectory order {traj.n}")
 
 
 # one tuple per bundled basis, so that equal names give equal bases, which
@@ -131,8 +137,7 @@ def eval_psi_hat(basis: BasisSet, Z: np.ndarray) -> np.ndarray:
 def psi_hat_signal(traj: IoTrajectory, basis: BasisSet) -> Signal:
     """The sequence Psi_0 ... Psi_{N-n-1} along a recorded trajectory,
     evaluated once per basis and kept on ``traj``."""
-    if basis.n != traj.n:
-        raise ConfigError(f"basis window width {basis.n} != trajectory order {traj.n}")
+    basis._check_width(traj)
     return _memo(
         traj, ("psi", basis), lambda: Signal(eval_psi_hat(basis, window_points(traj.u.flat, traj.y.flat, traj.n)))
     )
@@ -144,33 +149,20 @@ def build_psi_hankel(traj: IoTrajectory, basis: BasisSet, L: int) -> HankelMatri
     Shape r(L-n) x (N-L+1); its columns align with the depth-L Hankel
     matrix of y over the same trajectory.
     """
-    if L <= traj.n:
-        raise ConfigError(f"window length L={L} must exceed order n={traj.n}")
+    _window_cols(traj, L)
     return build_hankel(psi_hat_signal(traj, basis), L - traj.n)
 
 
 def psi_jacobian(basis: BasisSet, Z: np.ndarray, coords: Iterable[int]) -> np.ndarray:
     """Derivatives of the basis functions in the coordinates ``coords`` at
-    the points Z, by central differences.
+    the points Z, by central differences (``solver._central_differences``).
 
     Rows of Z are points (u, xi_1, ..., xi_n).  Returns shape
-    (m, r, len(coords)).  The step is 2^-17 max(1, |z_c|), near the cube
-    root of machine epsilon, and each quotient divides by the difference
-    of the two points as stored; a term linear in a coordinate that is
-    zero then gets its slope without rounding.  The complex step is not
-    used: it reads a zero slope off a basis such as np.abs.
+    (m, r, len(coords)).  The complex step is not used: it reads a zero
+    slope off a basis such as np.abs.
     """
     Z = np.asarray(Z, dtype=float)
-    coords = tuple(coords)
-    out = np.empty((Z.shape[0], basis.r, len(coords)))
-    for j, c in enumerate(coords):
-        h = 2.0**-17 * np.maximum(1.0, np.abs(Z[:, c]))
-        hi, lo = Z.copy(), Z.copy()
-        hi[:, c] += h
-        lo[:, c] -= h
-        diff = eval_psi_hat(basis, hi) - eval_psi_hat(basis, lo)
-        out[:, :, j] = diff / (hi[:, c] - lo[:, c])[:, None]
-    return out
+    return _central_differences(lambda z: eval_psi_hat(basis, z), Z, [(slice(None), c) for c in coords])
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,7 @@ from .matching import MatchProblem, dd_match
 from .membership import _check_tol, flat_membership
 from .signals import _check_depth, read_signal_csv, read_trajectory, write_signal_csv
 from .simulation import SimProblem, dd_simulate
-from .window import WindowProblem
+from .window import WindowProblem, _check_solve_settings
 
 _VALIDATION_ERRORS = (ConfigError, DimensionError, FormatError, ParseError)
 _NUMERICAL_ERRORS = (DivergenceError, EvaluationError, SingularMatrixError)
@@ -114,8 +114,7 @@ def _check_settings(args) -> None:
     elif args.command == "check-membership":
         _check_tol(args.tol)
     else:
-        problem = SimProblem if args.command == "simulate" else MatchProblem
-        problem._check_settings(args.lam, args.max_iter, args.rel_tol)
+        _check_solve_settings(args.lam, args.max_iter, args.rel_tol)
         KernelSpec("gaussian", args.sigma)
 
 
@@ -189,7 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
         "check-membership",
         help="is a candidate trajectory consistent with the data (exact; meaningless on noisy data)",
         description="Exact membership verdict. Noise gives the data matrix full row rank, and then every "
-        "candidate passes: use noise-free data (a calibrated score is planned, ROADMAP.md item 3).",
+        "candidate passes: use noise-free data (a calibrated score is planned, ROADMAP.md item "
+        '"Membership that means something, in both modes").',
     )
     p.add_argument("--data", required=True)
     p.add_argument("--candidate", required=True)

@@ -17,7 +17,7 @@ import numpy as np
 from .basis import BasisSet, eval_psi_hat, psi_hat_signal, window_points
 from .errors import ConfigError, DimensionError, PersistencyWarning, _warn
 from .signals import IoTrajectory, PeResult, Signal, _known_samples, _memo, as_signal, build_hankel, pe_check
-from .signals import _excitation, _hankel_cols, _too_short, _write_hankel
+from .signals import _excitation, _too_short, _window_cols, _write_hankel
 from .solver import _svd
 
 __all__ = [
@@ -146,16 +146,15 @@ def lti_membership(
 
 def flat_stack(traj: IoTrajectory, basis: BasisSet, L: int) -> np.ndarray:
     """The stacked data matrix [H_{L-n}(Psi); H_L(y)], shape
-    (r(L-n) + L) x (N-L+1).  A window problem that fixes the first l
-    outputs keeps its first r(L-n) + l rows.  Built once per (basis, L),
-    both blocks written straight into one array, and kept on ``traj``,
-    read-only."""
+    (r(L-n) + L) x (N-L+1).  A window problem keeps the Psi rows of its
+    equations (every function but matching's identity) and the rows of its
+    l fixed first outputs.  Built once per (basis, L), both blocks written
+    straight into one array, and kept on ``traj``, read-only."""
 
     def build() -> np.ndarray:
-        if L <= traj.n:
-            raise ConfigError(f"window length L={L} must exceed order n={traj.n}")
+        cols = _window_cols(traj, L)  # before the basis is evaluated on the data
         psi, top = psi_hat_signal(traj, basis), basis.r * (L - traj.n)
-        M = np.empty((top + L, _hankel_cols(traj.y, L)))
+        M = np.empty((top + L, cols))
         _write_hankel(M[:top], psi, L - traj.n)
         _write_hankel(M[top:], traj.y, L)
         M.setflags(write=False)
@@ -194,7 +193,8 @@ def flat_membership(
     raise ConfigError.
     The verdict means nothing on noisy data, where the data matrix has
     full row rank (338x451 on example1 seed-1 data at L = 50) and every
-    candidate fits to rounding; see ROADMAP.md item 3's calibrated score.
+    candidate fits to rounding; see the calibrated score of the ROADMAP.md
+    item "Membership that means something, in both modes".
     """
     _check_tol(tol)
     n = traj.n

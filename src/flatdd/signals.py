@@ -181,6 +181,14 @@ def _hankel_cols(z: Signal, L: int) -> int:
     return z.length - L + 1
 
 
+def _window_cols(traj: IoTrajectory, L: int) -> int:
+    """N - L + 1, the column count of every data matrix over the length-L windows of ``traj``:
+    the one horizon rule.  L <= n raises ConfigError, L > N DimensionError naming L and N."""
+    if L <= traj.n:
+        raise ConfigError(f"window length L={L} must exceed order n={traj.n}")
+    return _hankel_cols(traj.y, L)
+
+
 def _write_hankel(out: np.ndarray, z: Signal, L: int) -> None:
     """Write the depth-L Hankel matrix of z into ``out``, an array of that matrix's shape,
     in one strided copy: row i*sigma + s, column j is z_{i+j}[s]."""

@@ -289,20 +289,24 @@ def _cholesky(G: np.ndarray, lam: float) -> np.ndarray:
     return L
 
 
-def _difference_jacobian(rhs: Callable[[np.ndarray], np.ndarray], alpha: np.ndarray) -> np.ndarray:
-    """d rhs/d alpha by central differences, one column per coordinate."""
-    columns = []
-    for i in range(alpha.size):
-        step = np.zeros_like(alpha)
-        step[i] = 2.0**-17 * max(1.0, abs(alpha[i]))
-        hi, lo = alpha + step, alpha - step
-        columns.append((rhs(hi) - rhs(lo)) / (hi[i] - lo[i]))
-    return np.column_stack(columns)
+def _central_differences(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, entries) -> np.ndarray:
+    """Derivatives of f along each index of ``entries`` into x, stacked on a last axis, by central
+    differences: each entry steps by 2^-17 max(1, |x|), near the cube root of machine epsilon, and the
+    quotient divides by the two points' difference as stored, so a term linear in an entry that is zero
+    gets its slope without rounding.  An index may pick a coordinate of a batch of points (f's first axis)."""
+    slopes = []
+    for at in entries:
+        hi, lo = x.copy(), x.copy()
+        h = 2.0**-17 * np.maximum(1.0, np.abs(x[at]))
+        hi[at] += h
+        lo[at] -= h
+        slopes.append(((f(hi) - f(lo)).T / (hi[at] - lo[at])).T)
+    return np.stack(slopes, axis=-1)
 
 
 def _gauss_newton(prob: NonlinearResidualProblem, alpha: np.ndarray) -> NonlinearResult:
     A, lam = prob.A, prob.lam
-    jacobian = prob.jacobian or (lambda a: _difference_jacobian(prob.rhs, a))
+    jacobian = prob.jacobian or (lambda a: _central_differences(prob.rhs, a, range(a.size)))
     rhs = prob.rhs(alpha)
     r = A @ alpha - rhs if alpha.any() else -rhs  # the zero start multiplies nothing
     obj = float(r @ r + lam * (alpha @ alpha))

@@ -31,11 +31,18 @@ import numpy as np
 from .basis import BasisSet, KernelSpec, kernel_diag, kernel_eval, kernel_grad, psi_jacobian, window_points
 from .errors import ConfigError
 from .membership import _warn_if_not_excited, candidate_stack, flat_stack
-from .signals import IoTrajectory, _hankel_cols, _known_samples, build_hankel
+from .signals import IoTrajectory, _known_samples, _window_cols, build_hankel
 from .solver import NonlinearResidualProblem, NonlinearResult, NormalEquationsProblem, RidgeProblem
 from .solver import _ROW_BLOCK, _check_controls, _cholesky, _workspace, nonlinear_solve, ridge_solve
 
 __all__ = ["WindowProblem", "explicit_solve", "kernel_problem"]
+
+
+def _check_solve_settings(lam: float, max_iter: int, rel_tol: float) -> None:
+    """Simulation and matching settings, each valid or not by itself: ``solver._check_controls``, lam > 0."""
+    _check_controls(lam, max_iter, rel_tol)
+    if lam == 0:
+        raise ConfigError(f"simulation and matching require lam > 0, got {lam}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,8 +50,7 @@ class WindowProblem:
     """Recorded data, horizon and solver settings shared by the front ends.
 
     Subclasses add the known signals and a positional ``mode``:
-    "explicit" requires ``basis``, "kernel" requires ``kernel``.  A
-    horizon above the record raises DimensionError naming L and N.  Each
+    "explicit" requires ``basis``, "kernel" requires ``kernel``.  Each
     ends its checks by setting where alpha enters (``_alpha_enters``).
     """
 
@@ -58,28 +64,17 @@ class WindowProblem:
     rel_tol: float = 1e-8
 
     def __post_init__(self) -> None:
-        n = self.traj.n
-        if self.L <= n:
-            raise ConfigError(f"horizon L={self.L} must exceed order n={n}")
-        self._check_settings(self.lam, self.max_iter, self.rel_tol)
+        _window_cols(self.traj, self.L)
+        _check_solve_settings(self.lam, self.max_iter, self.rel_tol)
         if self.mode == "explicit":
             if self.basis is None:
                 raise ConfigError("explicit mode requires a basis")
-            if self.basis.n != n:
-                raise ConfigError(f"basis window width {self.basis.n} != trajectory order {n}")
+            self.basis._check_width(self.traj)
         elif self.mode == "kernel":
             if self.kernel is None:
                 raise ConfigError("kernel mode requires a kernel spec")
         else:
             raise ConfigError(f"unknown mode {self.mode!r}")
-        _hankel_cols(self.traj.y, self.L)
-
-    @classmethod
-    def _check_settings(cls, lam: float, max_iter: int, rel_tol: float) -> None:
-        """The solver settings, each valid or not by itself: ``solver._check_controls``, and lam > 0."""
-        _check_controls(lam, max_iter, rel_tol)
-        if lam == 0:
-            raise ConfigError(f"{cls.__name__} requires lam > 0, got {lam}")
 
     @property
     def controls(self) -> dict:

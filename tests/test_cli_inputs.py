@@ -107,8 +107,8 @@ def test_cli_rejects_bad_settings(files, command, extra):
     [
         ("simulate", ["--lambda", "-1e-3"], "regularization weight must be finite and >= 0, got -0.001"),
         # the window problems need lam > 0, which the solver controls allow
-        ("simulate", ["--lambda", "0"], "SimProblem requires lam > 0, got 0.0"),
-        ("match", ["--lambda", "0"], "MatchProblem requires lam > 0, got 0.0"),
+        ("simulate", ["--lambda", "0"], "simulation and matching require lam > 0, got 0.0"),
+        ("match", ["--lambda", "0"], "simulation and matching require lam > 0, got 0.0"),
         ("simulate", ["--max-iter", "0"], "max_iter must be >= 1, got 0"),
         ("match", ["--rel-tol", "0"], "rel_tol must be positive and finite, got 0.0"),
         # a kernel width or a basis name is checked in either mode

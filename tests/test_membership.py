@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from flatdd.basis import BasisSet, KernelSpec, named_basis, psi_hat_signal, window_points
+from flatdd.basis import BasisSet, KernelSpec, build_psi_hankel, named_basis, psi_hat_signal, window_points
 from flatdd.errors import ConfigError, DimensionError, PersistencyWarning
 from flatdd.experiments import ExperimentConfig, _collect
 from flatdd.matching import MatchProblem, dd_match
@@ -246,28 +246,59 @@ def test_horizon_above_the_record_raises_before_any_warning():
                 request()
 
 
-@pytest.mark.parametrize("L", [1, 2])
-def test_horizon_not_above_the_order_raises_before_the_candidates(L):
-    # with L = 1 the candidate input would need L - n = -1 samples
-    traj = collect_trajectory(example1_model(), 120, (-0.5, 0.5), seed=1)
-    basis = named_basis("example1-poly")
-    message = f"^window length L={L} must exceed order n=2$"
-    with pytest.raises(ConfigError, match=message):
-        flat_membership(traj, basis, L, traj.u.flat[: max(L - 2, 0)], traj.y.flat[:L])
-    with pytest.raises(ConfigError, match=message):
-        flat_stack(traj, basis, L)
+def _zeros(size):
+    return np.zeros(max(size, 0))
 
 
-def test_horizon_above_the_record_names_the_record():
+_GAUSSIAN = KernelSpec("gaussian")
+# every entry point that reads the length-L windows of a record, as (traj, basis, L) -> call;
+# the candidate signals have the lengths L asks for, none where L - n < 0
+_WINDOW_ENTRIES = {
+    "sim-explicit": lambda traj, basis, L: SimProblem(traj, L, _zeros(L - 2), _zeros(2), "explicit", basis=basis),
+    "sim-kernel": lambda traj, _, L: SimProblem(traj, L, _zeros(L - 2), _zeros(2), "kernel", kernel=_GAUSSIAN),
+    "match-explicit": lambda traj, basis, L: MatchProblem(traj, L, _zeros(L), "explicit", basis=basis),
+    "match-kernel": lambda traj, _, L: MatchProblem(traj, L, _zeros(L), "kernel", kernel=_GAUSSIAN),
+    "flat_membership": lambda traj, basis, L: flat_membership(traj, basis, L, _zeros(L - 2), _zeros(L)),
+    "flat_stack": lambda traj, basis, L: flat_stack(traj, basis, L),
+    "build_psi_hankel": lambda traj, basis, L: build_psi_hankel(traj, basis, L),
+    "psi_hat_signal": lambda traj, basis, L: psi_hat_signal(traj, basis),
+}
+_BROKEN_RULES = ("L1-below-order", "L2-at-order", "L-above-record", "other-width")
+
+
+def _broken_rule(rule):
+    """(trajectory of order 2, basis, L, error class, message) that break one window rule."""
     record = collect_trajectory(example1_model(), 200, (-0.5, 0.5), seed=5)
-    traj = IoTrajectory.from_arrays(record.u.flat[:47], record.y.flat[:49], 2)
-    y = record.y.flat[100:150]
-    for settings in (
-        dict(mode="explicit", basis=named_basis("example1-poly")),
-        dict(mode="kernel", kernel=KernelSpec("gaussian")),
-    ):
-        with pytest.raises(DimensionError, match=r"^Hankel depth L=50 out of range for sequence length N=49$"):
-            MatchProblem(traj, 50, y, **settings)
+    basis = named_basis("example1-poly")
+    if rule == "L-above-record":
+        short = IoTrajectory.from_arrays(record.u.flat[:47], record.y.flat[:49], 2)
+        return short, basis, 50, DimensionError, "Hankel depth L=50 out of range for sequence length N=49"
+    if rule == "other-width":
+        return record, named_basis("identity-only", n=3), 50, ConfigError, "basis window width 3 != trajectory order 2"
+    L = int(rule[1])
+    return record, basis, L, ConfigError, f"window length L={L} must exceed order n=2"
+
+
+@pytest.mark.parametrize(
+    "entry, rule",
+    [
+        (entry, rule)
+        for rule in _BROKEN_RULES
+        for entry in _WINDOW_ENTRIES
+        # psi_hat_signal takes no horizon, and the kernel modes take no basis
+        if not (entry == "psi_hat_signal" and rule != "other-width")
+        and not (entry.endswith("kernel") and rule == "other-width")
+    ],
+)
+def test_window_rules_raise_one_error_at_every_entry(entry, rule):
+    # the horizon rule runs before the candidates (at L = 1 the input would need L - n = -1
+    # samples) and before any warning; each rule raises one class with one message everywhere
+    traj, basis, L, error, message = _broken_rule(rule)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as raised:
+            _WINDOW_ENTRIES[entry](traj, basis, L)
+    assert raised.type is error and str(raised.value) == message
 
 
 def _example1_windows(seed):
